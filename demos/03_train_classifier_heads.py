@@ -23,7 +23,7 @@ from factkit import (
     targets_from_facts,
     train,
 )
-from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, FactRecord
+from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, FactRecord, label_codes, labelsets_from_codes
 
 rng = np.random.default_rng(1)
 
@@ -69,13 +69,17 @@ for stats in result.history:
     print(f"{stats.epoch:>5}  {stats.train_loss:>10.4f}  {stats.val_f1:>13.4f}")
 print(f"best epoch: {result.best_epoch} (val F1 {result.best_val_f1:.4f})")
 
+# predict() returns (N, 7) label codes (columns in DIMENSIONS order) and the
+# matching max-softmax confidences; label sets are built only for display.
 by_id = {f.id: f for f in facts}
 test_matrix = EmbeddingMatrix(rows=matrix.take(split.test), row_ids=split.test)
-predictions = [labels for labels, _ in predict(result.model, test_matrix)]
+codes, confidences = predict(result.model, test_matrix)
 gold = [by_id[i].labels for i in split.test]
+print(f"\nfirst test fact: {labelsets_from_codes(codes[:1])[0]}")
+print(f"  confidences: {[round(c, 3) for c in confidences[0].tolist()]}")
 
-print(f"\ntest pooled-overall macro F1: {pooled_overall_f1(gold, predictions):.4f}")
-report = evaluate_labelsets(gold, predictions)
+print(f"\ntest pooled-overall macro F1: {pooled_overall_f1(gold, labelsets_from_codes(codes)):.4f}")
+report = evaluate_labelsets(label_codes(gold), codes)
 print("per-category macro F1:")
 for d in DIMENSIONS:
     print(f"  {d.value:<20}{report.per_category_macro_f1[d]:.4f}")

@@ -30,7 +30,11 @@ matrix = EmbeddingMatrix(
 
 # Five differently-initialized models stand in for five trained seeds.
 models = [new_model(24, canonical_label_space(), seed=s) for s in (42, 123, 456, 789, 1024)]
+# One (codes, confidences) pair per seed model: (400, 7) label codes in
+# DIMENSIONS order and the matching max-softmax confidences.
 tables = predict_corpus(models, matrix)
+codes, confidences = tables[0]
+print(f"seed 42 predictions: codes {codes.shape}, confidences {confidences.shape}")
 report = aggregate_distribution(tables)
 
 print("per-seed shares always sum to 100% per dimension:")

@@ -6,6 +6,12 @@ confidence among those facts, both as mean and sample std across seeds.
 Invalidity-reason predictions are reported exactly as the heads produce
 them, without reconciling against the validity head.
 
+A seed's prediction table is the ``(codes, confidences)`` pair that
+:func:`model.predict` returns: two (N, 7) arrays, columns in ``DIMENSIONS``
+order, codes indexing ``LABEL_SPACE``. Per dimension, one ``np.bincount``
+counts each label's facts and one weighted by confidence sums their
+confidences.
+
 The leakage audit recomputes the distribution with facts that also occur in
 the training set (by exact trimmed text match) held out and reports the
 largest per-cell share shift in percentage points.
@@ -13,17 +19,18 @@ largest per-cell share shift in percentage points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .embeddings import EmbeddingMatrix
 from .errors import EmptyTables, SchemaMismatch
-from .metrics import MeanStd
+from .metrics import MeanStd, _mean_std
 from .model import MultiHeadModel, predict
-from .taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, FactRecord, LabelSet
+from .taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, FactRecord
 
-PredictionTable = list[tuple[LabelSet, dict[Dimension, float]]]
+PredictionTable = tuple[np.ndarray, np.ndarray]  # (codes, confidences), both (N, 7)
 
 
 def predict_corpus(
@@ -32,14 +39,9 @@ def predict_corpus(
     """One prediction table per seed model over the same corpus."""
     if not models:
         raise EmptyTables("no models given")
-    first = models[0]
-    for other in models[1:]:
-        if (
-            other.dim != first.dim
-            or other.category_names != first.category_names
-            or other.label_space != first.label_space
-        ):
-            raise SchemaMismatch("seed models disagree on label space or dimension")
+    # predict() holds every model to the canonical label space; only dim can differ
+    if any(m.dim != models[0].dim for m in models):
+        raise SchemaMismatch("seed models disagree on input dimension")
     return [predict(m, embeddings) for m in models]
 
 
@@ -56,32 +58,29 @@ class DistributionReport:
     n_seeds: int
 
 
-def _mean_std(values: Sequence[float]) -> MeanStd:
-    # fsum keeps the result independent of seed-table order
-    n = len(values)
-    mean = math.fsum(values) / n
-    if n == 1:
-        return MeanStd(mean, 0.0)
-    return MeanStd(mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1)))
-
-
 def aggregate_distribution(tables: Sequence[PredictionTable]) -> DistributionReport:
     """Mean and std of per-label shares and confidences across seed tables."""
-    if not tables or not tables[0]:
+    if not tables or not len(tables[0][0]):
         raise EmptyTables("no predictions to aggregate")
-    n_facts = len(tables[0])
-    if any(len(t) != n_facts for t in tables):
+    n_facts = len(tables[0][0])
+    if any(len(codes) != n_facts for codes, _ in tables):
         raise SchemaMismatch("seed tables cover different numbers of facts")
     cells: dict[tuple[Dimension, str], DistributionCell] = {}
-    for dim in DIMENSIONS:
-        for label in LABEL_SPACE[dim]:
-            shares = []
-            confidences = []
-            for table in tables:
-                hits = [conf[dim] for labels, conf in table if labels.get(dim) == label]
-                shares.append(100.0 * len(hits) / n_facts)
-                if hits:
-                    confidences.append(100.0 * sum(hits) / len(hits))
+    for c, dim in enumerate(DIMENSIONS):
+        size = len(LABEL_SPACE[dim])
+        counts = [np.bincount(codes[:, c], minlength=size).tolist() for codes, _ in tables]
+        # bincount adds the weights in row order, as a running sum would
+        conf_sums = [
+            np.bincount(codes[:, c], weights=conf[:, c], minlength=size).tolist()
+            for codes, conf in tables
+        ]
+        for code, label in enumerate(LABEL_SPACE[dim]):
+            shares = [100.0 * count[code] / n_facts for count in counts]
+            confidences = [
+                100.0 * total[code] / count[code]
+                for count, total in zip(counts, conf_sums)
+                if count[code]
+            ]
             cells[(dim, label)] = DistributionCell(
                 share=_mean_std(shares),
                 confidence=_mean_std(confidences) if confidences else None,
@@ -111,34 +110,25 @@ def leakage_audit(
     (``held_out_empty``) instead of raising.
     """
     train_texts = {fact.text.strip() for fact in train_facts}
-    overlapping = [i for i, fact in enumerate(corpus) if fact.text.strip() in train_texts]
-    overlap_count = len(overlapping)
+    overlapping = np.array([fact.text.strip() in train_texts for fact in corpus], dtype=bool)
+    overlap_count = int(overlapping.sum())
     overlap_fraction = overlap_count / len(corpus) if corpus else 0.0
     full = aggregate_distribution(tables)
-    if overlap_count == len(corpus):
-        return LeakageAudit(
-            overlap_count=overlap_count,
-            overlap_fraction=overlap_fraction,
-            shifts=None,
-            max_shift=None,
-            held_out_empty=True,
-            held_out_report=None,
+    held_out = shifts = None
+    if overlap_count < len(corpus):
+        held_out = aggregate_distribution(
+            [(codes[~overlapping], conf[~overlapping]) for codes, conf in tables]
         )
-    overlap_set = set(overlapping)
-    held_out_tables = [
-        [row for i, row in enumerate(table) if i not in overlap_set] for table in tables
-    ]
-    held_out = aggregate_distribution(held_out_tables)
-    shifts = {
-        key: abs(full.cells[key].share.mean - held_out.cells[key].share.mean)
-        for key in full.cells
-    }
+        shifts = {
+            key: abs(full.cells[key].share.mean - held_out.cells[key].share.mean)
+            for key in full.cells
+        }
     return LeakageAudit(
         overlap_count=overlap_count,
         overlap_fraction=overlap_fraction,
         shifts=shifts,
-        max_shift=max(shifts.values()),
-        held_out_empty=False,
+        max_shift=max(shifts.values()) if shifts else None,
+        held_out_empty=held_out is None,
         held_out_report=held_out,
     )
 

@@ -21,14 +21,14 @@ import unicodedata
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import metrics
 from .errors import DimensionMismatch, EmptyInput, EmptyVocabulary
-from .taxonomy import DIMENSIONS, Dimension, LabelSet
+from .taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, LabelSet, label_codes
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -218,12 +218,14 @@ def logreg_train(
     )
 
 
+def _predict_indices(model: LinearModel, X) -> np.ndarray:
+    """Argmax indices into ``model.labels``, first on ties (0 for a single class)."""
+    return np.asarray(X @ model.weights.T + model.bias).argmax(axis=1)
+
+
 def logreg_predict(model: LinearModel, X) -> list[str]:
     """Argmax labels; ties resolve to the lexicographically first label."""
-    if model.single_class:
-        return [model.labels[0]] * X.shape[0]
-    scores = np.asarray(X @ model.weights.T + model.bias)
-    return [model.labels[i] for i in scores.argmax(axis=1)]
+    return [model.labels[i] for i in _predict_indices(model, X)]
 
 
 def baseline_eval(
@@ -235,12 +237,12 @@ def baseline_eval(
     missing = [d for d in DIMENSIONS if d not in models]
     if missing:
         raise DimensionMismatch(f"no model for dimensions {[d.value for d in missing]}")
-    predicted_columns = {dim: logreg_predict(models[dim], X) for dim in DIMENSIONS}
-    predictions = [
-        LabelSet(**{dim.value: predicted_columns[dim][i] for dim in DIMENSIONS})
-        for i in range(X.shape[0])
-    ]
-    return metrics.evaluate_labelsets(list(gold), predictions)
+    pred = np.empty((X.shape[0], len(DIMENSIONS)), dtype=np.int64)
+    for c, dim in enumerate(DIMENSIONS):
+        model = models[dim]
+        code_of_index = np.array([LABEL_SPACE[dim].index(label) for label in model.labels])
+        pred[:, c] = code_of_index[_predict_indices(model, X)]
+    return metrics.evaluate_labelsets(label_codes(gold), pred)
 
 
 def train_baseline(

@@ -35,6 +35,7 @@ is configured through the config file or flags.
 from __future__ import annotations
 
 import argparse
+import copy
 import datetime
 import hashlib
 import json
@@ -43,8 +44,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import __version__, errors
 from . import agreement as agreement_mod
@@ -55,6 +54,7 @@ from . import model as model_mod
 from .dataio import (
     SplitSpec,
     read_facts,
+    read_jsonl,
     read_split,
     stratified_split,
     write_facts,
@@ -72,10 +72,10 @@ from .sampling import cluster_sample, kmeans_fit
 from .taxonomy import (
     DIMENSIONS,
     CanonResult,
-    Dimension,
     FactRecord,
     RawAnnotation,
     canonicalize,
+    labelsets_from_codes,
 )
 
 DEFAULT_SEEDS = [42, 123, 456, 789, 1024]
@@ -142,8 +142,9 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
 
 
 def load_config(path: Optional[str]) -> dict:
+    """Defaults overlaid with the config file; never shares state with DEFAULT_CONFIG."""
     if path is None:
-        return dict(DEFAULT_CONFIG)
+        return copy.deepcopy(DEFAULT_CONFIG)
     try:
         with open(path, encoding="utf-8") as handle:
             overlay = json.load(handle)
@@ -153,7 +154,7 @@ def load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(overlay, dict):
         raise ConfigError("config root must be a JSON object")
-    config = _deep_merge(DEFAULT_CONFIG, overlay)
+    config = _deep_merge(copy.deepcopy(DEFAULT_CONFIG), overlay)
     seeds = config.get("seeds")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be a non-empty list of distinct integers")
@@ -241,18 +242,10 @@ def _embeddings_for(facts: Sequence[FactRecord], matrix: EmbeddingMatrix) -> Emb
 
 
 def cmd_canon(args, config) -> int:
-    raw_records = []
-    with open(args.raw, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise errors.ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-            if "annotation" not in obj:
-                raise errors.ParseError(line_no, "missing 'annotation' object")
-            raw_records.append((line_no, obj))
+    raw_records = list(read_jsonl(args.raw))
+    for line_no, obj in raw_records:
+        if "annotation" not in obj:
+            raise errors.ParseError(line_no, "missing 'annotation' object")
 
     facts: list[FactRecord] = []
     exclusions = []
@@ -402,16 +395,9 @@ def cmd_train(args, config) -> int:
         model_mod.save_model(ckpt_path, result.model)
         outputs += [str(split_path), str(ckpt_path)]
 
-        test_rows = matrix.take(assignment.test)
-        by_id = {f.id: f for f in facts}
-        gold = [by_id[i].labels for i in assignment.test]
-        predictions = [
-            labels
-            for labels, _ in model_mod.predict(
-                result.model,
-                EmbeddingMatrix(rows=test_rows, row_ids=assignment.test),
-            )
-        ]
+        test_matrix = EmbeddingMatrix(rows=matrix.take(assignment.test), row_ids=assignment.test)
+        predictions, _ = model_mod.predict(result.model, test_matrix)
+        gold = targets[[row_of[i] for i in assignment.test]]
         reports.append(metrics_mod.evaluate_labelsets(gold, predictions))
         print(
             f"train: seed {seed} best epoch {result.best_epoch} "
@@ -437,22 +423,23 @@ def cmd_train(args, config) -> int:
 def cmd_predict(args, config) -> int:
     net = model_mod.load_model(args.model)
     matrix = load_embeddings(args.embeddings)
-    predictions = model_mod.predict(net, matrix)
+    codes, confidences = model_mod.predict(net, matrix)
+    rows = zip(matrix.row_ids, labelsets_from_codes(codes), confidences.tolist())
     with open(args.out, "w", encoding="utf-8") as handle:
-        for row_id, (labels, conf) in zip(matrix.row_ids, predictions):
+        for row_id, labels, conf in rows:
             handle.write(
                 json.dumps(
                     {
                         "id": row_id,
                         "labels": labels.as_dict(),
-                        "confidence": {d.value: round(c, 6) for d, c in conf.items()},
+                        "confidence": {d.value: round(c, 6) for d, c in zip(DIMENSIONS, conf)},
                     },
                     ensure_ascii=False,
                 )
                 + "\n"
             )
     write_manifest(args.out, "predict", {}, [args.model, args.embeddings], [], [args.out])
-    print(f"predict: {len(predictions)} facts labeled")
+    print(f"predict: {len(codes)} facts labeled")
     return 0
 
 
@@ -469,9 +456,9 @@ def cmd_eval(args, config) -> int:
             raise errors.EmptySplit(f"split id {exc.args[0]!r} not in facts") from exc
     else:
         chosen = facts
-    sub = _embeddings_for(chosen, matrix)
-    predictions = [labels for labels, _ in model_mod.predict(net, sub)]
-    report = metrics_mod.evaluate_labelsets([f.labels for f in chosen], predictions)
+    predictions, _ = model_mod.predict(net, _embeddings_for(chosen, matrix))
+    gold = model_mod.targets_from_facts(chosen, model_mod.canonical_label_space())
+    report = metrics_mod.evaluate_labelsets(gold, predictions)
     agg = metrics_mod.aggregate_seeds([report])
     text = metrics_mod.render_aggregate(agg)
     Path(args.out).write_text(text, encoding="utf-8")

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateId, EmptyInput, ParseError, UnknownEnumValue
 from .prng import Xoshiro256StarStar
@@ -75,9 +75,6 @@ class SplitAssignment:
     val: tuple[str, ...]
     test: tuple[str, ...]
 
-    def all_ids(self) -> tuple[str, ...]:
-        return self.train + self.val + self.test
-
 
 def _fact_from_obj(obj: dict, line_no: int) -> FactRecord:
     if not isinstance(obj, dict):
@@ -101,14 +98,8 @@ def _fact_from_obj(obj: dict, line_no: int) -> FactRecord:
         raise ParseError(line_no, str(exc)) from exc
 
 
-def read_facts(path: Union[str, Path]) -> list[FactRecord]:
-    """Read a JSON-lines facts file, preserving record order.
-
-    Raises :class:`ParseError` with the offending line number on malformed
-    lines and :class:`DuplicateId` when two records share an id.
-    """
-    facts: list[FactRecord] = []
-    seen: set[str] = set()
+def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) per non-blank line; bad JSON raises ParseError."""
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -117,11 +108,23 @@ def read_facts(path: Union[str, Path]) -> list[FactRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-            fact = _fact_from_obj(obj, line_no)
-            if fact.id in seen:
-                raise DuplicateId(fact.id)
-            seen.add(fact.id)
-            facts.append(fact)
+            yield line_no, obj
+
+
+def read_facts(path: Union[str, Path]) -> list[FactRecord]:
+    """Read a JSON-lines facts file, preserving record order.
+
+    Raises :class:`ParseError` with the offending line number on malformed
+    lines and :class:`DuplicateId` when two records share an id.
+    """
+    facts: list[FactRecord] = []
+    seen: set[str] = set()
+    for line_no, obj in read_jsonl(path):
+        fact = _fact_from_obj(obj, line_no)
+        if fact.id in seen:
+            raise DuplicateId(fact.id)
+        seen.add(fact.id)
+        facts.append(fact)
     return facts
 
 

@@ -1,5 +1,9 @@
 """F1 scoring at per-label, per-category, and pooled-overall granularity.
 
+Labels arrive as (N, 7) int64 code arrays (:func:`taxonomy.label_codes`),
+column c indexing ``LABEL_SPACE[DIMENSIONS[c]]``. Every score comes from one
+count, three ``np.bincount`` calls over ``dim_offset + code``.
+
 Conventions, fixed so numbers are comparable across runs:
 
 * The label universe of an evaluation is the union of labels seen in gold
@@ -10,20 +14,25 @@ Conventions, fixed so numbers are comparable across runs:
   every (dimension, label) pair into its own label type, and takes the
   macro average over those pooled types jointly. It is not the mean of the
   per-dimension macro scores.
+* Macro averages sum with ``math.fsum``, independent of ``PYTHONHASHSEED``.
 * Across seeds, values aggregate as mean and sample (n-1) standard
   deviation; a single report aggregates with std 0 and a degenerate flag.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 import math
 
-from .errors import EmptyInput, LengthMismatch, SchemaMismatch
-from .taxonomy import DIMENSIONS, Dimension, LabelSet
+import numpy as np
+
+from .errors import EmptyInput, LabelOutOfRange, LengthMismatch, SchemaMismatch
+from .taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, LabelSet, label_codes
+
+_LABEL_SIZES = tuple(len(LABEL_SPACE[dim]) for dim in DIMENSIONS)
+_LABEL_KEYS = [[(dim, label) for label in LABEL_SPACE[dim]] for dim in DIMENSIONS]
 
 
 @dataclass(frozen=True)
@@ -34,54 +43,79 @@ class LabelScore:
     support: int
 
 
+def _f1_count(
+    gold: np.ndarray, pred: np.ndarray, sizes: Sequence[int]
+) -> tuple[dict[tuple[int, int], LabelScore], list[Optional[float]], float]:
+    """Per-label scores, per-column macro F1 and pooled macro F1.
+
+    ``gold`` and ``pred`` are (N, C) code arrays; column c holds codes in
+    ``range(sizes[c])``. A negative gold code (a masked target) drops that
+    cell from the count. Scores are keyed by (column, code); a column with no
+    counted cell has macro F1 ``None``.
+    """
+    gold = np.asarray(gold, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
+    if gold.shape != pred.shape or gold.shape[1:] != (len(sizes),):
+        raise LengthMismatch(f"gold codes {gold.shape} vs predictions {pred.shape}")
+    keep = gold >= 0
+    if np.any(gold >= sizes) or np.any(keep & ((pred < 0) | (pred >= sizes))):
+        raise LabelOutOfRange("label code outside its column's label space")
+    offsets = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+    flat_gold = (gold + offsets)[keep]
+    flat_pred = (pred + offsets)[keep]
+    if flat_gold.size == 0:
+        raise EmptyInput("F1 of an empty evaluation is undefined")
+    total = int(sum(sizes))
+    gold_count = np.bincount(flat_gold, minlength=total).tolist()
+    pred_count = np.bincount(flat_pred, minlength=total).tolist()
+    hits = np.bincount(flat_gold[flat_gold == flat_pred], minlength=total).tolist()
+
+    scores: dict[tuple[int, int], LabelScore] = {}
+    per_column: list[Optional[float]] = []
+    for c, size in enumerate(sizes):
+        column_f1 = []
+        for code in range(size):
+            k = int(offsets[c]) + code
+            if not gold_count[k] and not pred_count[k]:
+                continue
+            precision = hits[k] / pred_count[k] if pred_count[k] else 0.0
+            recall = hits[k] / gold_count[k] if gold_count[k] else 0.0
+            f1 = (
+                2.0 * precision * recall / (precision + recall)
+                if precision + recall > 0.0
+                else 0.0
+            )
+            scores[(c, code)] = LabelScore(precision, recall, f1, gold_count[k])
+            column_f1.append(f1)
+        per_column.append(math.fsum(column_f1) / len(column_f1) if column_f1 else None)
+    pooled = math.fsum(score.f1 for score in scores.values()) / len(scores)
+    return scores, per_column, pooled
+
+
+def _hashable_codes(
+    gold: Sequence[Hashable], pred: Sequence[Hashable]
+) -> tuple[list[Hashable], np.ndarray, np.ndarray]:
+    """Labels in first-seen order and (N, 1) gold and predicted code arrays."""
+    if len(gold) != len(pred):
+        raise LengthMismatch(f"{len(gold)} gold items vs {len(pred)} predictions")
+    code_of: dict[Hashable, int] = {}
+    codes = np.array([code_of.setdefault(v, len(code_of)) for v in (*gold, *pred)], dtype=np.int64)
+    return list(code_of), codes[: len(gold), None], codes[len(gold) :, None]
+
+
 def f1_per_label(
     gold: Sequence[Hashable], pred: Sequence[Hashable]
 ) -> dict[Hashable, LabelScore]:
     """Precision/recall/F1 per label over the gold-or-predicted universe."""
-    if len(gold) != len(pred):
-        raise LengthMismatch(f"{len(gold)} gold items vs {len(pred)} predictions")
-    tp: Counter = Counter()
-    gold_count: Counter = Counter()
-    pred_count: Counter = Counter()
-    for g, p in zip(gold, pred):
-        gold_count[g] += 1
-        pred_count[p] += 1
-        if g == p:
-            tp[g] += 1
-    scores = {}
-    for label in set(gold_count) | set(pred_count):
-        hits = tp[label]
-        precision = hits / pred_count[label] if pred_count[label] else 0.0
-        recall = hits / gold_count[label] if gold_count[label] else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0.0
-            else 0.0
-        )
-        scores[label] = LabelScore(precision, recall, f1, gold_count[label])
-    return scores
+    labels, gold_codes, pred_codes = _hashable_codes(gold, pred)
+    scores, _, _ = _f1_count(gold_codes, pred_codes, [len(labels)])
+    return {labels[code]: score for (_, code), score in scores.items()}
 
 
 def macro_f1(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:
     """Unweighted mean of per-label F1 over the evaluation's label universe."""
-    if not gold:
-        raise EmptyInput("macro F1 of an empty evaluation is undefined")
-    scores = f1_per_label(gold, pred)
-    return sum(score.f1 for score in scores.values()) / len(scores)
-
-
-def _pooled_pairs(
-    gold_sets: Sequence[LabelSet],
-    pred_sets: Sequence[LabelSet],
-    dimensions: Sequence[Dimension],
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    gold_pairs = []
-    pred_pairs = []
-    for g, p in zip(gold_sets, pred_sets):
-        for dim in dimensions:
-            gold_pairs.append((dim.value, g.get(dim)))
-            pred_pairs.append((dim.value, p.get(dim)))
-    return gold_pairs, pred_pairs
+    labels, gold_codes, pred_codes = _hashable_codes(gold, pred)
+    return _f1_count(gold_codes, pred_codes, [len(labels)])[2]
 
 
 def pooled_overall_f1(
@@ -94,12 +128,12 @@ def pooled_overall_f1(
     Each fact contributes one pooled (gold, pred) pair per dimension; "None"
     gold labels participate like any other label.
     """
-    if len(gold_sets) != len(pred_sets):
-        raise LengthMismatch(f"{len(gold_sets)} gold sets vs {len(pred_sets)} predictions")
-    if not gold_sets:
-        raise EmptyInput("pooled F1 of an empty evaluation is undefined")
-    gold_pairs, pred_pairs = _pooled_pairs(gold_sets, pred_sets, dimensions)
-    return macro_f1(gold_pairs, pred_pairs)
+    columns = [DIMENSIONS.index(dim) for dim in dimensions]
+    return _f1_count(
+        label_codes(gold_sets)[:, columns],
+        label_codes(pred_sets)[:, columns],
+        [_LABEL_SIZES[c] for c in columns],
+    )[2]
 
 
 @dataclass(frozen=True)
@@ -112,30 +146,14 @@ class MetricsReport:
     support: dict[tuple[Dimension, str], int]
 
 
-def evaluate_labelsets(
-    gold_sets: Sequence[LabelSet], pred_sets: Sequence[LabelSet]
-) -> MetricsReport:
-    """Full report for predicted label sets against gold ones."""
-    if len(gold_sets) != len(pred_sets):
-        raise LengthMismatch(f"{len(gold_sets)} gold sets vs {len(pred_sets)} predictions")
-    if not gold_sets:
-        raise EmptyInput("cannot evaluate zero facts")
-    per_label: dict[tuple[Dimension, str], float] = {}
-    support: dict[tuple[Dimension, str], int] = {}
-    per_category: dict[Dimension, float] = {}
-    for dim in DIMENSIONS:
-        gold = [g.get(dim) for g in gold_sets]
-        pred = [p.get(dim) for p in pred_sets]
-        scores = f1_per_label(gold, pred)
-        for label, score in scores.items():
-            per_label[(dim, label)] = score.f1
-            support[(dim, label)] = score.support
-        per_category[dim] = sum(s.f1 for s in scores.values()) / len(scores)
+def evaluate_labelsets(gold: np.ndarray, pred: np.ndarray) -> MetricsReport:
+    """Full report for (N, 7) predicted label codes against gold ones."""
+    scores, per_column, pooled = _f1_count(gold, pred, _LABEL_SIZES)
     return MetricsReport(
-        per_label_f1=per_label,
-        per_category_macro_f1=per_category,
-        overall_macro_f1=pooled_overall_f1(gold_sets, pred_sets),
-        support=support,
+        per_label_f1={_LABEL_KEYS[c][code]: s.f1 for (c, code), s in scores.items()},
+        per_category_macro_f1=dict(zip(DIMENSIONS, per_column)),
+        overall_macro_f1=pooled,
+        support={_LABEL_KEYS[c][code]: s.support for (c, code), s in scores.items()},
     )
 
 

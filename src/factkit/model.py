@@ -48,7 +48,7 @@ from .errors import (
     SchemaMismatch,
     TruncatedFile,
 )
-from .taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, FactRecord, LabelSet
+from .taxonomy import DIMENSIONS, LABEL_SPACE, FactRecord, label_codes
 
 MASK = -1
 
@@ -462,30 +462,21 @@ def targets_from_facts(
     facts: Sequence[FactRecord],
     label_space: Sequence[tuple[str, Sequence[str]]],
 ) -> np.ndarray:
-    """Label indices per fact and category from canonical label strings."""
-    columns = {name: {label: i for i, label in enumerate(labels)} for name, labels in label_space}
-    out = np.empty((len(facts), len(columns)), dtype=np.int64)
-    for i, fact in enumerate(facts):
+    """(N, 7) label codes per fact; ``label_space`` must be the canonical one."""
+    if [(name, tuple(labels)) for name, labels in label_space] != canonical_label_space():
+        raise SchemaMismatch("targets need the canonical seven-dimension label space")
+    for fact in facts:
         if fact.labels is None:
             raise ValueError(f"fact {fact.id!r} has no labels")
-        for c, (name, _) in enumerate(label_space):
-            out[i, c] = columns[name][getattr(fact.labels, name)]
-    return out
+    return label_codes([fact.labels for fact in facts])
 
 
 def pooled_f1_indices(gold: np.ndarray, pred: np.ndarray) -> float:
     """Pooled macro F1 over (category, index) pairs, skipping masked gold."""
     gold = np.asarray(gold)
     pred = np.asarray(pred)
-    pairs_gold = []
-    pairs_pred = []
-    for c in range(gold.shape[1]):
-        for g, p in zip(gold[:, c], pred[:, c]):
-            if g < 0:
-                continue
-            pairs_gold.append((c, int(g)))
-            pairs_pred.append((c, int(p)))
-    return metrics.macro_f1(pairs_gold, pairs_pred)
+    sizes = (np.maximum(gold.max(axis=0), pred.max(axis=0)) + 1).tolist()
+    return metrics._f1_count(gold, pred, sizes)[2]
 
 
 def predict_batch(model: MultiHeadModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,31 +571,18 @@ def train(
     return TrainResult(model=best, history=history, best_epoch=best_epoch, best_val_f1=best_f1)
 
 
-def predict(
-    model: MultiHeadModel, embeddings: EmbeddingMatrix
-) -> list[tuple[LabelSet, dict[Dimension, float]]]:
-    """Label sets and per-dimension confidences for every embedding row.
+def predict(model: MultiHeadModel, embeddings: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 7) label codes and max-softmax confidences for every embedding row.
 
-    Heads are read independently: the invalidity-reason prediction is not
-    reconciled against the validity prediction, so the returned label sets
-    may be internally inconsistent. The model must carry the canonical
-    seven-dimension label space.
+    Column c of both arrays is dimension ``DIMENSIONS[c]``; codes index
+    ``LABEL_SPACE``, so :func:`taxonomy.labelsets_from_codes` turns them into
+    label sets. Heads are read independently: the invalidity-reason code is
+    not reconciled against the validity code, so a row may be internally
+    inconsistent. The model must carry the canonical label space.
     """
-    if tuple(model.category_names) != tuple(d.value for d in DIMENSIONS):
+    if list(zip(model.category_names, model.label_space)) != canonical_label_space():
         raise SchemaMismatch("model does not carry the canonical seven dimensions")
-    indices, confidences = predict_batch(model, embeddings.rows.astype(np.float64))
-    results = []
-    for i in range(indices.shape[0]):
-        values = {
-            name: model.label_space[c][indices[i, c]]
-            for c, name in enumerate(model.category_names)
-        }
-        conf = {
-            Dimension(name): float(confidences[i, c])
-            for c, name in enumerate(model.category_names)
-        }
-        results.append((LabelSet(**values), conf))
-    return results
+    return predict_batch(model, embeddings.rows.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

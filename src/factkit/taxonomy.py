@@ -30,9 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import UnknownEnumValue
+import numpy as np
+
+from .errors import LabelOutOfRange, UnknownEnumValue
 
 NONE_LABEL = "None"
 
@@ -142,6 +144,25 @@ class LabelSet:
     def invalid(cls, reason: str) -> "LabelSet":
         """An invalid fact: the stated reason, None everywhere else."""
         return cls(validity="Invalid", invalidity_reason=reason)
+
+
+def label_codes(labelsets: Sequence[LabelSet]) -> np.ndarray:
+    """(N, 7) int64 codes: column c indexes ``LABEL_SPACE[DIMENSIONS[c]]``."""
+    codes = np.empty((len(labelsets), len(DIMENSIONS)), dtype=np.int64)
+    for c, dim in enumerate(DIMENSIONS):
+        codes[:, c] = [LABEL_SPACE[dim].index(labels.get(dim)) for labels in labelsets]
+    return codes
+
+
+def labelsets_from_codes(codes: np.ndarray) -> list[LabelSet]:
+    """Inverse of :func:`label_codes`; masked or out-of-range codes raise."""
+    spaces = [LABEL_SPACE[dim] for dim in DIMENSIONS]
+    if np.any((codes < 0) | (codes >= [len(space) for space in spaces])):
+        raise LabelOutOfRange("label code outside its dimension's label space")
+    return [
+        LabelSet(**{dim.value: space[code] for dim, space, code in zip(DIMENSIONS, spaces, row)})
+        for row in codes.tolist()
+    ]
 
 
 @dataclass

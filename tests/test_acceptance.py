@@ -50,7 +50,13 @@ from factkit.model import (
 )
 from factkit.model import _loss_and_grads
 from factkit.sampling import kmeans_fit
-from factkit.taxonomy import DIMENSIONS, LabelSet, RawAnnotation, canonicalize
+from factkit.taxonomy import (
+    DIMENSIONS,
+    LabelSet,
+    RawAnnotation,
+    canonicalize,
+    labelsets_from_codes,
+)
 
 from canon_fixtures import GOLDEN_CASES, expected_labelset_kwargs
 from synth import synthetic_dataset
@@ -280,7 +286,7 @@ def test_criterion_8_end_to_end_synthetic_training():
             test_emb = EmbeddingMatrix(
                 rows=emb.take(assignment.test), row_ids=assignment.test
             )
-            predictions = [labels for labels, _ in predict(result.model, test_emb)]
+            predictions = labelsets_from_codes(predict(result.model, test_emb)[0])
             gold = [by_id[i].labels for i in assignment.test]
             score = pooled_overall_f1(gold, predictions)
             assert score >= 0.95, f"seed {seed}: pooled F1 {score:.4f} < 0.95"
@@ -353,7 +359,7 @@ def test_criterion_9c_heads_beat_baseline():
             test_emb = EmbeddingMatrix(
                 rows=aligned.take(assignment.test), row_ids=assignment.test
             )
-            predictions = [l for l, _ in predict(result.model, test_emb)]
+            predictions = labelsets_from_codes(predict(result.model, test_emb)[0])
             gold = [by_id[i].labels for i in assignment.test]
             head_scores.append(pooled_overall_f1(gold, predictions))
 
@@ -377,10 +383,11 @@ def test_criterion_10_distribution_properties():
         ]
         tables = predict_corpus(models, emb)
         report = aggregate_distribution(tables)
-        for table in tables:
+        for codes, _ in tables:
+            table = labelsets_from_codes(codes)
             for dim in DIMENSIONS:
                 counts = {}
-                for labels, _ in table:
+                for labels in table:
                     counts[labels.get(dim)] = counts.get(labels.get(dim), 0) + 1
                 share_sum = 100.0 * sum(counts.values()) / len(table)
                 assert share_sum == pytest.approx(100.0, abs=0.1)

@@ -9,14 +9,23 @@ from factkit.analyze import (
 )
 from factkit.embeddings import EmbeddingMatrix
 from factkit.errors import EmptyTables, SchemaMismatch
+from factkit.metrics import _mean_std
 from factkit.model import canonical_label_space, new_model
-from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, FactRecord, LabelSet
+from factkit.taxonomy import (
+    DIMENSIONS,
+    LABEL_SPACE,
+    Dimension,
+    FactRecord,
+    LabelSet,
+    label_codes,
+    labelsets_from_codes,
+)
 
 from synth import synthetic_dataset
 
 
 def table_from(labelsets, confidence=0.9):
-    return [(labels, {d: confidence for d in DIMENSIONS}) for labels in labelsets]
+    return label_codes(labelsets), np.full((len(labelsets), len(DIMENSIONS)), confidence)
 
 
 def valid(main="Preferences"):
@@ -32,14 +41,17 @@ def test_predict_corpus_single_model_single_fact():
     model = new_model(4, canonical_label_space(), seed=0)
     emb = EmbeddingMatrix(rows=np.zeros((1, 4)), row_ids=("a",))
     tables = predict_corpus([model], emb)
-    assert len(tables) == 1 and len(tables[0]) == 1
+    codes, confidences = tables[0]
+    assert len(tables) == 1 and codes.shape == confidences.shape == (1, len(DIMENSIONS))
 
 
 def test_predict_corpus_identical_models_identical_tables():
     model = new_model(4, canonical_label_space(), seed=3)
     emb = EmbeddingMatrix(rows=np.random.default_rng(0).normal(size=(6, 4)), row_ids=tuple("abcdef"))
     tables = predict_corpus([model, model, model], emb)
-    assert tables[0] == tables[1] == tables[2]
+    for codes, confidences in tables[1:]:
+        assert np.array_equal(codes, tables[0][0])
+        assert np.array_equal(confidences, tables[0][1])
 
 
 def test_predict_corpus_schema_mismatch():
@@ -54,10 +66,11 @@ def test_predict_corpus_shares_sum_to_100():
     facts, emb = synthetic_dataset(n_facts=100, invalid_count=30)
     models = [new_model(emb.dim, canonical_label_space(), seed=s) for s in range(5)]
     tables = predict_corpus(models, emb)
-    for table in tables:
+    for codes, _ in tables:
+        table = labelsets_from_codes(codes)
         for dim in DIMENSIONS:
             counts = {}
-            for labels, _ in table:
+            for labels in table:
                 counts[labels.get(dim)] = counts.get(labels.get(dim), 0) + 1
             total = 100.0 * sum(counts.values()) / len(table)
             assert total == pytest.approx(100.0, abs=0.1)
@@ -87,11 +100,10 @@ def test_aggregate_two_seed_hand_computation():
 
 def test_aggregate_confidence_conditional_on_label():
     # confidence aggregates only over facts assigned the label
-    table = [
-        (valid(), {d: 0.8 for d in DIMENSIONS}),
-        (valid(), {d: 0.6 for d in DIMENSIONS}),
-        (LabelSet.invalid("Opinion"), {d: 0.4 for d in DIMENSIONS}),
-    ]
+    table = (
+        label_codes([valid(), valid(), LabelSet.invalid("Opinion")]),
+        np.repeat([[0.8], [0.6], [0.4]], len(DIMENSIONS), axis=1),
+    )
     report = aggregate_distribution([table])
     valid_cell = report.cells[(Dimension.VALIDITY, "Valid")]
     invalid_cell = report.cells[(Dimension.VALIDITY, "Invalid")]
@@ -109,6 +121,38 @@ def test_aggregate_order_invariance():
     assert aggregate_distribution([seed_a, seed_b]) == aggregate_distribution(
         [seed_b, seed_a]
     )
+
+
+def _reference_aggregate(tables):
+    """Label-set loop the bincount aggregate replaced, kept as its reference."""
+    n_facts = len(tables[0][0])
+    cells = {}
+    for c, dim in enumerate(DIMENSIONS):
+        for label in LABEL_SPACE[dim]:
+            shares, confidences = [], []
+            for codes, conf in tables:
+                rows = labelsets_from_codes(codes)
+                hits = [float(conf[i, c]) for i, l in enumerate(rows) if l.get(dim) == label]
+                shares.append(100.0 * len(hits) / n_facts)
+                if hits:
+                    confidences.append(100.0 * sum(hits) / len(hits))
+            cells[(dim, label)] = (_mean_std(shares), _mean_std(confidences) if confidences else None)
+    return cells
+
+
+def test_aggregate_matches_reference_loop_bitwise():
+    rng = np.random.default_rng(11)
+    sizes = [len(LABEL_SPACE[d]) for d in DIMENSIONS]
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        tables = [
+            (rng.integers(0, sizes, size=(n, len(sizes))), rng.random((n, len(sizes))))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        report = aggregate_distribution(tables)
+        for key, (share, confidence) in _reference_aggregate(tables).items():
+            assert report.cells[key].share == share
+            assert report.cells[key].confidence == confidence
 
 
 def test_aggregate_empty_tables():

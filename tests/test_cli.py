@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from factkit.cli import main
+from factkit.cli import DEFAULT_CONFIG, load_config, main
 from factkit.dataio import read_facts, read_split, write_facts
 from factkit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
@@ -113,6 +113,32 @@ def test_canon_bad_enum_exit_code(tmp_path):
     )
     code = run("canon", "--raw", raw_path, "--out", tmp_path / "facts.jsonl")
     assert code == 4
+
+
+def test_canon_parse_errors_name_the_line(tmp_path, capsys):
+    raw_path = tmp_path / "raw.jsonl"
+    good = json.dumps({"id": "r1", "text": "x", "annotation": {}})
+    cases = [
+        (good + "\n\n{not json\n", "error: ParseError: line 3: invalid JSON: "),
+        (good + "\n" + json.dumps({"id": "r2", "text": "y"}) + "\n",
+         "error: ParseError: line 2: missing 'annotation' object"),
+    ]
+    for content, message in cases:
+        raw_path.write_text(content)
+        assert run("canon", "--raw", raw_path, "--out", tmp_path / "facts.jsonl") == 4
+        assert capsys.readouterr().err.startswith(message)
+
+
+def test_load_config_never_aliases_defaults(tmp_path):
+    before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"seeds": [1]}))
+    for path in (None, str(partial)):
+        config = load_config(path)
+        config["train"]["max_epochs"] = 99
+        config["split"]["train"] = "1/2"
+        config["seeds"].append(7)
+    assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
 
 
 def test_split_command(workspace):

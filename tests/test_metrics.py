@@ -1,9 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from factkit.errors import EmptyInput, LengthMismatch, SchemaMismatch
+import factkit
+from factkit.errors import EmptyInput, LabelOutOfRange, LengthMismatch, SchemaMismatch
 from factkit.metrics import (
     MeanStd,
     aggregate_seeds,
@@ -15,7 +21,7 @@ from factkit.metrics import (
     pooled_overall_f1,
     render_aggregate,
 )
-from factkit.taxonomy import DIMENSIONS, Dimension, LabelSet
+from factkit.taxonomy import DIMENSIONS, Dimension, LabelSet, label_codes
 
 
 def oracle_f1(gold, pred):
@@ -186,7 +192,7 @@ def test_evaluate_labelsets_report_consistency():
     mains = ["Preferences", "Experience"]
     gold = [valid_labels(main=rng.choice(mains)) for _ in range(20)]
     pred = [valid_labels(main=rng.choice(mains)) for _ in range(20)]
-    report = evaluate_labelsets(gold, pred)
+    report = evaluate_labelsets(label_codes(gold), label_codes(pred))
     # per-category macro equals the mean of that category's per-label scores
     for dim in DIMENSIONS:
         labels = [l for (d, l) in report.per_label_f1 if d == dim]
@@ -195,12 +201,71 @@ def test_evaluate_labelsets_report_consistency():
     assert 0.0 <= report.overall_macro_f1 <= 1.0
 
 
+def test_evaluate_codes_matches_oracle_random():
+    rng = np.random.default_rng(5)
+    sizes = [len(factkit.LABEL_SPACE[d]) for d in DIMENSIONS]
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        gold = rng.integers(0, sizes, size=(n, len(sizes)))
+        pred = rng.integers(0, sizes, size=(n, len(sizes)))
+        report = evaluate_labelsets(gold, pred)
+        for c, dim in enumerate(DIMENSIONS):
+            oracle = oracle_f1(gold[:, c].tolist(), pred[:, c].tolist())
+            space = factkit.LABEL_SPACE[dim]
+            assert {l for d, l in report.per_label_f1 if d == dim} == {space[k] for k in oracle}
+            for code, f1 in oracle.items():
+                assert report.per_label_f1[(dim, space[code])] == pytest.approx(f1, abs=1e-12)
+        pairs = [(c, int(v)) for row in gold for c, v in enumerate(row)]
+        pred_pairs = [(c, int(v)) for row in pred for c, v in enumerate(row)]
+        oracle = oracle_f1(pairs, pred_pairs)
+        assert report.overall_macro_f1 == pytest.approx(
+            sum(oracle.values()) / len(oracle), abs=1e-12
+        )
+
+
+def test_evaluate_rejects_bad_code_arrays():
+    gold = label_codes([valid_labels()] * 2)
+    with pytest.raises(LengthMismatch):
+        evaluate_labelsets(gold, gold[:1])
+    with pytest.raises(EmptyInput):
+        evaluate_labelsets(gold[:0], gold[:0])
+    bad = gold.copy()
+    bad[0, 4] = 2  # validity has two labels
+    with pytest.raises(LabelOutOfRange):
+        evaluate_labelsets(gold, bad)
+
+
+_HASH_SEED_PROBE = """
+import random
+from factkit.metrics import pooled_overall_f1
+from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, LabelSet
+rng = random.Random(0)
+mains, times = LABEL_SPACE[DIMENSIONS[0]], LABEL_SPACE[DIMENSIONS[1]]
+gold = [LabelSet(main_category=rng.choice(mains), time=rng.choice(times)) for _ in range(40)]
+pred = [LabelSet(main_category=rng.choice(mains), time=rng.choice(times)) for _ in range(40)]
+print(repr(pooled_overall_f1(gold, pred)))
+"""
+
+
+def test_pooled_f1_independent_of_hash_seed():
+    src = str(Path(factkit.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # --- seed aggregation ---
 
 
 def report_of(value: float, main="Preferences"):
     gold = [valid_labels(main=main)] * 3
-    report = evaluate_labelsets(gold, gold)
+    report = evaluate_labelsets(label_codes(gold), label_codes(gold))
     # patch the overall for aggregation arithmetic tests
     return type(report)(
         per_label_f1=dict(report.per_label_f1),

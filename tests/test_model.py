@@ -31,7 +31,7 @@ from factkit.model import (
     train,
 )
 from factkit.model import _loss_and_grads
-from factkit.taxonomy import DIMENSIONS
+from factkit.taxonomy import DIMENSIONS, labelsets_from_codes
 
 from synth import synthetic_dataset
 
@@ -293,10 +293,11 @@ def test_predict_labelsets_unreconciled():
     model.heads[validity_head].b2[...] = np.array([5.0, 0.0])
     model.heads[reason_head].b2[...] = np.array([0.0, 5.0, 0.0, 0.0, 0.0, 0.0])
     emb = EmbeddingMatrix(rows=np.zeros((1, 4)), row_ids=("a",))
-    [(labels, conf)] = predict(model, emb)
+    codes, conf = predict(model, emb)
+    [labels] = labelsets_from_codes(codes)
     assert labels.validity == "Valid"
     assert labels.invalidity_reason == "Opinion"  # left unreconciled
-    assert set(conf) == set(DIMENSIONS)
+    assert conf.shape == (1, len(DIMENSIONS))
 
 
 # --- AdamW ---

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from factkit.errors import UnknownEnumValue
+from factkit.errors import LabelOutOfRange, UnknownEnumValue
 from factkit.taxonomy import (
     DIMENSIONS,
     LABEL_SPACE,
@@ -9,7 +10,9 @@ from factkit.taxonomy import (
     LabelSet,
     RawAnnotation,
     canonicalize,
+    label_codes,
     labelset_to_raw,
+    labelsets_from_codes,
     validate_labelset,
 )
 
@@ -128,6 +131,25 @@ def test_labelset_roundtrips_through_dict():
         duration="Long-term",
     )
     assert LabelSet.from_dict(labels.as_dict()) == labels
+
+
+def test_label_codes_roundtrip():
+    sets = [LabelSet(), LabelSet.invalid("Opinion"), LabelSet(main_category="Possessions")]
+    codes = label_codes(sets)
+    assert codes.dtype == np.int64 and codes.shape == (3, len(DIMENSIONS))
+    assert codes[1].tolist() == [
+        LABEL_SPACE[d].index(sets[1].get(d)) for d in DIMENSIONS
+    ]
+    assert labelsets_from_codes(codes) == sets
+    assert label_codes([]).shape == (0, len(DIMENSIONS))
+
+
+def test_labelsets_from_codes_rejects_masked_and_out_of_range():
+    codes = label_codes([LabelSet()])
+    for bad in (-1, len(LABEL_SPACE[Dimension.MAIN_CATEGORY])):
+        codes[0, 0] = bad
+        with pytest.raises(LabelOutOfRange):
+            labelsets_from_codes(codes)
 
 
 def test_fact_record_rejects_blank_text():
