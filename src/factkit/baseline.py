@@ -8,9 +8,10 @@ frequency with lexicographic tie-break; the surviving terms are ordered
 lexicographically. idf = ln((1 + N) / (1 + df)) + 1. Term frequency uses
 sublinear scaling (1 + ln count) and each nonzero row is L2-normalized.
 
-The classifier is multinomial logistic regression fitted by seeded
-mini-batch gradient descent with L2 regularization, no external solver.
-With ``class_balanced`` each sample is weighted N / (n_classes * count(y)).
+The classifier is multinomial logistic regression: the sample-weighted mean
+cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized), minimized over the
+full training set by L-BFGS (Liu & Nocedal, 1989) in one scipy call. With
+``class_balanced`` each sample is weighted N / (n_classes * count(y)).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 import unicodedata
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 
 from . import metrics
 from .errors import DimensionMismatch, EmptyInput, EmptyVocabulary
-from .taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, LabelSet, label_codes
+from .taxonomy import DIMENSIONS, Dimension
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -131,41 +132,38 @@ class LinearModel:
 
     weights: np.ndarray  # (n_labels, n_features)
     bias: np.ndarray  # (n_labels,)
-    labels: tuple[str, ...]
+    labels: tuple  # sorted distinct training labels; codes when fitted by train_baseline
     single_class: bool = False
     loss_history: tuple[float, ...] = ()
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _objective(theta, X, y_idx, share, l2) -> tuple[float, np.ndarray]:
+    """Weighted mean cross-entropy + 0.5 * l2 * ||W||^2 and its gradient.
 
-
-def _weighted_loss(X, y_idx, weights, bias, sample_w, l2) -> float:
+    ``theta`` is the flattened (n_labels, n_features + 1) matrix [W | b]; the
+    bias is not penalized. ``share`` holds the sample weights scaled to sum to 1.
+    """
+    params = theta.reshape(-1, X.shape[1] + 1)
+    weights, bias = params[:, :-1], params[:, -1]
     scores = X @ weights.T + bias
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ce = -log_probs[np.arange(len(y_idx)), y_idx]
-    return float((sample_w * ce).sum() / sample_w.sum() + 0.5 * l2 * (weights**2).sum())
+    rows = np.arange(len(y_idx))
+    loss = float(-(share * log_probs[rows, y_idx]).sum() + 0.5 * l2 * (weights**2).sum())
+    residual = np.exp(log_probs)
+    residual[rows, y_idx] -= 1.0
+    residual *= share[:, None]
+    grad_w = (X.T @ residual).T + l2 * weights
+    return loss, np.column_stack([grad_w, residual.sum(axis=0)]).ravel()
 
 
-def logreg_train(
-    X,
-    y: Sequence[str],
-    class_balanced: bool = True,
-    seed: int = 0,
-    epochs: int = 500,
-    lr: float = 1.0,
-    l2: float = 1e-4,
-    batch_size: int = 64,
-    tol: float = 1e-7,
-) -> LinearModel:
-    """Fit multinomial logistic regression by mini-batch gradient descent.
+def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearModel:
+    """Fit multinomial logistic regression by full-batch L-BFGS.
 
-    Stops early when the full-data loss changes by less than ``tol``
-    between epochs. A single-class ``y`` yields a constant predictor and a
-    warning rather than an error.
+    One ``scipy.optimize.minimize(method="L-BFGS-B")`` call with scipy's
+    default tolerances, from zero weights. ``loss_history`` holds the
+    objective at the start and after each iteration. A single-class ``y``
+    yields a constant predictor and a warning rather than an error.
     """
     X = sp.csr_matrix(X) if not sp.issparse(X) else X.tocsr()
     n, n_features = X.shape
@@ -173,7 +171,8 @@ def logreg_train(
         raise DimensionMismatch(f"{n} rows vs {len(y)} labels")
     if n == 0:
         raise EmptyInput("cannot fit on zero samples")
-    labels = tuple(sorted(set(y)))
+    labels, y_idx = np.unique(np.asarray(y), return_inverse=True)
+    labels = tuple(labels.tolist())
     if len(labels) == 1:
         warnings.warn(f"single-class input ({labels[0]!r}); returning constant predictor")
         return LinearModel(
@@ -182,85 +181,65 @@ def logreg_train(
             labels=labels,
             single_class=True,
         )
-    label_index = {label: i for i, label in enumerate(labels)}
-    y_idx = np.array([label_index[v] for v in y], dtype=np.int64)
-    counts = np.bincount(y_idx, minlength=len(labels))
-    if class_balanced:
-        per_class = n / (len(labels) * counts.astype(np.float64))
-        sample_w = per_class[y_idx]
-    else:
-        sample_w = np.ones(n, dtype=np.float64)
+    # N / (n_classes * count(y)) up to a constant factor, which the weighted mean cancels
+    sample_w = 1.0 / np.bincount(y_idx)[y_idx] if class_balanced else np.ones(n)
+    args = (X, y_idx, sample_w / sample_w.sum(), l2)
+    theta = np.zeros(len(labels) * (n_features + 1))
+    history = [_objective(theta, *args)[0]]
 
-    weights = np.zeros((len(labels), n_features), dtype=np.float64)
-    bias = np.zeros(len(labels), dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    history = [_weighted_loss(X, y_idx, weights, bias, sample_w, l2)]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            Xb = X[batch]
-            probs = _softmax_rows(Xb @ weights.T + bias)
-            probs[np.arange(len(batch)), y_idx[batch]] -= 1.0
-            scaled = probs * (sample_w[batch] / sample_w[batch].sum())[:, None]
-            grad_w = scaled.T @ Xb + l2 * weights
-            grad_b = scaled.sum(axis=0)
-            weights -= lr * np.asarray(grad_w)
-            bias -= lr * grad_b
-        history.append(_weighted_loss(X, y_idx, weights, bias, sample_w, l2))
-        if abs(history[-2] - history[-1]) < tol:
-            break
+    def record(intermediate_result):
+        history.append(float(intermediate_result.fun))
+
+    from scipy import optimize  # here, not at the top: ~25 MB of RSS only the baseline needs
+
+    result = optimize.minimize(
+        _objective, theta, args=args, method="L-BFGS-B", jac=True, callback=record
+    )
+    params = result.x.reshape(len(labels), n_features + 1)
     return LinearModel(
-        weights=weights,
-        bias=bias,
+        weights=params[:, :-1],
+        bias=params[:, -1],
         labels=labels,
         loss_history=tuple(history),
     )
 
 
-def _predict_indices(model: LinearModel, X) -> np.ndarray:
-    """Argmax indices into ``model.labels``, first on ties (0 for a single class)."""
-    return np.asarray(X @ model.weights.T + model.bias).argmax(axis=1)
-
-
-def logreg_predict(model: LinearModel, X) -> list[str]:
-    """Argmax labels; ties resolve to the lexicographically first label."""
-    return [model.labels[i] for i in _predict_indices(model, X)]
+def logreg_predict(model: LinearModel, X) -> list:
+    """Argmax labels; ties resolve to the first (smallest) label."""
+    scores = np.asarray(X @ model.weights.T + model.bias)
+    return [model.labels[i] for i in scores.argmax(axis=1)]
 
 
 def baseline_eval(
     models: dict[Dimension, LinearModel],
     X,
-    gold: Sequence[LabelSet],
+    gold_codes: np.ndarray,
 ) -> metrics.MetricsReport:
-    """Predict every dimension and score against gold label sets."""
+    """Predict every dimension and score against gold (N, 7) label codes."""
     missing = [d for d in DIMENSIONS if d not in models]
     if missing:
         raise DimensionMismatch(f"no model for dimensions {[d.value for d in missing]}")
     pred = np.empty((X.shape[0], len(DIMENSIONS)), dtype=np.int64)
     for c, dim in enumerate(DIMENSIONS):
-        model = models[dim]
-        code_of_index = np.array([LABEL_SPACE[dim].index(label) for label in model.labels])
-        pred[:, c] = code_of_index[_predict_indices(model, X)]
-    return metrics.evaluate_labelsets(label_codes(gold), pred)
+        pred[:, c] = logreg_predict(models[dim], X)
+    return metrics.evaluate_labelsets(gold_codes, pred)
 
 
 def train_baseline(
     train_texts: Sequence[str],
-    train_labels: Sequence[LabelSet],
+    train_codes: np.ndarray,
     tfidf_config: TfidfConfig = TfidfConfig(),
-    seed: int = 0,
-    epochs: int = 500,
-    lr: float = 1.0,
     l2: float = 1e-4,
 ) -> tuple[TfidfVocab, dict[Dimension, LinearModel]]:
-    """Fit the vectorizer on training texts and one model per dimension."""
+    """Fit the vectorizer on training texts and one model per dimension.
+
+    ``train_codes`` is the (N, 7) code array of the texts' labels, so each
+    model's ``labels`` are codes into its dimension's ``LABEL_SPACE``.
+    """
     vocab = tfidf_fit(train_texts, tfidf_config)
     X = tfidf_transform(vocab, train_texts)
-    models = {}
-    for dim in DIMENSIONS:
-        y = [labels.get(dim) for labels in train_labels]
-        models[dim] = logreg_train(
-            X, y, class_balanced=True, seed=seed, epochs=epochs, lr=lr, l2=l2
-        )
+    models = {
+        dim: logreg_train(X, train_codes[:, c], class_balanced=True, l2=l2)
+        for c, dim in enumerate(DIMENSIONS)
+    }
     return vocab, models

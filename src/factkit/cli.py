@@ -78,10 +78,8 @@ from .taxonomy import (
     labelsets_from_codes,
 )
 
-DEFAULT_SEEDS = [42, 123, 456, 789, 1024]
-
 DEFAULT_CONFIG = {
-    "seeds": DEFAULT_SEEDS,
+    "seeds": [42, 123, 456, 789, 1024],
     "split": {"train": "7/10", "val": "1/10", "test": "1/5"},
     "train": {
         "learning_rate": 1e-3,
@@ -95,7 +93,7 @@ DEFAULT_CONFIG = {
     },
     "sampling": {"k": 1000, "cap": 3},
     "embedding": {"batch_size": 32, "timeout": 30.0, "retries": 2},
-    "baseline": {"epochs": 500, "lr": 1.0, "l2": 1e-4},
+    "baseline": {"l2": 1e-4},
 }
 
 EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
@@ -134,7 +132,9 @@ EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
 def _deep_merge(base: dict, overlay: dict) -> dict:
     merged = dict(base)
     for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+        if isinstance(merged.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be a JSON object")
             merged[key] = _deep_merge(merged[key], value)
         else:
             merged[key] = value
@@ -155,8 +155,9 @@ def load_config(path: Optional[str]) -> dict:
     if not isinstance(overlay, dict):
         raise ConfigError("config root must be a JSON object")
     config = _deep_merge(copy.deepcopy(DEFAULT_CONFIG), overlay)
-    seeds = config.get("seeds")
-    if not seeds or len(set(seeds)) != len(seeds):
+    seeds = config["seeds"]
+    integers = isinstance(seeds, list) and all(type(seed) is int for seed in seeds)
+    if not integers or not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be a non-empty list of distinct integers")
     return config
 
@@ -244,7 +245,7 @@ def _embeddings_for(facts: Sequence[FactRecord], matrix: EmbeddingMatrix) -> Emb
 def cmd_canon(args, config) -> int:
     raw_records = list(read_jsonl(args.raw))
     for line_no, obj in raw_records:
-        if "annotation" not in obj:
+        if not isinstance(obj, dict) or "annotation" not in obj:
             raise errors.ParseError(line_no, "missing 'annotation' object")
 
     facts: list[FactRecord] = []
@@ -340,12 +341,6 @@ def cmd_embed_fetch(args, config) -> int:
     return 0
 
 
-def _seed_list(args, config) -> list[int]:
-    if args.seeds:
-        return [int(s) for s in args.seeds]
-    return [int(s) for s in config["seeds"]]
-
-
 def _aggregate_and_render(reports) -> str:
     try:
         agg = metrics_mod.aggregate_seeds(reports)
@@ -356,68 +351,83 @@ def _aggregate_and_render(reports) -> str:
     return metrics_mod.render_aggregate(agg, dropped)
 
 
-def cmd_train(args, config) -> int:
-    facts = _trainable(read_facts(args.facts))
-    matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
+def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str]) -> int:
+    """Split, write ``split-seed<N>.txt``, fit and score per seed, then report.
+
+    ``fit(seed, assignment, targets, train_rows, test_rows)`` is the command's
+    own step: ``targets`` are the facts' (N, 7) label codes, the row lists
+    index them, and it returns the test report, a note for the per-seed line
+    and the paths it wrote.
+    """
+    command = args.command
     targets = model_mod.targets_from_facts(facts, model_mod.canonical_label_space())
+    row_of = {fact.id: row for row, fact in enumerate(facts)}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = _seed_list(args, config)
-    train_section = config["train"]
+    seeds = list(args.seeds or config["seeds"])
 
     reports = []
     outputs = []
-    weighting = train_section.get("label_weighting", "none")
-    if weighting not in ("none", "inverse-frequency"):
-        raise ConfigError(f"unknown label_weighting {weighting!r}")
-    row_of = matrix.index_of()
     for seed in seeds:
         spec = _split_spec(config, seed)
         assignment = stratified_split(facts, spec)
         split_path = out_dir / f"split-seed{seed}.txt"
         write_split(split_path, assignment, spec)
+        train_rows = [row_of[i] for i in assignment.train]
+        test_rows = [row_of[i] for i in assignment.test]
+        report, note, paths = fit(seed, assignment, targets, train_rows, test_rows)
+        reports.append(report)
+        outputs += [str(split_path), *map(str, paths)]
+        print(f"{command}: seed {seed} {note}test overall {report.overall_macro_f1:.4f}")
+
+    report_path = out_dir / report_name
+    report_path.write_text(_aggregate_and_render(reports), encoding="utf-8")
+    outputs.append(str(report_path))
+    write_manifest(
+        str(report_path),
+        command,
+        {command: config[command], "split": config["split"]},
+        inputs,
+        seeds,
+        outputs,
+    )
+    print(f"{command}: aggregate report at {report_path}")
+    return 0
+
+
+def cmd_train(args, config) -> int:
+    facts = _trainable(read_facts(args.facts))
+    matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
+    section = config["train"]
+    weighting = section["label_weighting"]
+    if weighting not in ("none", "inverse-frequency"):
+        raise ConfigError(f"unknown label_weighting {weighting!r}")
+    out_dir = Path(args.out_dir)
+
+    def fit(seed, assignment, targets, train_rows, test_rows):
         label_weights = None
         if weighting == "inverse-frequency":
-            train_targets = targets[[row_of[i] for i in assignment.train]]
             label_weights = model_mod.inverse_frequency_label_weights(
-                train_targets, model_mod.canonical_label_space()
+                targets[train_rows], model_mod.canonical_label_space()
             )
         net = model_mod.new_model(
             dim=matrix.dim,
             label_space=model_mod.canonical_label_space(),
-            hidden=train_section["hidden"],
-            dropout_rate=float(train_section["dropout"]),
+            hidden=section["hidden"],
+            dropout_rate=float(section["dropout"]),
             label_weights=label_weights,
             seed=seed,
         )
         result = model_mod.train(net, matrix, targets, assignment, _train_config(config, seed))
         ckpt_path = out_dir / f"model-seed{seed}.ckpt"
         model_mod.save_model(ckpt_path, result.model)
-        outputs += [str(split_path), str(ckpt_path)]
-
         test_matrix = EmbeddingMatrix(rows=matrix.take(assignment.test), row_ids=assignment.test)
         predictions, _ = model_mod.predict(result.model, test_matrix)
-        gold = targets[[row_of[i] for i in assignment.test]]
-        reports.append(metrics_mod.evaluate_labelsets(gold, predictions))
-        print(
-            f"train: seed {seed} best epoch {result.best_epoch} "
-            f"val F1 {result.best_val_f1:.4f} test overall "
-            f"{reports[-1].overall_macro_f1:.4f}"
-        )
+        report = metrics_mod.evaluate_labelsets(targets[test_rows], predictions)
+        note = f"best epoch {result.best_epoch} val F1 {result.best_val_f1:.4f} "
+        return report, note, [ckpt_path]
 
-    report_path = out_dir / "metrics.txt"
-    report_path.write_text(_aggregate_and_render(reports), encoding="utf-8")
-    outputs.append(str(report_path))
-    write_manifest(
-        str(report_path),
-        "train",
-        {"train": train_section, "split": config["split"]},
-        [args.facts, args.embeddings],
-        seeds,
-        outputs,
-    )
-    print(f"train: aggregate report at {report_path}")
-    return 0
+    return _fit_per_seed(args, config, facts, fit, "metrics.txt", [args.facts, args.embeddings])
 
 
 def cmd_predict(args, config) -> int:
@@ -470,42 +480,20 @@ def cmd_eval(args, config) -> int:
 
 def cmd_baseline(args, config) -> int:
     facts = _trainable(read_facts(args.facts))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = _seed_list(args, config)
-    section = config["baseline"]
-    by_id = {f.id: f for f in facts}
+    try:
+        l2 = float(config["baseline"]["l2"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad baseline settings: {exc}") from exc
+    texts = [fact.text for fact in facts]
 
-    reports = []
-    for seed in seeds:
-        assignment = stratified_split(facts, _split_spec(config, seed))
-        train_facts = [by_id[i] for i in assignment.train]
-        test_facts = [by_id[i] for i in assignment.test]
+    def fit(seed, assignment, targets, train_rows, test_rows):
         vocab, models = baseline_mod.train_baseline(
-            [f.text for f in train_facts],
-            [f.labels for f in train_facts],
-            seed=seed,
-            epochs=int(section["epochs"]),
-            lr=float(section["lr"]),
-            l2=float(section["l2"]),
+            [texts[row] for row in train_rows], targets[train_rows], l2=l2
         )
-        X_test = baseline_mod.tfidf_transform(vocab, [f.text for f in test_facts])
-        report = baseline_mod.baseline_eval(models, X_test, [f.labels for f in test_facts])
-        reports.append(report)
-        print(f"baseline: seed {seed} test overall {report.overall_macro_f1:.4f}")
+        X_test = baseline_mod.tfidf_transform(vocab, [texts[row] for row in test_rows])
+        return baseline_mod.baseline_eval(models, X_test, targets[test_rows]), "", []
 
-    report_path = out_dir / "baseline-metrics.txt"
-    report_path.write_text(_aggregate_and_render(reports), encoding="utf-8")
-    write_manifest(
-        str(report_path),
-        "baseline",
-        {"baseline": section, "split": config["split"]},
-        [args.facts],
-        seeds,
-        [str(report_path)],
-    )
-    print(f"baseline: aggregate report at {report_path}")
-    return 0
+    return _fit_per_seed(args, config, facts, fit, "baseline-metrics.txt", [args.facts])
 
 
 def cmd_agree(args, config) -> int:

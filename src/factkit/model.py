@@ -550,6 +550,7 @@ def train(
                     f"epoch {epoch}, batch at {start}: loss={batch_loss}"
                 )
             adamw_step(state, params, grads, config)
+            del grads  # or two full gradient sets are alive during the next batch
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
 

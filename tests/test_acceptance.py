@@ -55,6 +55,7 @@ from factkit.taxonomy import (
     LabelSet,
     RawAnnotation,
     canonicalize,
+    label_codes,
     labelsets_from_codes,
 )
 
@@ -325,11 +326,10 @@ def test_criterion_9b_baseline_floor():
             test_facts = [by_id[i] for i in assignment.test]
             vocab, models = train_baseline(
                 [f.text for f in train_facts],
-                [f.labels for f in train_facts],
-                seed=seed,
+                label_codes([f.labels for f in train_facts]),
             )
             X = tfidf_transform(vocab, [f.text for f in test_facts])
-            report = baseline_eval(models, X, [f.labels for f in test_facts])
+            report = baseline_eval(models, X, label_codes([f.labels for f in test_facts]))
             scores.append(report.overall_macro_f1)
         assert sum(scores) / len(scores) >= 0.55
 
@@ -366,11 +366,13 @@ def test_criterion_9c_heads_beat_baseline():
             train_facts = [by_id[i] for i in assignment.train]
             test_facts = [by_id[i] for i in assignment.test]
             vocab, models = train_baseline(
-                [f.text for f in train_facts], [f.labels for f in train_facts], seed=seed
+                [f.text for f in train_facts], label_codes([f.labels for f in train_facts])
             )
             X = tfidf_transform(vocab, [f.text for f in test_facts])
             base_scores.append(
-                baseline_eval(models, X, [f.labels for f in test_facts]).overall_macro_f1
+                baseline_eval(
+                    models, X, label_codes([f.labels for f in test_facts])
+                ).overall_macro_f1
             )
         assert sum(head_scores) / 5 > sum(base_scores) / 5
 

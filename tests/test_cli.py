@@ -22,7 +22,7 @@ FAST_CONFIG = {
         "dropout": 0.1,
         "weight_decay": 0.0,
     },
-    "baseline": {"epochs": 60, "lr": 2.0, "l2": 1e-4},
+    "baseline": {"l2": 1e-4},
 }
 
 
@@ -122,6 +122,7 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
         (good + "\n\n{not json\n", "error: ParseError: line 3: invalid JSON: "),
         (good + "\n" + json.dumps({"id": "r2", "text": "y"}) + "\n",
          "error: ParseError: line 2: missing 'annotation' object"),
+        ("5\n", "error: ParseError: line 1: missing 'annotation' object"),
     ]
     for content, message in cases:
         raw_path.write_text(content)
@@ -302,18 +303,23 @@ def test_train_with_inverse_frequency_weighting(workspace):
     assert weights[0] > weights[2]  # "Yes" rarer than "None"
 
 
-def test_baseline_command(tmp_path):
-    # token-signal texts the TF-IDF baseline can learn
-    facts, _ = synthetic_dataset(n_facts=120, invalid_count=36)
+def token_signal_workspace(tmp_path):
+    """Facts whose texts carry one token per label, which TF-IDF can learn."""
+    facts, emb = synthetic_dataset(n_facts=120, invalid_count=36)
     for fact in facts:
         tokens = [f"{d.value}_{fact.labels.get(d).replace(' ', '')}" for d in DIMENSIONS]
         fact.text = " ".join(tokens)
     facts_path = tmp_path / "facts.jsonl"
     write_facts(facts_path, facts)
+    emb_path = tmp_path / "facts.emb"
+    save_embeddings(emb_path, emb)
     config_path = tmp_path / "config.json"
-    config = dict(FAST_CONFIG)
-    config["baseline"] = {"epochs": 80, "lr": 2.0, "l2": 1e-4}
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps(FAST_CONFIG))
+    return facts_path, emb_path, config_path
+
+
+def test_baseline_command(tmp_path):
+    facts_path, _, config_path = token_signal_workspace(tmp_path)
     out_dir = tmp_path / "base"
     code = run(
         "--config", config_path,
@@ -328,6 +334,31 @@ def test_baseline_command(tmp_path):
         [l for l in text.splitlines() if l.startswith("overall_macro_f1.mean=")][0].split("=")[1]
     )
     assert mean > 0.8
+
+
+def test_train_and_baseline_write_identical_splits(tmp_path):
+    facts_path, emb_path, config_path = token_signal_workspace(tmp_path)
+    seeds = ("42", "123")
+    code = run(
+        "--config", config_path,
+        "train",
+        "--facts", facts_path,
+        "--embeddings", emb_path,
+        "--out-dir", tmp_path / "train",
+        "--seeds", *seeds,
+    )
+    assert code == 0
+    code = run(
+        "--config", config_path,
+        "baseline",
+        "--facts", facts_path,
+        "--out-dir", tmp_path / "base",
+        "--seeds", *seeds,
+    )
+    assert code == 0
+    for seed in seeds:
+        name = f"split-seed{seed}.txt"
+        assert (tmp_path / "train" / name).read_bytes() == (tmp_path / "base" / name).read_bytes()
 
 
 def test_agree_command(tmp_path):
@@ -375,9 +406,21 @@ def test_missing_embedding_file_exit_code(workspace):
     assert code == 5
 
 
-def test_config_error_exit_code(workspace, tmp_path):
+@pytest.mark.parametrize(
+    "content, command",
+    [
+        pytest.param("{not json", "split", id="not-json"),
+        pytest.param('{"seeds": 5}', "split", id="seeds-not-list"),
+        pytest.param('{"seeds": ["a"]}', "baseline", id="seed-not-int"),
+        pytest.param('{"split": []}', "split", id="split-not-object"),
+        pytest.param('{"baseline": {"l2": "x"}}', "baseline", id="l2-not-number"),
+    ],
+)
+def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
     _, facts_path, _, _ = workspace
     bad_config = tmp_path / "bad.json"
-    bad_config.write_text("{not json")
-    code = run("--config", bad_config, "split", "--facts", facts_path, "--out", tmp_path / "s.txt")
+    bad_config.write_text(content)
+    out = ["--out", tmp_path / "s.txt"] if command == "split" else ["--out-dir", tmp_path / "b"]
+    code = run("--config", bad_config, command, "--facts", facts_path, *out)
     assert code == 3
+    assert capsys.readouterr().err.startswith("error: ConfigError: ")
