@@ -190,6 +190,21 @@ def _train_config(config: dict, seed: int) -> model_mod.TrainConfig:
         raise ConfigError(f"bad train settings: {exc}") from exc
 
 
+def _setting(config: dict, section: str, key: str, convert, valid, flag=None):
+    """``convert`` of the flag, or of ``config[section][key]`` if it is None.
+
+    Raises ConfigError if the value does not convert or ``valid`` rejects it.
+    """
+    raw = config[section][key] if flag is None else flag
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section}.{key} {raw!r}: {exc}") from exc
+    if not valid(value):
+        raise ConfigError(f"bad {section}.{key} {raw!r}")
+    return value
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -282,11 +297,11 @@ def cmd_canon(args, config) -> int:
 
 
 def cmd_sample(args, config) -> int:
+    k = _setting(config, "sampling", "k", int, lambda v: v >= 1, args.k)
+    cap = _setting(config, "sampling", "cap", int, lambda v: v >= 1, args.cap)
     facts = read_facts(args.facts)
     matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
     normalized = l2_normalize(matrix)
-    k = args.k if args.k is not None else int(config["sampling"]["k"])
-    cap = args.cap if args.cap is not None else int(config["sampling"]["cap"])
     seed = args.seed if args.seed is not None else int(config["seeds"][0])
     kmeans = kmeans_fit(normalized, k=k, seed=seed)
     sampled = cluster_sample(facts, kmeans, cap=cap, seed=seed)
@@ -319,8 +334,9 @@ def cmd_split(args, config) -> int:
 
 def cmd_embed_fetch(args, config) -> int:
     facts = read_facts(args.facts)
-    section = config["embedding"]
-    batch_size = args.batch_size or int(section["batch_size"])
+    batch_size = _setting(
+        config, "embedding", "batch_size", int, lambda v: v >= 1, args.batch_size
+    )
     headers = None
     token = os.environ.get("FACTKIT_EMBED_TOKEN")
     if token:
@@ -330,8 +346,8 @@ def cmd_embed_fetch(args, config) -> int:
         [f.text for f in facts],
         batch_size=batch_size,
         ids=[f.id for f in facts],
-        timeout=float(section["timeout"]),
-        retries=int(section["retries"]),
+        timeout=_setting(config, "embedding", "timeout", float, lambda v: v > 0),
+        retries=_setting(config, "embedding", "retries", int, lambda v: v >= 0),
         headers=headers,
     )
     save_embeddings(args.out, matrix)
@@ -362,9 +378,11 @@ def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str])
     command = args.command
     targets = model_mod.targets_from_facts(facts, model_mod.canonical_label_space())
     row_of = {fact.id: row for row, fact in enumerate(facts)}
+    seeds = list(args.seeds or config["seeds"])
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds repeats a seed: {seeds}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = list(args.seeds or config["seeds"])
 
     reports = []
     outputs = []
@@ -398,10 +416,13 @@ def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str])
 def cmd_train(args, config) -> int:
     facts = _trainable(read_facts(args.facts))
     matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
-    section = config["train"]
-    weighting = section["label_weighting"]
+    weighting = config["train"]["label_weighting"]
     if weighting not in ("none", "inverse-frequency"):
         raise ConfigError(f"unknown label_weighting {weighting!r}")
+    hidden = _setting(
+        config, "train", "hidden", lambda v: v, lambda v: v is None or type(v) is int and v >= 1
+    )
+    dropout = _setting(config, "train", "dropout", float, lambda v: 0.0 <= v < 1.0)
     out_dir = Path(args.out_dir)
 
     def fit(seed, assignment, targets, train_rows, test_rows):
@@ -413,8 +434,8 @@ def cmd_train(args, config) -> int:
         net = model_mod.new_model(
             dim=matrix.dim,
             label_space=model_mod.canonical_label_space(),
-            hidden=section["hidden"],
-            dropout_rate=float(section["dropout"]),
+            hidden=hidden,
+            dropout_rate=dropout,
             label_weights=label_weights,
             seed=seed,
         )

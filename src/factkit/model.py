@@ -20,17 +20,23 @@ Dropout is inverted (scaling by 1/(1-rate) at train time, identity at eval
 time) and drawn independently per head, per example. All training arithmetic
 is float64.
 
+Every parameter lives in one float64 vector, ``MultiHeadModel.theta``: each
+head's W1, b1, W2, b2, row-major, in category order. The heads are views into
+it, so an in-place update of a head's array is an update of ``theta``.
+
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
-label lists, weights) followed by each head's W1, b1, W2, b2 as row-major
-little-endian float64, in category order.
+label lists, weights) followed by ``theta`` as little-endian float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass, replace
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -68,17 +74,22 @@ class HeadParams:
     def arrays(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
 
-    def copy(self) -> "HeadParams":
-        return HeadParams(*(a.copy() for a in self.arrays()))
+
+def _layout(dim: int, hidden: int, label_space) -> tuple[list[tuple[int, ...]], int]:
+    """Shapes of the heads' W1, b1, W2, b2 in ``theta`` order, and ``theta``'s size."""
+    shapes = [
+        s for n in map(len, label_space) for s in ((hidden, dim), (hidden,), (n, hidden), (n,))
+    ]
+    return shapes, sum(map(math.prod, shapes))
 
 
 @dataclass
 class MultiHeadModel:
     """Per-category heads plus the label space they predict into.
 
-    ``label_weights``, when set, weights each category's cross-entropy by
-    the gold label's weight (one nonnegative array per category); ``None``
-    means uniform weighting.
+    ``theta`` holds every parameter; ``heads`` are views into it. ``label_weights``,
+    when set, weights each category's cross-entropy by the gold label's weight
+    (one nonnegative array per category); ``None`` means uniform weighting.
     """
 
     dim: int
@@ -87,8 +98,17 @@ class MultiHeadModel:
     category_names: tuple[str, ...]
     label_space: tuple[tuple[str, ...], ...]
     category_weights: np.ndarray
-    heads: list[HeadParams]
+    theta: np.ndarray
     label_weights: Optional[list[np.ndarray]] = None
+    heads: list[HeadParams] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes, size = _layout(self.dim, self.hidden, self.label_space)
+        if self.theta.shape != (size,):
+            raise DimensionMismatch(f"theta must hold {size} values, got shape {self.theta.shape}")
+        parts = np.split(self.theta, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        self.heads = [HeadParams(*views[i : i + 4]) for i in range(0, len(views), 4)]
 
     @property
     def n_categories(self) -> int:
@@ -96,21 +116,14 @@ class MultiHeadModel:
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable arrays: W1, b1, W2, b2 per head, in category order."""
-        out: list[np.ndarray] = []
-        for head in self.heads:
-            out.extend(head.arrays())
-        return out
+        return [array for head in self.heads for array in head.arrays()]
 
     def copy(self) -> "MultiHeadModel":
         return replace(
             self,
             category_weights=self.category_weights.copy(),
-            heads=[head.copy() for head in self.heads],
-            label_weights=(
-                None
-                if self.label_weights is None
-                else [w.copy() for w in self.label_weights]
-            ),
+            theta=self.theta.copy(),
+            label_weights=deepcopy(self.label_weights),
         )
 
 
@@ -141,38 +154,30 @@ def new_model(
         weights = np.asarray(category_weights, dtype=np.float64)
         if weights.shape != (len(names),) or np.any(weights < 0):
             raise ValueError("category_weights must be one nonnegative value per category")
-    rng = np.random.default_rng(seed)
-    heads = []
-    for labels in spaces:
-        n = len(labels)
-        if n < 2:
-            raise ValueError("every category needs at least two labels")
-        bound1 = 1.0 / np.sqrt(dim)
-        bound2 = 1.0 / np.sqrt(hidden)
-        heads.append(
-            HeadParams(
-                W1=rng.uniform(-bound1, bound1, size=(hidden, dim)),
-                b1=np.zeros(hidden, dtype=np.float64),
-                W2=rng.uniform(-bound2, bound2, size=(n, hidden)),
-                b2=np.zeros(n, dtype=np.float64),
-            )
-        )
+    if any(len(labels) < 2 for labels in spaces):
+        raise ValueError("every category needs at least two labels")
     per_label = None
     if label_weights is not None:
         per_label = [np.asarray(w, dtype=np.float64) for w in label_weights]
         for w, labels in zip(per_label, spaces):
             if w.shape != (len(labels),) or np.any(w < 0):
                 raise ValueError("label_weights must give one nonnegative value per label")
-    return MultiHeadModel(
+    model = MultiHeadModel(
         dim=dim,
         hidden=hidden,
         dropout_rate=dropout_rate,
         category_names=names,
         label_space=spaces,
         category_weights=weights,
-        heads=heads,
+        theta=np.zeros(_layout(dim, hidden, spaces)[1]),
         label_weights=per_label,
     )
+    rng = np.random.default_rng(seed)
+    for head in model.heads:
+        for weights, fan_in in ((head.W1, dim), (head.W2, hidden)):
+            bound = 1.0 / np.sqrt(fan_in)
+            weights[...] = rng.uniform(-bound, bound, size=weights.shape)
+    return model
 
 
 def inverse_frequency_label_weights(
@@ -615,64 +620,58 @@ def save_model(path: Union[str, Path], model: MultiHeadModel) -> None:
     with open(path, "wb") as handle:
         handle.write(struct.pack("<3I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         handle.write(blob)
-        for param in model.parameters():
-            handle.write(np.ascontiguousarray(param, dtype="<f8").tobytes())
+        model.theta.astype("<f8", copy=False).tofile(handle)
 
 
-def load_model(path: Union[str, Path]) -> MultiHeadModel:
-    data = Path(path).read_bytes()
-    if len(data) < 12:
-        raise TruncatedFile(f"{path}: shorter than the checkpoint header")
-    magic, version, blob_len = struct.unpack_from("<3I", data, 0)
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a model checkpoint")
-    if version != CHECKPOINT_VERSION:
-        raise BadMagic(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
-    if len(data) < offset + blob_len:
-        raise TruncatedFile(f"{path}: header JSON is short")
-    header = json.loads(data[offset : offset + blob_len].decode("utf-8"))
-    offset += blob_len
-    dim = header["dim"]
-    hidden = header["hidden"]
-    heads = []
-    for entry in header["categories"]:
-        n = len(entry["labels"])
-        shapes = [(hidden, dim), (hidden,), (n, hidden), (n,)]
-        arrays = []
-        for shape in shapes:
-            count = int(np.prod(shape))
-            if len(data) < offset + count * 8:
-                raise TruncatedFile(f"{path}: parameter block is short")
-            arrays.append(
-                np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-                .reshape(shape)
-                .copy()
-            )
-            offset += count * 8
-        heads.append(HeadParams(*arrays))
-    if offset != len(data):
-        raise TruncatedFile(f"{path}: {len(data) - offset} trailing bytes")
+def _header_fields(header: dict) -> dict:
+    """``MultiHeadModel`` fields but ``theta``; raises KeyError, TypeError or ValueError."""
+    dim, hidden, entries = header["dim"], header["hidden"], header["categories"]
+    if not (type(dim) is int and type(hidden) is int and dim > 0 and hidden > 0):
+        raise ValueError(f"dim and hidden must be positive integers, got {dim!r}, {hidden!r}")
+    spaces = tuple(tuple(e["labels"]) for e in entries)
     per_label = None
-    if any(e.get("label_weights") is not None for e in header["categories"]):
+    if any(e.get("label_weights") is not None for e in entries):
         per_label = [
-            np.asarray(
-                e["label_weights"]
-                if e.get("label_weights") is not None
-                else [1.0] * len(e["labels"]),
-                dtype=np.float64,
-            )
-            for e in header["categories"]
+            np.array([float(w) for w in e.get("label_weights") or [1.0] * len(labels)])
+            for e, labels in zip(entries, spaces)
         ]
-    return MultiHeadModel(
+        if [w.shape for w in per_label] != [(len(labels),) for labels in spaces]:
+            raise ValueError("label_weights must give one value per label")
+    return dict(
         dim=dim,
         hidden=hidden,
         dropout_rate=header["dropout_rate"],
-        category_names=tuple(e["name"] for e in header["categories"]),
-        label_space=tuple(tuple(e["labels"]) for e in header["categories"]),
-        category_weights=np.asarray(
-            [e["weight"] for e in header["categories"]], dtype=np.float64
-        ),
-        heads=heads,
+        category_names=tuple(e["name"] for e in entries),
+        label_space=spaces,
+        category_weights=np.array([float(e["weight"]) for e in entries]),
         label_weights=per_label,
     )
+
+
+def load_model(path: Union[str, Path]) -> MultiHeadModel:
+    with open(path, "rb") as handle:
+        fixed = handle.read(12)
+        if len(fixed) < 12:
+            raise TruncatedFile(f"{path}: shorter than the checkpoint header")
+        magic, version, blob_len = struct.unpack("<3I", fixed)
+        if magic != CHECKPOINT_MAGIC:
+            raise BadMagic(f"{path}: not a model checkpoint")
+        if version != CHECKPOINT_VERSION:
+            raise BadMagic(f"{path}: unsupported checkpoint version {version}")
+        blob = handle.read(blob_len)
+        if len(blob) < blob_len:
+            raise TruncatedFile(f"{path}: header JSON is short")
+        try:
+            fields = _header_fields(json.loads(blob.decode("utf-8")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadMagic(f"{path}: malformed checkpoint header: {exc!r}") from exc
+        size = _layout(fields["dim"], fields["hidden"], fields["label_space"])[1]
+        extra = os.fstat(handle.fileno()).st_size - handle.tell() - 8 * size
+        if extra < 0:
+            raise TruncatedFile(f"{path}: parameter block is short")
+        if extra > 0:
+            raise TruncatedFile(f"{path}: {extra} trailing bytes")
+        theta = np.empty(size, dtype="<f8")
+        if handle.readinto(theta) != theta.nbytes:
+            raise TruncatedFile(f"{path}: parameter block is short")
+    return MultiHeadModel(theta=theta, **fields)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from factkit.cli import DEFAULT_CONFIG, load_config, main
 from factkit.dataio import read_facts, read_split, write_facts
 from factkit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from factkit.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
 from embed_server import MockEmbedServer
@@ -406,6 +408,16 @@ def test_missing_embedding_file_exit_code(workspace):
     assert code == 5
 
 
+def test_malformed_checkpoint_header_exit_code(workspace, capsys):
+    tmp_path, _, emb_path, _ = workspace
+    bad = tmp_path / "bad.ckpt"
+    blob = b'{"dim": 5, "hidden": 2'
+    bad.write_bytes(struct.pack("<3I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)) + blob)
+    code = run("predict", "--model", bad, "--embeddings", emb_path, "--out", tmp_path / "p.jsonl")
+    assert code == 5
+    assert capsys.readouterr().err.startswith("error: BadMagic: ")
+
+
 @pytest.mark.parametrize(
     "content, command",
     [
@@ -414,13 +426,41 @@ def test_missing_embedding_file_exit_code(workspace):
         pytest.param('{"seeds": ["a"]}', "baseline", id="seed-not-int"),
         pytest.param('{"split": []}', "split", id="split-not-object"),
         pytest.param('{"baseline": {"l2": "x"}}', "baseline", id="l2-not-number"),
+        pytest.param('{"train": {"dropout": "x"}}', "train", id="dropout-not-number"),
+        pytest.param('{"train": {"dropout": 1.5}}', "train", id="dropout-above-one"),
+        pytest.param('{"train": {"hidden": "x"}}', "train", id="hidden-not-int"),
+        pytest.param('{"train": {"hidden": [1]}}', "train", id="hidden-list"),
+        pytest.param('{"train": {"hidden": 0}}', "train", id="hidden-zero"),
+        pytest.param('{"sampling": {"k": "x"}}', "sample", id="k-not-int"),
+        pytest.param('{"sampling": {"k": 0}}', "sample", id="k-zero"),
+        pytest.param('{"sampling": {"cap": "x"}}', "sample", id="cap-not-int"),
+        pytest.param('{"embedding": {"batch_size": "x"}}', "embed-fetch", id="batch-not-int"),
+        pytest.param('{"embedding": {"timeout": "x"}}', "embed-fetch", id="timeout-not-number"),
     ],
 )
 def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
-    _, facts_path, _, _ = workspace
+    _, facts_path, emb_path, _ = workspace
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(content)
-    out = ["--out", tmp_path / "s.txt"] if command == "split" else ["--out-dir", tmp_path / "b"]
-    code = run("--config", bad_config, command, "--facts", facts_path, *out)
+    rest = {
+        "split": ["--out", tmp_path / "s.txt"],
+        "baseline": ["--out-dir", tmp_path / "b"],
+        "train": ["--embeddings", emb_path, "--out-dir", tmp_path / "t", "--seeds", "1"],
+        "sample": ["--embeddings", emb_path, "--out", tmp_path / "s.jsonl"],
+        # never contacted: the settings are checked before the first request
+        "embed-fetch": ["--endpoint", "http://127.0.0.1:9/embed", "--out", tmp_path / "e.emb"],
+    }[command]
+    code = run("--config", bad_config, command, "--facts", facts_path, *rest)
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ConfigError: ")
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_repeated_seed_flag_is_config_error(workspace, capsys, command):
+    tmp_path, facts_path, emb_path, _ = workspace
+    embeddings = ["--embeddings", emb_path] if command == "train" else []
+    out_dir = tmp_path / "run"
+    code = run(command, "--facts", facts_path, *embeddings, "--out-dir", out_dir, "--seeds", 1, 1)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ConfigError: ")
+    assert not out_dir.exists()

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,12 +9,16 @@ import pytest
 from factkit.dataio import SplitAssignment, SplitSpec, stratified_split
 from factkit.embeddings import EmbeddingMatrix
 from factkit.errors import (
+    BadMagic,
     DimensionMismatch,
     EmptySplit,
     LabelOutOfRange,
     SchemaMismatch,
+    TruncatedFile,
 )
 from factkit.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     MASK,
     AdamState,
     TrainConfig,
@@ -440,16 +447,118 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.category_weights, model.category_weights)
     for a, b in zip(loaded.parameters(), model.parameters()):
         assert np.array_equal(a, b)
+    # in place and on BLAS: an unaligned or read-only theta would force copies
+    assert loaded.theta.flags.writeable and loaded.theta.flags.aligned
+    assert all(np.shares_memory(a, loaded.theta) for a in loaded.parameters())
 
 
-def test_checkpoint_truncation_detected(tmp_path):
+def test_checkpoint_golden_bytes(tmp_path):
+    """Pins the init draw order and the byte layout (digest from the per-head code)."""
+    label_weights = [
+        [1.0 + 0.25 * i for i in range(len(labels))] for _, labels in canonical_label_space()
+    ]
+    model = new_model(
+        6, canonical_label_space(), hidden=5, dropout_rate=0.2, label_weights=label_weights, seed=8
+    )
+    path = tmp_path / "model.ckpt"
+    save_model(path, model)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "41cdf8814395b4b9f50a9cf811df1a58778899a8a66bb3ff3c14c4cccb8e42ce"
+    )
+
+
+def test_heads_are_views_of_theta():
+    model = small_model(dim=3, hidden=2, seed=4)
+    params = model.parameters()
+    assert all(np.shares_memory(a, model.theta) for a in params)
+    assert sum(a.size for a in params) == model.theta.size
+    # an in-place AdamW step on the head arrays is a step on theta
+    before = model.theta.copy()
+    grads = [np.ones_like(a) for a in params]
+    adamw_step(AdamState.zeros_like(params), params, grads, TrainConfig(learning_rate=0.1))
+    assert np.allclose(model.theta, before - 0.1)
+
+
+def test_copy_shares_no_memory():
+    model = new_model(3, TWO_HEADS, hidden=2, label_weights=[(1.0, 2.0, 3.0), (0.5, 4.0)], seed=1)
+    clone = model.copy()
+    assert np.array_equal(clone.theta, model.theta)
+    for a, b in [
+        (clone.theta, model.theta),
+        (clone.category_weights, model.category_weights),
+        *zip(clone.label_weights, model.label_weights),
+    ]:
+        assert not np.shares_memory(a, b)
+    assert all(np.shares_memory(a, clone.theta) for a in clone.parameters())
+    clone.heads[0].W1[...] = 7.0
+    assert not np.any(model.heads[0].W1 == 7.0)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda data: data[:5], id="fixed-header"),
+        pytest.param(lambda data: data[:15], id="header-json"),
+        pytest.param(lambda data: data[:-8], id="param-block"),
+        pytest.param(lambda data: data[:-1], id="param-block-one-byte"),
+        pytest.param(lambda data: data + b"\x00", id="trailing-byte"),
+    ],
+)
+def test_checkpoint_truncation_detected(tmp_path, edit):
     model = new_model(3, TWO_HEADS, hidden=2, seed=0)
     path = tmp_path / "model.ckpt"
     save_model(path, model)
-    path.write_bytes(path.read_bytes()[:-8])
-    from factkit.errors import TruncatedFile
-
+    path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(TruncatedFile):
+        load_model(path)
+
+
+def _header(without=None, **changes):
+    header = {
+        "dim": 3,
+        "hidden": 2,
+        "dropout_rate": 0.1,
+        "categories": [
+            {"name": name, "labels": list(labels), "weight": 1.0, "label_weights": None}
+            for name, labels in TWO_HEADS
+        ],
+    }
+    header.update(changes)
+    header.pop(without, None)
+    return json.dumps(header).encode()
+
+
+def _category(**changes):
+    return [{"name": "alpha", "labels": ["a0", "a1"], "weight": 1.0, **changes}]
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(b"{not json", id="bad-json"),
+        pytest.param(b'{"dim": "\xff"}', id="not-utf8"),
+        pytest.param(b"[1, 2]", id="not-object"),
+        pytest.param(_header(categories=None), id="categories-null"),
+        pytest.param(_header(without="categories"), id="no-categories"),
+        pytest.param(_header(without="hidden"), id="no-hidden"),
+        pytest.param(_header(dim="3"), id="dim-string"),
+        pytest.param(_header(hidden=2.0), id="hidden-float"),
+        pytest.param(_header(hidden=0), id="hidden-zero"),
+        pytest.param(_header(dim=True), id="dim-bool"),
+        pytest.param(_header(categories=_category(labels=None)), id="labels-null"),
+        pytest.param(_header(categories=_category(labels=5)), id="labels-int"),
+        pytest.param(_header(categories=_category(weight="x")), id="weight-string"),
+        pytest.param(_header(categories=_category(weight=[1.0])), id="weight-list"),
+        pytest.param(_header(categories=_category(label_weights=[1.0])), id="label-weights-short"),
+        pytest.param(_header(categories=_category(label_weights="ab")), id="label-weights-string"),
+        pytest.param(_header(categories=["alpha"]), id="category-not-object"),
+    ],
+)
+def test_malformed_checkpoint_header_is_bad_magic(tmp_path, blob):
+    path = tmp_path / "model.ckpt"
+    fixed = struct.pack("<3I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob))
+    path.write_bytes(fixed + blob + bytes(8 * 64))
+    with pytest.raises(BadMagic, match="malformed checkpoint header"):
         load_model(path)
 
 
