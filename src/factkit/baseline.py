@@ -165,6 +165,8 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
     objective at the start and after each iteration. A single-class ``y``
     yields a constant predictor and a warning rather than an error.
     """
+    if not 0.0 <= l2 < math.inf:
+        raise ValueError("l2 must be finite and nonnegative")
     X = sp.csr_matrix(X) if not sp.issparse(X) else X.tocsr()
     n, n_features = X.shape
     if n != len(y):

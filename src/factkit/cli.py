@@ -35,7 +35,6 @@ is configured through the config file or flags.
 from __future__ import annotations
 
 import argparse
-import copy
 import datetime
 import hashlib
 import json
@@ -78,23 +77,96 @@ from .taxonomy import (
     labelsets_from_codes,
 )
 
-DEFAULT_CONFIG = {
-    "seeds": [42, 123, 456, 789, 1024],
-    "split": {"train": "7/10", "val": "1/10", "test": "1/5"},
-    "train": {
-        "learning_rate": 1e-3,
-        "batch_size": 64,
-        "max_epochs": 10,
-        "patience": 3,
-        "hidden": None,
-        "dropout": 0.1,
-        "weight_decay": 0.0,
-        "label_weighting": "none",  # or "inverse-frequency"
-    },
-    "sampling": {"k": 1000, "cap": 3},
-    "embedding": {"batch_size": 32, "timeout": 30.0, "retries": 2},
-    "baseline": {"l2": 1e-4},
+# Every setting: its default, the JSON type of its value and the values it may
+# take. Types: int is a JSON integer (not true, not 2.0), float any JSON
+# number, Fraction "p/q" or a number (0.7 is 7/10). A list default makes the
+# value a non-empty list of distinct items; a null default allows null.
+# Ranges are intervals, open at infinity, so NaN and Infinity fail each one,
+# or tuples of choices. Flags whose argparse dest is a name here override it.
+SETTINGS = {
+    "seeds": ([42, 123, 456, 789, 1024], int, "[0, inf)"),
+    "split.train": ("7/10", Fraction, "[0, 1]"),
+    "split.val": ("1/10", Fraction, "[0, 1]"),
+    "split.test": ("1/5", Fraction, "[0, 1]"),
+    "train.learning_rate": (1e-3, float, "[0, inf)"),
+    "train.batch_size": (64, int, "[1, inf)"),
+    "train.max_epochs": (10, int, "[1, inf)"),
+    "train.patience": (3, int, "[0, inf)"),
+    "train.hidden": (None, int, "[1, inf)"),  # null: the embedding dimension
+    "train.dropout": (0.1, float, "[0, 1)"),
+    "train.weight_decay": (0.0, float, "[0, inf)"),
+    "train.label_weighting": ("none", str, ("none", "inverse-frequency")),
+    "sampling.k": (1000, int, "[1, inf)"),
+    "sampling.cap": (3, int, "[1, inf)"),
+    "embedding.batch_size": (32, int, "[1, inf)"),
+    "embedding.timeout": (30.0, float, "(0, inf)"),
+    "embedding.retries": (2, int, "[0, inf)"),
+    "baseline.l2": (1e-4, float, "[0, inf)"),
 }
+_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
+
+
+def _checked(raw, default, kind, allowed):
+    """``raw`` as its row of SETTINGS asks, or ValueError."""
+    if raw is None and default is None:
+        return None
+    if isinstance(default, list):
+        if type(raw) is not list or not raw or len(set(map(repr, raw))) != len(raw):
+            raise ValueError("not a non-empty list of distinct items")
+        return [_checked(item, default[0], kind, allowed) for item in raw]
+    if kind is Fraction:
+        value = Fraction(str(raw))  # ValueError or ZeroDivisionError unless "p/q" or a number
+    elif type(raw) is kind or kind is float and type(raw) is int:
+        value = kind(raw)
+    else:
+        raise ValueError(f"not a JSON {_TYPE_NAMES[kind]}")
+    if isinstance(allowed, tuple):
+        inside = value in allowed
+    else:
+        low, high = (float(end) for end in allowed[1:-1].split(","))
+        inside = (low <= value if allowed[0] == "[" else low < value) and (
+            value <= high if allowed[-1] == "]" else value < high
+        )
+    if not inside:
+        raise ValueError(f"not in {allowed}")
+    return str(value) if kind is Fraction else value
+
+
+def load_config(path: Optional[str], flags: Optional[dict] = None) -> dict:
+    """Each setting of SETTINGS from ``flags``, else the config file, else its default.
+
+    ``flags`` maps setting names to command-line values (``None``: not given),
+    so ``vars(args)`` can be passed as is. Each value is checked against its
+    row and stored typed (numbers as floats, fractions as ``"p/q"``), and the
+    split must sum to 1, or ConfigError. Keys that SETTINGS lacks are ignored.
+    """
+    overlay = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                overlay = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(overlay, dict):
+            raise ConfigError("config root must be a JSON object")
+    config: dict = {}
+    for name, (default, kind, allowed) in SETTINGS.items():
+        section, _, key = name.rpartition(".")
+        given = overlay.get(section, {}) if section else overlay
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
+        raw = given.get(key, default) if (flags or {}).get(name) is None else flags[name]
+        try:
+            value = _checked(raw, default, kind, allowed)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{name} = {raw!r}: {exc}") from exc
+        (config.setdefault(section, {}) if section else config)[key] = value
+    if sum(map(Fraction, config["split"].values())) != 1:
+        raise ConfigError(f"split fractions do not sum to 1: {config['split']}")
+    return config
+
+
+DEFAULT_CONFIG = load_config(None)
 
 EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
     ((errors.ConfigError,), 3),
@@ -129,80 +201,9 @@ EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
 ]
 
 
-def _deep_merge(base: dict, overlay: dict) -> dict:
-    merged = dict(base)
-    for key, value in overlay.items():
-        if isinstance(merged.get(key), dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be a JSON object")
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
-def load_config(path: Optional[str]) -> dict:
-    """Defaults overlaid with the config file; never shares state with DEFAULT_CONFIG."""
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            overlay = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(overlay, dict):
-        raise ConfigError("config root must be a JSON object")
-    config = _deep_merge(copy.deepcopy(DEFAULT_CONFIG), overlay)
-    seeds = config["seeds"]
-    integers = isinstance(seeds, list) and all(type(seed) is int for seed in seeds)
-    if not integers or not seeds or len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be a non-empty list of distinct integers")
-    return config
-
-
 def _split_spec(config: dict, seed: int) -> SplitSpec:
-    section = config["split"]
-    try:
-        return SplitSpec(
-            train_frac=Fraction(str(section["train"])),
-            val_frac=Fraction(str(section["val"])),
-            test_frac=Fraction(str(section["test"])),
-            seed=seed,
-        )
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad split fractions: {exc}") from exc
-
-
-def _train_config(config: dict, seed: int) -> model_mod.TrainConfig:
-    section = config["train"]
-    try:
-        return model_mod.TrainConfig(
-            learning_rate=float(section["learning_rate"]),
-            batch_size=int(section["batch_size"]),
-            max_epochs=int(section["max_epochs"]),
-            patience=int(section["patience"]),
-            seed=seed,
-            weight_decay=float(section["weight_decay"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train settings: {exc}") from exc
-
-
-def _setting(config: dict, section: str, key: str, convert, valid, flag=None):
-    """``convert`` of the flag, or of ``config[section][key]`` if it is None.
-
-    Raises ConfigError if the value does not convert or ``valid`` rejects it.
-    """
-    raw = config[section][key] if flag is None else flag
-    try:
-        value = convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section}.{key} {raw!r}: {exc}") from exc
-    if not valid(value):
-        raise ConfigError(f"bad {section}.{key} {raw!r}")
-    return value
+    split = config["split"]
+    return SplitSpec(split["train"], split["val"], split["test"], seed=seed)
 
 
 def _sha256(path: str) -> str:
@@ -297,12 +298,10 @@ def cmd_canon(args, config) -> int:
 
 
 def cmd_sample(args, config) -> int:
-    k = _setting(config, "sampling", "k", int, lambda v: v >= 1, args.k)
-    cap = _setting(config, "sampling", "cap", int, lambda v: v >= 1, args.cap)
+    k, cap, seed = config["sampling"]["k"], config["sampling"]["cap"], config["seeds"][0]
     facts = read_facts(args.facts)
     matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
     normalized = l2_normalize(matrix)
-    seed = args.seed if args.seed is not None else int(config["seeds"][0])
     kmeans = kmeans_fit(normalized, k=k, seed=seed)
     sampled = cluster_sample(facts, kmeans, cap=cap, seed=seed)
     write_facts(args.out, sampled)
@@ -314,7 +313,7 @@ def cmd_sample(args, config) -> int:
 
 def cmd_split(args, config) -> int:
     facts = _trainable(read_facts(args.facts))
-    seed = args.seed if args.seed is not None else int(config["seeds"][0])
+    seed = config["seeds"][0]
     spec = _split_spec(config, seed)
     assignment = stratified_split(facts, spec)
     write_split(args.out, assignment, spec)
@@ -334,9 +333,7 @@ def cmd_split(args, config) -> int:
 
 def cmd_embed_fetch(args, config) -> int:
     facts = read_facts(args.facts)
-    batch_size = _setting(
-        config, "embedding", "batch_size", int, lambda v: v >= 1, args.batch_size
-    )
+    embedding = config["embedding"]
     headers = None
     token = os.environ.get("FACTKIT_EMBED_TOKEN")
     if token:
@@ -344,14 +341,14 @@ def cmd_embed_fetch(args, config) -> int:
     matrix = fetch_embeddings(
         args.endpoint,
         [f.text for f in facts],
-        batch_size=batch_size,
+        batch_size=embedding["batch_size"],
         ids=[f.id for f in facts],
-        timeout=_setting(config, "embedding", "timeout", float, lambda v: v > 0),
-        retries=_setting(config, "embedding", "retries", int, lambda v: v >= 0),
+        timeout=embedding["timeout"],
+        retries=embedding["retries"],
         headers=headers,
     )
     save_embeddings(args.out, matrix)
-    settings = {"endpoint": args.endpoint, "batch_size": batch_size}
+    settings = {"endpoint": args.endpoint, "batch_size": embedding["batch_size"]}
     write_manifest(args.out, "embed-fetch", settings, [args.facts], [], [args.out])
     print(f"embed-fetch: {len(matrix)} embeddings of dim {matrix.dim}")
     return 0
@@ -378,9 +375,7 @@ def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str])
     command = args.command
     targets = model_mod.targets_from_facts(facts, model_mod.canonical_label_space())
     row_of = {fact.id: row for row, fact in enumerate(facts)}
-    seeds = list(args.seeds or config["seeds"])
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"--seeds repeats a seed: {seeds}")
+    seeds = config["seeds"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -416,30 +411,26 @@ def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str])
 def cmd_train(args, config) -> int:
     facts = _trainable(read_facts(args.facts))
     matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
-    weighting = config["train"]["label_weighting"]
-    if weighting not in ("none", "inverse-frequency"):
-        raise ConfigError(f"unknown label_weighting {weighting!r}")
-    hidden = _setting(
-        config, "train", "hidden", lambda v: v, lambda v: v is None or type(v) is int and v >= 1
-    )
-    dropout = _setting(config, "train", "dropout", float, lambda v: 0.0 <= v < 1.0)
+    settings = config["train"]
     out_dir = Path(args.out_dir)
 
     def fit(seed, assignment, targets, train_rows, test_rows):
         label_weights = None
-        if weighting == "inverse-frequency":
+        if settings["label_weighting"] == "inverse-frequency":
             label_weights = model_mod.inverse_frequency_label_weights(
                 targets[train_rows], model_mod.canonical_label_space()
             )
         net = model_mod.new_model(
             dim=matrix.dim,
             label_space=model_mod.canonical_label_space(),
-            hidden=hidden,
-            dropout_rate=dropout,
+            hidden=settings["hidden"],
+            dropout_rate=settings["dropout"],
             label_weights=label_weights,
             seed=seed,
         )
-        result = model_mod.train(net, matrix, targets, assignment, _train_config(config, seed))
+        fit_keys = ("learning_rate", "batch_size", "max_epochs", "patience", "weight_decay")
+        train_config = model_mod.TrainConfig(seed=seed, **{key: settings[key] for key in fit_keys})
+        result = model_mod.train(net, matrix, targets, assignment, train_config)
         ckpt_path = out_dir / f"model-seed{seed}.ckpt"
         model_mod.save_model(ckpt_path, result.model)
         test_matrix = EmbeddingMatrix(rows=matrix.take(assignment.test), row_ids=assignment.test)
@@ -501,10 +492,7 @@ def cmd_eval(args, config) -> int:
 
 def cmd_baseline(args, config) -> int:
     facts = _trainable(read_facts(args.facts))
-    try:
-        l2 = float(config["baseline"]["l2"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad baseline settings: {exc}") from exc
+    l2 = config["baseline"]["l2"]
     texts = [fact.text for fact in facts]
 
     def fit(seed, assignment, targets, train_rows, test_rows):
@@ -612,22 +600,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--facts", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--seed", type=int)
+    # a flag whose dest is a setting's name overrides that setting
+    p.add_argument("--k", type=int, dest="sampling.k", metavar="K")
+    p.add_argument("--cap", type=int, dest="sampling.cap", metavar="CAP")
+    p.add_argument("--seed", type=int, nargs=1, dest="seeds", metavar="SEED")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("split", help="seeded stratified split")
     p.add_argument("--facts", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, nargs=1, dest="seeds", metavar="SEED")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("embed-fetch", help="fetch embeddings over HTTP")
     p.add_argument("--facts", required=True)
     p.add_argument("--endpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--batch-size", type=int, dest="embedding.batch_size", metavar="BATCH_SIZE")
     p.set_defaults(func=cmd_embed_fetch)
 
     p = sub.add_parser("train", help="train checkpoints across seeds")
@@ -677,7 +666,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, vars(args))
         return args.func(args, config)
     except FactkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

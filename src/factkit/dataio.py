@@ -57,6 +57,8 @@ class SplitSpec:
         self.train_frac = _to_fraction(self.train_frac)
         self.val_frac = _to_fraction(self.val_frac)
         self.test_frac = _to_fraction(self.test_frac)
+        if not all(0 <= fraction <= 1 for fraction in self.fractions):
+            raise ValueError("split fractions must lie in [0, 1]")
         if self.train_frac + self.val_frac + self.test_frac != 1:
             raise ValueError("split fractions must sum to exactly 1")
         if self.seed < 0:
@@ -243,7 +245,7 @@ def read_split(path: Union[str, Path]) -> tuple[SplitAssignment, SplitSpec]:
             test_frac=Fraction(header["test"]),
             seed=int(header["seed"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(1, f"bad split header: {exc}") from exc
     splits = [tuple(line.split(",")) if line else () for line in lines[1:4]]
     return SplitAssignment(train=splits[0], val=splits[1], test=splits[2]), spec

@@ -144,6 +144,8 @@ def new_model(
     """Fresh model with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights."""
     if hidden is None:
         hidden = dim
+    if dim < 1 or hidden < 1:
+        raise ValueError("dim and hidden must be >= 1")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must lie in [0, 1)")
     names = tuple(name for name, _ in label_space)
@@ -395,8 +397,8 @@ class TrainConfig:
             raise ValueError("betas must lie strictly between 0 and 1")
         if self.adam_eps <= 0.0:
             raise ValueError("eps must be positive")
-        if self.learning_rate < 0.0 or self.weight_decay < 0.0:
-            raise ValueError("learning rate and weight decay must be nonnegative")
+        if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ValueError("learning rate and weight decay must be finite and nonnegative")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ValueError("batch_size and max_epochs must be >= 1, patience >= 0")
 

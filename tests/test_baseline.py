@@ -234,6 +234,13 @@ def test_logreg_single_class_constant_predictor():
     assert logreg_predict(model, X) == ["only"] * 5
 
 
+@pytest.mark.parametrize("l2", [math.nan, math.inf, -1.0])
+def test_logreg_rejects_bad_l2(l2):
+    X, y = separable_set()
+    with pytest.raises(ValueError, match="l2"):
+        logreg_train(X, y, l2=l2)
+
+
 def test_logreg_deterministic():
     X, y = separable_set()
     a = logreg_train(X, y)

@@ -7,7 +7,13 @@ import pytest
 from factkit.cli import DEFAULT_CONFIG, load_config, main
 from factkit.dataio import read_facts, read_split, write_facts
 from factkit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
-from factkit.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from factkit.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    canonical_label_space,
+    new_model,
+    save_model,
+)
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
 from embed_server import MockEmbedServer
@@ -419,9 +425,30 @@ def test_malformed_checkpoint_header_exit_code(workspace, capsys):
 
 
 @pytest.mark.parametrize(
+    "header",
+    ["seed=1 train=11/10 val=-1/5 test=1/10", "seed=1 train=1/0 val=1/10 test=1/5"],
+    ids=["fraction-negative", "fraction-zero-denominator"],
+)
+def test_eval_bad_split_header_exit_code(workspace, capsys, header):
+    tmp_path, facts_path, emb_path, _ = workspace
+    ids = [fact.id for fact in read_facts(facts_path) if not fact.excluded]
+    split_path = tmp_path / "split.txt"
+    split_path.write_text(f"{header}\n{','.join(ids[:-10])}\n\n{','.join(ids[-10:])}\n")
+    model_path = tmp_path / "model.ckpt"
+    save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
+    code = run(
+        "eval", "--model", model_path, "--facts", facts_path, "--embeddings", emb_path,
+        "--split", split_path, "--out", tmp_path / "eval.txt",
+    )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ParseError: line 1: bad split header: ")
+
+
+@pytest.mark.parametrize(
     "content, command",
     [
         pytest.param("{not json", "split", id="not-json"),
+        pytest.param(b'{"seeds": [1], "x": "\xff"}', "split", id="not-utf8"),
         pytest.param('{"seeds": 5}', "split", id="seeds-not-list"),
         pytest.param('{"seeds": ["a"]}', "baseline", id="seed-not-int"),
         pytest.param('{"split": []}', "split", id="split-not-object"),
@@ -436,12 +463,29 @@ def test_malformed_checkpoint_header_exit_code(workspace, capsys):
         pytest.param('{"sampling": {"cap": "x"}}', "sample", id="cap-not-int"),
         pytest.param('{"embedding": {"batch_size": "x"}}', "embed-fetch", id="batch-not-int"),
         pytest.param('{"embedding": {"timeout": "x"}}', "embed-fetch", id="timeout-not-number"),
+        pytest.param('{"baseline": {"l2": NaN}}', "baseline", id="l2-nan"),
+        pytest.param('{"baseline": {"l2": Infinity}}', "baseline", id="l2-infinity"),
+        pytest.param('{"baseline": {"l2": -1}}', "baseline", id="l2-negative"),
+        pytest.param('{"train": {"learning_rate": NaN}}', "train", id="learning-rate-nan"),
+        pytest.param('{"train": {"weight_decay": Infinity}}', "train", id="weight-decay-infinity"),
+        pytest.param('{"embedding": {"timeout": Infinity}}', "embed-fetch", id="timeout-infinity"),
+        pytest.param('{"sampling": {"k": 2.9}}', "sample", id="k-float"),
+        pytest.param('{"sampling": {"cap": true}}', "sample", id="cap-bool"),
+        pytest.param('{"train": {"max_epochs": true}}', "train", id="max-epochs-bool"),
+        pytest.param('{"train": {"batch_size": 2.7}}', "train", id="train-batch-float"),
+        pytest.param('{"embedding": {"batch_size": 2.7}}', "embed-fetch", id="embed-batch-float"),
+        pytest.param('{"seeds": [-3]}', "sample", id="seed-negative"),
+        pytest.param(
+            '{"split": {"train": "11/10", "val": "-1/5", "test": "1/10"}}',
+            "split",
+            id="split-fraction-negative",
+        ),
     ],
 )
 def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
     _, facts_path, emb_path, _ = workspace
     bad_config = tmp_path / "bad.json"
-    bad_config.write_text(content)
+    bad_config.write_bytes(content if isinstance(content, bytes) else content.encode())
     rest = {
         "split": ["--out", tmp_path / "s.txt"],
         "baseline": ["--out-dir", tmp_path / "b"],
@@ -455,12 +499,22 @@ def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
     assert capsys.readouterr().err.startswith("error: ConfigError: ")
 
 
-@pytest.mark.parametrize("command", ["train", "baseline"])
-def test_repeated_seed_flag_is_config_error(workspace, capsys, command):
+@pytest.mark.parametrize(
+    "command, seeds, config",
+    [
+        pytest.param("train", ["--seeds", 1, 1], {}, id="train"),
+        pytest.param("baseline", ["--seeds", 1, 1], {}, id="baseline"),
+        pytest.param("sample", ["--seed", -1], {}, id="sample-negative"),
+        pytest.param("train", [], {"seeds": [-3]}, id="train-negative-config"),
+    ],
+)
+def test_repeated_seed_flag_is_config_error(workspace, capsys, command, seeds, config):
     tmp_path, facts_path, emb_path, _ = workspace
-    embeddings = ["--embeddings", emb_path] if command == "train" else []
-    out_dir = tmp_path / "run"
-    code = run(command, "--facts", facts_path, *embeddings, "--out-dir", out_dir, "--seeds", 1, 1)
+    config_path = tmp_path / "seeds.json"
+    config_path.write_text(json.dumps(config))
+    embeddings = ["--embeddings", emb_path] if command != "baseline" else []
+    out = ["--out", tmp_path / "run"] if command == "sample" else ["--out-dir", tmp_path / "run"]
+    code = run("--config", config_path, command, "--facts", facts_path, *embeddings, *out, *seeds)
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ConfigError: ")
-    assert not out_dir.exists()
+    assert not (tmp_path / "run").exists()

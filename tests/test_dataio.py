@@ -254,6 +254,19 @@ def test_split_spec_fractions_must_sum_to_one():
         SplitSpec(train_frac=0.7, val_frac=0.2, test_frac=0.2, seed=0)
 
 
+def test_split_spec_fractions_must_lie_in_unit_interval():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SplitSpec(train_frac="11/10", val_frac="-1/5", test_frac="1/10", seed=0)
+
+
+@pytest.mark.parametrize("fractions", ["train=11/10 val=-1/5 test=1/10", "train=1/0 val=1/10 test=1/5"])
+def test_read_split_rejects_bad_fractions(tmp_path, fractions):
+    path = tmp_path / "split.txt"
+    path.write_text(f"seed=1 {fractions}\na\n\nb\n")
+    with pytest.raises(ParseError, match="bad split header"):
+        read_split(path)
+
+
 def test_split_file_roundtrip(tmp_path):
     facts = make_strata({"Preferences": 12, "Experience": 6})
     spec = SplitSpec(seed=99)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,14 @@ def test_weight_doubling_scales_gradient():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("dim, hidden", [(4, 0), (4, -1), (0, None), (0, 3)])
+def test_new_model_rejects_nonpositive_sizes(dim, hidden):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dim and hidden must be >= 1"):
+            new_model(dim, canonical_label_space(), hidden=hidden)
+
+
 def test_masking_invariance_bitwise():
     base = new_model(6, TWO_HEADS, hidden=3, dropout_rate=0.0, seed=11)
     extended = new_model(
@@ -353,6 +362,9 @@ def test_train_config_validation():
         TrainConfig(adam_eps=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for bad in ({"learning_rate": math.nan}, {"weight_decay": math.inf}, {"learning_rate": -1.0}):
+        with pytest.raises(ValueError, match="learning rate and weight decay"):
+            TrainConfig(**bad)
 
 
 # --- training loop ---
