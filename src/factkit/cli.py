@@ -22,7 +22,7 @@ with identical inputs reproduces them byte for byte.
 Errors print one line, ``error: <Category>: <message>``, and exit with a
 category-specific code:
 
-    2 usage            3 config           4 data/parse
+    2 usage            3 config           4 data/parse/input files
     5 embedding file   6 endpoint         7 sampling
     8 training         9 metrics/agreement
     10 vocabulary      11 analysis        1 unexpected
@@ -674,9 +674,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if isinstance(exc, exc_types):
                 return code
         return 1
-    except OSError as exc:
-        print(f"error: ConfigError: {exc}", file=sys.stderr)
-        return 3
+    except OSError as exc:  # an input or output file; config files raise ConfigError
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -155,8 +155,9 @@ def fetch_embeddings(
     ``{"dim": d, "embeddings": [[...], ...]}``. Rows come back in input
     order whatever the batch size. Connection failures and 5xx answers are
     retried up to ``retries`` times with exponential backoff; other statuses
-    raise :class:`ProtocolError` immediately. A change of dimension between
-    batches raises :class:`DimensionDrift`.
+    raise :class:`ProtocolError` immediately, as does a reply whose rows are
+    not a finite numeric matrix. A change of dimension between batches
+    raises :class:`DimensionDrift`.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -174,9 +175,14 @@ def fetch_embeddings(
         vectors = body.get("embeddings")
         if not isinstance(vectors, list) or len(vectors) != len(batch):
             raise ProtocolError(200, f"expected {len(batch)} embeddings, got {vectors!r}")
-        array = np.asarray(vectors, dtype="<f4")
+        try:
+            array = np.asarray(vectors, dtype="<f4")
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(200, f"embeddings are not a numeric matrix: {exc}") from exc
         if array.ndim != 2 or dim != array.shape[1]:
             raise ProtocolError(200, f"declared dim {dim!r} does not match payload")
+        if not np.all(np.isfinite(array)):
+            raise ProtocolError(200, "embeddings contain non-finite values")
         if declared_dim is None:
             declared_dim = int(dim)
         elif int(dim) != declared_dim:

@@ -22,7 +22,9 @@ is float64.
 
 Every parameter lives in one float64 vector, ``MultiHeadModel.theta``: each
 head's W1, b1, W2, b2, row-major, in category order. The heads are views into
-it, so an in-place update of a head's array is an update of ``theta``.
+it, so an in-place update of a head's array is an update of ``theta``. The
+gradient and both AdamW moments are vectors laid out like ``theta``, and the
+AdamW step updates them in place, one fixed-size block at a time.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -60,6 +62,7 @@ MASK = -1
 
 CHECKPOINT_MAGIC = int.from_bytes(b"FMHC", "little")
 CHECKPOINT_VERSION = 1
+ADAM_BLOCK = 1 << 16  # elements per adamw_step block; its two scratch blocks are 512 KB each
 
 
 @dataclass
@@ -325,35 +328,33 @@ def _loss_and_grads(
     targets: np.ndarray,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Mean per-example loss over the batch and gradients for parameters()."""
+) -> tuple[float, np.ndarray]:
+    """Mean per-example loss over the batch and its gradient, laid out like ``theta``."""
     targets = _check_targets(model, targets)
     logits, cache = _forward_batch(model, X, train_mode=train_mode, rng=rng)
     per_example, valid, valid_counts = _batch_loss_terms(model, logits, targets)
-    B = X.shape[0]
     total = float(per_example.mean())
 
-    grads: list[np.ndarray] = []
-    scale_rows = np.where(valid_counts > 0, 1.0 / np.maximum(valid_counts, 1.0), 0.0) / B
-    for c, head in enumerate(model.heads):
+    grad = np.zeros_like(model.theta)
+    grad_heads = replace(model, theta=grad).heads
+    scale_rows = np.where(valid_counts > 0, 1.0 / np.maximum(valid_counts, 1.0), 0.0) / X.shape[0]
+    for c, (head, out) in enumerate(zip(model.heads, grad_heads)):
         rows = np.flatnonzero(valid[:, c])
         if rows.size == 0:
-            grads.extend(np.zeros_like(a) for a in head.arrays())
             continue
         z, t, u, m2 = cache[c]
         probs = np.exp(_log_softmax(logits[c][rows]))
         probs[np.arange(rows.size), targets[rows, c]] -= 1.0
         G = probs * (_gold_weights(model, targets, c, rows) * scale_rows[rows])[:, None]
-        dW2 = G.T @ u[rows]
-        db2 = G.sum(axis=0)
+        np.matmul(G.T, u[rows], out=out.W2)
+        np.sum(G, axis=0, out=out.b2)
         dU = G @ head.W2
         if m2 is not None:
             dU = dU * m2[rows]
         dA = dU * (1.0 - t[rows] ** 2)
-        dW1 = dA.T @ z[rows]
-        db1 = dA.sum(axis=0)
-        grads.extend([dW1, db1, dW2, db2])
-    return total, grads
+        np.matmul(dA.T, z[rows], out=out.W1)
+        np.sum(dA, axis=0, out=out.b1)
+    return total, grad
 
 
 def backward(
@@ -372,8 +373,8 @@ def backward(
     h = np.asarray(h, dtype=np.float64)
     if h.ndim == 1:
         h = h[None, :]
-    _, grads = _loss_and_grads(model, h, target, train_mode=train_mode, rng=rng)
-    return grads
+    _, grad = _loss_and_grads(model, h, target, train_mode=train_mode, rng=rng)
+    return replace(model, theta=grad).parameters()
 
 
 # ---------------------------------------------------------------------------
@@ -405,45 +406,44 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Step count and the first and second moments, each laid out like ``theta``."""
+
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def zeros_like(cls, params: Sequence[np.ndarray]) -> "AdamState":
-        return cls(
-            step=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def zeros_like(cls, theta: np.ndarray) -> "AdamState":
+        return cls(step=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adamw_step(
-    state: AdamState,
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    config: TrainConfig,
-) -> tuple[Sequence[np.ndarray], AdamState]:
-    """One AdamW update with decoupled weight decay; mutates in place.
+def adamw_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, config: TrainConfig) -> None:
+    """One AdamW update with decoupled weight decay, in place, ``ADAM_BLOCK`` elements at a time.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionMismatch("params, grads, and state must align")
+    if not theta.shape == grad.shape == state.m.shape == state.v.shape:
+        raise DimensionMismatch("theta, grad, and state must have one shape")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    scratch = np.empty((2, min(ADAM_BLOCK, theta.size)))
+    for start in range(0, theta.size, ADAM_BLOCK):
+        p, g, m, v = (a[start : start + ADAM_BLOCK] for a in (theta, grad, state.m, state.v))
+        update, tmp = scratch[:, : p.size]
+        # each operation of the formula in its evaluation order, into the scratch blocks
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=tmp)
         v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + config.adam_eps)
+        np.multiply(g, 1.0 - b2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        np.divide(m, bias1, out=update)
+        np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
+        update /= np.add(tmp, config.adam_eps, out=tmp)
         if config.weight_decay:
-            update = update + config.weight_decay * p
-        p -= config.learning_rate * update
-    return params, state
+            update += np.multiply(p, config.weight_decay, out=tmp)
+        p -= np.multiply(update, config.learning_rate, out=update)
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +533,10 @@ def train(
     T_val = targets[val_rows]
 
     work = model.copy()
-    params = work.parameters()
-    state = AdamState.zeros_like(params)
+    state = AdamState.zeros_like(work.theta)
     rng = np.random.default_rng(config.seed)
 
-    best = work.copy()
-    best_f1 = -np.inf
+    best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always sets ``best``
     best_epoch = 0
     since_best = 0
     history: list[EpochStats] = []
@@ -549,15 +547,15 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_loss, grads = _loss_and_grads(
+            batch_loss, grad = _loss_and_grads(
                 work, X_train[batch], T_train[batch], train_mode=True, rng=rng
             )
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at {start}: loss={batch_loss}"
                 )
-            adamw_step(state, params, grads, config)
-            del grads  # or two full gradient sets are alive during the next batch
+            adamw_step(state, work.theta, grad, config)
+            del grad  # or two full gradients are alive during the next batch
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
 

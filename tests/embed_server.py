@@ -1,10 +1,12 @@
 """In-process mock embedding endpoint for tests.
 
 Serves ``POST /embed`` with ``{"texts": [...]}`` and answers
-``{"dim": d, "embeddings": [[...], ...]}``. Two deterministic modes:
+``{"dim": d, "embeddings": [[...], ...]}``. Three deterministic modes:
 
 * ``bytelen``: each text maps to the 1-d vector [len(utf-8 bytes)].
 * ``hash``: each text maps to a fixed d-dim vector seeded from its bytes.
+* ``payload``: every reply carries ``payload`` as its embeddings, verbatim
+  (NaN included), to exercise malformed replies.
 
 Failure injection: ``fail_next`` answers that many 500s before succeeding,
 and ``drift_after`` switches the dimension after that many requests to
@@ -28,8 +30,16 @@ def _hash_vector(text: str, dim: int) -> list[float]:
 
 
 class MockEmbedServer:
-    def __init__(self, mode: str = "bytelen", dim: int = 4, fail_next: int = 0, drift_after: int = 0):
+    def __init__(
+        self,
+        mode: str = "bytelen",
+        dim: int = 4,
+        fail_next: int = 0,
+        drift_after: int = 0,
+        payload: object = None,
+    ):
         self.mode = mode
+        self.payload = payload
         self.dim = dim
         self.fail_next = fail_next
         self.drift_after = drift_after
@@ -57,6 +67,8 @@ class MockEmbedServer:
                 if outer.mode == "bytelen":
                     vectors = [[float(len(t.encode("utf-8")))] for t in texts]
                     dim = 1
+                elif outer.mode == "payload":
+                    vectors = outer.payload
                 else:
                     vectors = [_hash_vector(t, dim) for t in texts]
                 payload = json.dumps({"dim": dim, "embeddings": vectors}).encode()

@@ -414,6 +414,37 @@ def test_missing_embedding_file_exit_code(workspace):
     assert code == 5
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([[1.0, float("nan")], [0.0, 1.0]], "embeddings contain non-finite values"),
+        ([["x", 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: "),
+        ([[1.0, 2.0], [3.0]], "embeddings are not a numeric matrix: "),
+    ],
+    ids=["nan", "string", "ragged"],
+)
+def test_embed_fetch_bad_reply_is_protocol_error(workspace, capsys, payload, message):
+    tmp_path, facts_path, _, _ = workspace
+    with MockEmbedServer(mode="payload", dim=2, payload=payload) as server:
+        code = run(
+            "embed-fetch",
+            "--facts", facts_path,
+            "--endpoint", server.url,
+            "--out", tmp_path / "fetched.emb",
+            "--batch-size", "2",
+        )
+    assert code == 6
+    assert capsys.readouterr().err.startswith(
+        f"error: ProtocolError: endpoint returned status 200: {message}"
+    )
+
+
+def test_missing_input_file_is_data_error(tmp_path, capsys):
+    code = run("split", "--facts", tmp_path / "nope.jsonl", "--out", tmp_path / "split.txt")
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError: [Errno 2] ")
+
+
 def test_malformed_checkpoint_header_exit_code(workspace, capsys):
     tmp_path, _, emb_path, _ = workspace
     bad = tmp_path / "bad.ckpt"

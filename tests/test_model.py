@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from factkit.errors import (
     TruncatedFile,
 )
 from factkit.model import (
+    ADAM_BLOCK,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     MASK,
@@ -254,10 +256,8 @@ def test_masking_invariance_bitwise():
     loss_base, grads_base = _loss_and_grads(base, X, targets)
     loss_ext, grads_ext = _loss_and_grads(extended, X, extended_targets)
     assert loss_base == loss_ext  # bitwise
-    for a, b in zip(grads_base, grads_ext[:8]):
-        assert np.array_equal(a, b)
-    for grad in grads_ext[8:]:
-        assert np.all(grad == 0.0)
+    assert np.array_equal(grads_base, grads_ext[: base.theta.size])
+    assert np.all(grads_ext[base.theta.size :] == 0.0)
 
 
 # --- softmax / predict helpers ---
@@ -320,39 +320,53 @@ def test_predict_labelsets_unreconciled():
 
 
 def test_adamw_zero_gradient_fixed_point():
-    params = [np.array([1.0, -2.0])]
-    state = AdamState.zeros_like(params)
+    theta = np.array([1.0, -2.0])
+    state = AdamState.zeros_like(theta)
     config = TrainConfig(learning_rate=0.01, weight_decay=0.0)
-    adamw_step(state, params, [np.zeros(2)], config)
-    assert params[0].tolist() == [1.0, -2.0]
+    adamw_step(state, theta, np.zeros(2), config)
+    assert theta.tolist() == [1.0, -2.0]
 
 
 def test_adamw_first_step_hand_computed():
-    params = [np.array([1.0])]
-    state = AdamState.zeros_like(params)
+    theta = np.array([1.0])
+    state = AdamState.zeros_like(theta)
     config = TrainConfig(learning_rate=0.01)
-    adamw_step(state, params, [np.array([1.0])], config)
+    adamw_step(state, theta, np.array([1.0]), config)
     # bias-corrected m_hat = v_hat = 1, so the step is lr/(1+eps)
-    assert params[0][0] == pytest.approx(1.0 - 0.01 / (1.0 + 1e-8), abs=1e-12)
-    assert params[0][0] == pytest.approx(0.99, abs=1e-9)
+    assert theta[0] == pytest.approx(1.0 - 0.01 / (1.0 + 1e-8), abs=1e-12)
+    assert theta[0] == pytest.approx(0.99, abs=1e-9)
 
 
 def test_adamw_pure_decay():
-    params = [np.array([1.0])]
-    state = AdamState.zeros_like(params)
+    theta = np.array([1.0])
+    state = AdamState.zeros_like(theta)
     config = TrainConfig(learning_rate=0.01, weight_decay=0.1)
-    adamw_step(state, params, [np.zeros(1)], config)
-    assert params[0][0] == pytest.approx(1.0 * (1.0 - 0.001), abs=1e-15)
+    adamw_step(state, theta, np.zeros(1), config)
+    assert theta[0] == pytest.approx(1.0 * (1.0 - 0.001), abs=1e-15)
 
 
 def test_adamw_decay_is_decoupled():
     # two steps with pure decay: multiplicative, independent of moments
-    params = [np.array([2.0])]
-    state = AdamState.zeros_like(params)
+    theta = np.array([2.0])
+    state = AdamState.zeros_like(theta)
     config = TrainConfig(learning_rate=0.5, weight_decay=0.01)
-    adamw_step(state, params, [np.zeros(1)], config)
-    adamw_step(state, params, [np.zeros(1)], config)
-    assert params[0][0] == pytest.approx(2.0 * (1 - 0.005) ** 2, abs=1e-12)
+    adamw_step(state, theta, np.zeros(1), config)
+    adamw_step(state, theta, np.zeros(1), config)
+    assert theta[0] == pytest.approx(2.0 * (1 - 0.005) ** 2, abs=1e-12)
+
+
+def test_adamw_step_temporaries_are_block_sized():
+    theta = np.random.default_rng(0).normal(size=1_000_003)
+    grad = np.ones_like(theta)
+    state = AdamState.zeros_like(theta)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        adamw_step(state, theta, grad, TrainConfig(weight_decay=0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < theta.nbytes / 4
 
 
 def test_train_config_validation():
@@ -421,6 +435,28 @@ def test_train_deterministic():
         assert np.array_equal(a, b)
 
 
+def test_train_golden_digest_across_adamw_blocks():
+    # theta spans three full AdamW blocks and a partial one; the gamma head is
+    # masked in most rows, so some batches give it no gradient at all
+    rng = np.random.default_rng(5)
+    ids = tuple(f"g{i:02d}" for i in range(64))
+    rows = rng.normal(size=(64, 300))
+    gamma = np.where(rng.random(64) < 0.1, rng.integers(0, 4, 64), MASK)
+    targets = np.column_stack([rows[:, :3].argmax(axis=1), rows[:, 3] > 0, gamma])
+    split = SplitAssignment(train=ids[:40], val=ids[40:56], test=ids[56:])
+    space = TWO_HEADS + [("gamma", ("c0", "c1", "c2", "c3"))]
+    model = new_model(300, space, hidden=250, dropout_rate=0.2, seed=6)
+    assert model.theta.size > 3 * ADAM_BLOCK and model.theta.size % ADAM_BLOCK
+    config = TrainConfig(
+        learning_rate=0.01, batch_size=8, max_epochs=3, patience=3, seed=7, weight_decay=0.01
+    )
+    result = train(model, EmbeddingMatrix(rows=rows, row_ids=ids), targets, split, config)
+    assert result.best_epoch == 3  # the digest covers every step
+    assert hashlib.sha256(result.model.theta.tobytes()).hexdigest() == (
+        "86f2d090c288487719e5f77da3398a45aa736c7092daf428fdf7f3d06dbc7737"
+    )
+
+
 def test_train_empty_split():
     emb, targets, _ = tiny_task()
     bad = SplitAssignment(train=(), val=("t0",), test=())
@@ -484,11 +520,11 @@ def test_heads_are_views_of_theta():
     params = model.parameters()
     assert all(np.shares_memory(a, model.theta) for a in params)
     assert sum(a.size for a in params) == model.theta.size
-    # an in-place AdamW step on the head arrays is a step on theta
-    before = model.theta.copy()
-    grads = [np.ones_like(a) for a in params]
-    adamw_step(AdamState.zeros_like(params), params, grads, TrainConfig(learning_rate=0.1))
-    assert np.allclose(model.theta, before - 0.1)
+    # an in-place AdamW step on theta moves the head arrays
+    before = [a.copy() for a in params]
+    grad = np.ones_like(model.theta)
+    adamw_step(AdamState.zeros_like(model.theta), model.theta, grad, TrainConfig(learning_rate=0.1))
+    assert all(np.allclose(a, b - 0.1) for a, b in zip(params, before))
 
 
 def test_copy_shares_no_memory():
