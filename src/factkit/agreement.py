@@ -2,10 +2,14 @@
 Krippendorff's alpha (nominal), and Landis-Koch interpretation bands.
 
 A :class:`RatingsTable` holds one label per (unit, rater) cell, with ``None``
-for missing ratings. Missingness is tolerated only where the statistic
-handles it natively: percent agreement scores each unit over its non-missing
-pairs, and Krippendorff's alpha drops units with fewer than two non-missing
-ratings from the coincidence matrix. Fleiss' kappa requires complete tables.
+for missing ratings. At construction it codes its cells once into one integer
+(units x labels) count matrix; every table statistic is a closed form over
+that matrix, with float terms summed by ``math.fsum``, so results depend on
+neither the order labels first appear in nor ``PYTHONHASHSEED``. Missingness
+is tolerated only where the statistic handles it natively: percent agreement
+scores each unit over its non-missing pairs, and Krippendorff's alpha drops
+units with fewer than two non-missing ratings from the coincidence matrix.
+Fleiss' kappa requires complete tables.
 
 Degenerate chance agreement (expected agreement 1, or zero expected
 disagreement) returns the limit value instead of dividing by zero: 1.0 under
@@ -15,9 +19,11 @@ then report 1.0 rather than crashing.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyInput,
@@ -26,15 +32,19 @@ from .errors import (
     NoComparableUnits,
     OutOfRange,
 )
-from .taxonomy import Dimension
+from .metrics import _hashable_codes
 
 
 @dataclass
 class RatingsTable:
-    """N units rated by R raters; ``None`` marks a missing rating."""
+    """N units rated by R raters; ``None`` marks a missing rating.
+
+    ``counts[u, c]`` is how many raters gave unit u the label coded c; codes
+    follow first appearance in row-major order.
+    """
 
     values: list[list[Optional[str]]]
-    dimension: Optional[Dimension] = None
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values:
@@ -44,9 +54,20 @@ class RatingsTable:
             raise LengthMismatch("all units must have one cell per rater")
         if self.n_raters < 2:
             raise ValueError("need at least two raters")
-        for row in self.values:
-            if all(cell is None for cell in row):
-                raise ValueError("every unit needs at least one rating")
+        code_of: dict[str, int] = {}
+        cells = [
+            (unit, code_of.setdefault(cell, len(code_of)))
+            for unit, row in enumerate(self.values)
+            for cell in row
+            if cell is not None
+        ]
+        units, codes = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        n_labels = len(code_of)
+        self.counts = np.bincount(
+            units * n_labels + codes, minlength=self.n_units * n_labels
+        ).reshape(self.n_units, n_labels)
+        if not self.counts.any(axis=1).all():
+            raise ValueError("every unit needs at least one rating")
 
     @property
     def n_units(self) -> int:
@@ -57,101 +78,72 @@ class RatingsTable:
         return len(self.values[0])
 
     def is_complete(self) -> bool:
-        return all(cell is not None for row in self.values for cell in row)
+        return bool((self.counts.sum(axis=1) == self.n_raters).all())
+
+
+def _comparable_counts(table: RatingsTable) -> np.ndarray:
+    rows = table.counts[table.counts.sum(axis=1) >= 2]
+    if not len(rows):
+        raise NoComparableUnits("no unit carries two or more ratings")
+    return rows
+
+
+def _chance_corrected(observed: float, expected: float) -> float:
+    if expected == 1.0:
+        return 1.0 if observed == 1.0 else 0.0
+    return (observed - expected) / (1.0 - expected)
 
 
 def percent_agreement(table: RatingsTable) -> float:
     """Mean over units of (agreeing pairs / total pairs) among ratings."""
-    unit_scores = []
-    for row in table.values:
-        present = [cell for cell in row if cell is not None]
-        m = len(present)
-        if m < 2:
-            continue
-        counts = Counter(present)
-        agreeing = sum(c * (c - 1) // 2 for c in counts.values())
-        unit_scores.append(agreeing / (m * (m - 1) // 2))
-    if not unit_scores:
-        raise NoComparableUnits("no unit carries two or more ratings")
-    return sum(unit_scores) / len(unit_scores)
+    counts = _comparable_counts(table)
+    m = counts.sum(axis=1)
+    unit_scores = (counts * (counts - 1)).sum(axis=1) / (m * (m - 1))
+    return math.fsum(unit_scores.tolist()) / len(unit_scores)
 
 
 def cohen_kappa(a: Sequence[str], b: Sequence[str]) -> float:
     """Chance-corrected pairwise agreement between two complete raters."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"{len(a)} vs {len(b)} ratings")
-    if not a:
+    labels, codes_a, codes_b = _hashable_codes(a, b)
+    n, k = len(codes_a), len(labels)
+    if not n:
         raise EmptyInput("cannot compute kappa over zero items")
-    n = len(a)
-    observed = sum(1 for x, y in zip(a, b) if x == y) / n
-    counts_a = Counter(a)
-    counts_b = Counter(b)
-    expected = sum(
-        (counts_a[label] / n) * (counts_b[label] / n)
-        for label in set(counts_a) | set(counts_b)
-    )
-    if expected == 1.0:
-        return 1.0 if observed == 1.0 else 0.0
-    return (observed - expected) / (1.0 - expected)
+    confusion = np.bincount((codes_a * k + codes_b).ravel(), minlength=k * k)
+    confusion = confusion.reshape(k, k)
+    expected = int(confusion.sum(axis=1) @ confusion.sum(axis=0))
+    return _chance_corrected(int(np.trace(confusion)) / n, expected / (n * n))
 
 
 def fleiss_kappa(table: RatingsTable) -> float:
     """Multi-rater chance-corrected agreement over a complete table."""
     if not table.is_complete():
         raise MissingRatings("Fleiss' kappa needs a rating from every rater")
-    n_raters = table.n_raters
-    n_units = table.n_units
-    labels = sorted({cell for row in table.values for cell in row})
-    p_bar = 0.0
-    pooled: Counter = Counter()
-    for row in table.values:
-        counts = Counter(row)
-        pooled.update(counts)
-        p_bar += (sum(c * c for c in counts.values()) - n_raters) / (
-            n_raters * (n_raters - 1)
-        )
-    p_bar /= n_units
-    total = n_units * n_raters
-    p_e = sum((pooled[label] / total) ** 2 for label in labels)
-    if p_e == 1.0:
-        return 1.0 if p_bar == 1.0 else 0.0
-    return (p_bar - p_e) / (1.0 - p_e)
+    counts = table.counts
+    total = table.n_units * table.n_raters
+    agreeing = int((counts * counts).sum()) - total
+    pooled = counts.sum(axis=0)
+    return _chance_corrected(
+        agreeing / (total * (table.n_raters - 1)),
+        int(pooled @ pooled) / (total * total),
+    )
 
 
 def krippendorff_alpha_nominal(table: RatingsTable) -> float:
     """Coincidence-matrix alpha with the nominal (0/1) distance.
 
-    Units with fewer than two non-missing ratings are excluded. Each
-    remaining unit adds 1/(m_u - 1) to the coincidence count of every
-    ordered pair of its ratings.
+    Units with fewer than two non-missing ratings are excluded. A remaining
+    unit with m ratings, n_c of them label c, adds (m^2 - sum n_c^2)/(m - 1)
+    disagreeing coincidences; label c's marginal is the sum of its n_c.
     """
-    coincidence: Counter = Counter()
-    marginals: Counter = Counter()
-    usable_units = 0
-    for row in table.values:
-        present = [cell for cell in row if cell is not None]
-        m = len(present)
-        if m < 2:
-            continue
-        usable_units += 1
-        weight = 1.0 / (m - 1)
-        for i, x in enumerate(present):
-            for j, y in enumerate(present):
-                if i != j:
-                    coincidence[(x, y)] += weight
-                    marginals[x] += weight
-    if usable_units == 0:
-        raise NoComparableUnits("no unit carries two or more ratings")
-    n_total = sum(marginals.values())
-    observed_disagreement = (
-        sum(v for (x, y), v in coincidence.items() if x != y) / n_total
+    counts = _comparable_counts(table)
+    m = counts.sum(axis=1)
+    disagreeing = (m * m - (counts * counts).sum(axis=1)) / (m - 1)
+    marginals = counts.sum(axis=0)
+    n_total = int(marginals.sum())
+    observed_disagreement = math.fsum(disagreeing.tolist()) / n_total
+    expected_disagreement = (n_total * n_total - int(marginals @ marginals)) / (
+        n_total * (n_total - 1.0)
     )
-    expected_disagreement = sum(
-        marginals[x] * marginals[y]
-        for x in marginals
-        for y in marginals
-        if x != y
-    ) / (n_total * (n_total - 1.0))
     if expected_disagreement == 0.0:
         return 1.0 if observed_disagreement == 0.0 else 0.0
     return 1.0 - observed_disagreement / expected_disagreement
@@ -193,7 +185,6 @@ class AgreementReport:
     kripp_alpha: float
     interpretation: str
     n_units: int
-    dimension: Optional[Dimension] = None
 
 
 def compute_agreement(table: RatingsTable) -> AgreementReport:
@@ -219,7 +210,6 @@ def compute_agreement(table: RatingsTable) -> AgreementReport:
         kripp_alpha=krippendorff_alpha_nominal(table),
         interpretation=landis_koch(kappa_for_band),
         n_units=table.n_units,
-        dimension=table.dimension,
     )
 
 
@@ -242,5 +232,4 @@ def average_report(reports: Sequence[AgreementReport]) -> AgreementReport:
         kripp_alpha=sum(r.kripp_alpha for r in reports) / len(reports),
         interpretation=landis_koch(kappa),
         n_units=0,
-        dimension=None,
     )

@@ -531,8 +531,7 @@ def cmd_agree(args, config) -> int:
         table = agreement_mod.RatingsTable(
             values=[
                 [rater[i].labels.get(dim) for rater in by_id] for i in shared_ids
-            ],
-            dimension=dim,
+            ]
         )
         report = agreement_mod.compute_agreement(table)
         reports.append(report)

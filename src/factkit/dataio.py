@@ -85,13 +85,16 @@ def _fact_from_obj(obj: dict, line_no: int) -> FactRecord:
         labels = None
         if obj.get("labels") is not None:
             labels = LabelSet.from_dict(obj["labels"])
+        excluded = obj.get("excluded", False)
+        if not isinstance(excluded, bool):
+            raise ValueError(f"'excluded' must be true or false, not {excluded!r}")
         return FactRecord(
             id=obj["id"],
             text=obj["text"],
             context=obj.get("context"),
             source=obj.get("source", "Other"),
             labels=labels,
-            excluded=bool(obj.get("excluded", False)),
+            excluded=excluded,
             exclusion_reason=obj.get("exclusion_reason"),
         )
     except KeyError as exc:

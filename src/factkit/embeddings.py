@@ -171,6 +171,8 @@ def fetch_embeddings(
     for start in range(0, len(texts), batch_size):
         batch = list(texts[start : start + batch_size])
         body = _post_batch(endpoint, batch, timeout, retries, backoff, headers)
+        if not isinstance(body, dict):
+            raise ProtocolError(200, f"reply is not a JSON object: {body!r}")
         dim = body.get("dim")
         vectors = body.get("embeddings")
         if not isinstance(vectors, list) or len(vectors) != len(batch):

@@ -2,7 +2,8 @@
 
 Labels arrive as (N, 7) int64 code arrays (:func:`taxonomy.label_codes`),
 column c indexing ``LABEL_SPACE[DIMENSIONS[c]]``. Every score comes from one
-count, three ``np.bincount`` calls over ``dim_offset + code``.
+``np.bincount`` confusion count over ``dim_offset + code`` pairs: gold counts
+are its row sums, predicted counts its column sums, hits its diagonal.
 
 Conventions, fixed so numbers are comparable across runs:
 
@@ -66,9 +67,11 @@ def _f1_count(
     if flat_gold.size == 0:
         raise EmptyInput("F1 of an empty evaluation is undefined")
     total = int(sum(sizes))
-    gold_count = np.bincount(flat_gold, minlength=total).tolist()
-    pred_count = np.bincount(flat_pred, minlength=total).tolist()
-    hits = np.bincount(flat_gold[flat_gold == flat_pred], minlength=total).tolist()
+    confusion = np.bincount(flat_gold * total + flat_pred, minlength=total * total)
+    confusion = confusion.reshape(total, total)
+    gold_count = confusion.sum(axis=1).tolist()
+    pred_count = confusion.sum(axis=0).tolist()
+    hits = confusion.diagonal().tolist()
 
     scores: dict[tuple[int, int], LabelScore] = {}
     per_column: list[Optional[float]] = []

@@ -205,6 +205,8 @@ class FactRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("fact id must be a non-empty string")
+        if not isinstance(self.text, str):
+            raise ValueError(f"fact {self.id!r} text must be a string")
         if not self.text.strip():
             raise ValueError(f"fact {self.id!r} has empty text")
         if self.source not in SOURCES:

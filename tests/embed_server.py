@@ -1,12 +1,14 @@
 """In-process mock embedding endpoint for tests.
 
 Serves ``POST /embed`` with ``{"texts": [...]}`` and answers
-``{"dim": d, "embeddings": [[...], ...]}``. Three deterministic modes:
+``{"dim": d, "embeddings": [[...], ...]}``. Four deterministic modes:
 
 * ``bytelen``: each text maps to the 1-d vector [len(utf-8 bytes)].
 * ``hash``: each text maps to a fixed d-dim vector seeded from its bytes.
 * ``payload``: every reply carries ``payload`` as its embeddings, verbatim
   (NaN included), to exercise malformed replies.
+* ``body``: every reply's whole JSON body is ``payload``, to exercise
+  replies that are not an object.
 
 Failure injection: ``fail_next`` answers that many 500s before succeeding,
 and ``drift_after`` switches the dimension after that many requests to
@@ -67,11 +69,14 @@ class MockEmbedServer:
                 if outer.mode == "bytelen":
                     vectors = [[float(len(t.encode("utf-8")))] for t in texts]
                     dim = 1
-                elif outer.mode == "payload":
-                    vectors = outer.payload
-                else:
+                elif outer.mode == "hash":
                     vectors = [_hash_vector(t, dim) for t in texts]
-                payload = json.dumps({"dim": dim, "embeddings": vectors}).encode()
+                else:
+                    vectors = outer.payload
+                reply = {"dim": dim, "embeddings": vectors}
+                if outer.mode == "body":
+                    reply = outer.payload
+                payload = json.dumps(reply).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))

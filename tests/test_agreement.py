@@ -222,10 +222,10 @@ def test_landis_koch_out_of_range():
 # --- oracle equivalence on random tables ---
 
 
-def random_table(rng, allow_missing):
-    n_units = rng.randint(1, 6)
-    n_raters = rng.randint(2, 4)
-    labels = "abcd"[: rng.randint(1, 4)]
+def random_table(rng, allow_missing, units=(1, 6), raters=(2, 4), labels="abcd"):
+    n_units = rng.randint(*units)
+    n_raters = rng.randint(*raters)
+    labels = labels[: rng.randint(1, len(labels))]
     values = []
     for _ in range(n_units):
         row = [rng.choice(labels) for _ in range(n_raters)]
@@ -239,30 +239,44 @@ def random_table(rng, allow_missing):
     return values
 
 
+def check_against_oracles(values, checked):
+    table = RatingsTable(values=[list(row) for row in values])
+    if any(len([v for v in row if v is not None]) >= 2 for row in values):
+        assert percent_agreement(table) == pytest.approx(
+            oracle_percent(values), abs=1e-9
+        )
+        assert krippendorff_alpha_nominal(table) == pytest.approx(
+            oracle_alpha(values), abs=1e-9
+        )
+        checked["percent"] += 1
+        checked["alpha"] += 1
+    if table.is_complete():
+        assert fleiss_kappa(table) == pytest.approx(oracle_fleiss(values), abs=1e-9)
+        checked["fleiss"] += 1
+        if table.n_raters == 2:
+            a = [row[0] for row in values]
+            b = [row[1] for row in values]
+            assert cohen_kappa(a, b) == pytest.approx(oracle_cohen(a, b), abs=1e-9)
+            checked["cohen"] += 1
+
+
 def test_statistics_match_oracles_on_random_tables():
     rng = random.Random(123)
     checked = {"percent": 0, "cohen": 0, "fleiss": 0, "alpha": 0}
     for trial in range(200):
-        values = random_table(rng, allow_missing=trial % 2 == 0)
-        table = RatingsTable(values=[list(row) for row in values])
-        if any(len([v for v in row if v is not None]) >= 2 for row in values):
-            assert percent_agreement(table) == pytest.approx(
-                oracle_percent(values), abs=1e-9
-            )
-            assert krippendorff_alpha_nominal(table) == pytest.approx(
-                oracle_alpha(values), abs=1e-9
-            )
-            checked["percent"] += 1
-            checked["alpha"] += 1
-        if table.is_complete():
-            assert fleiss_kappa(table) == pytest.approx(oracle_fleiss(values), abs=1e-9)
-            checked["fleiss"] += 1
-            if table.n_raters == 2:
-                a = [row[0] for row in values]
-                b = [row[1] for row in values]
-                assert cohen_kappa(a, b) == pytest.approx(oracle_cohen(a, b), abs=1e-9)
-                checked["cohen"] += 1
+        check_against_oracles(random_table(rng, allow_missing=trial % 2 == 0), checked)
     assert all(count > 10 for count in checked.values())
+
+
+def test_statistics_match_oracles_on_large_tables():
+    rng = random.Random(321)
+    checked = {"percent": 0, "cohen": 0, "fleiss": 0, "alpha": 0}
+    for trial in range(80):
+        values = random_table(
+            rng, trial % 2 == 0, units=(50, 300), raters=(2, 5), labels="abcdefghi"
+        )
+        check_against_oracles(values, checked)
+    assert all(count > 3 for count in checked.values())
 
 
 def test_relabeling_invariance():

@@ -131,10 +131,22 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
         (good + "\n" + json.dumps({"id": "r2", "text": "y"}) + "\n",
          "error: ParseError: line 2: missing 'annotation' object"),
         ("5\n", "error: ParseError: line 1: missing 'annotation' object"),
+        (json.dumps({"id": "r1", "text": 5, "annotation": {"broken": "Yes", "broken_reason": "No fact"}})
+         + "\n", "error: ParseError: line 1: fact 'r1' text must be a string"),
     ]
     for content, message in cases:
         raw_path.write_text(content)
         assert run("canon", "--raw", raw_path, "--out", tmp_path / "facts.jsonl") == 4
+        assert capsys.readouterr().err.startswith(message)
+    facts_path = tmp_path / "typed.jsonl"
+    fact_cases = [
+        ({"id": "a", "text": 5}, "error: ParseError: line 1: fact 'a' text must be a string"),
+        ({"id": "a", "text": "x", "excluded": "false"},
+         "error: ParseError: line 1: 'excluded' must be true or false, not 'false'"),
+    ]
+    for record, message in fact_cases:
+        facts_path.write_text(json.dumps(record) + "\n")
+        assert run("split", "--facts", facts_path, "--out", tmp_path / "split.txt") == 4
         assert capsys.readouterr().err.startswith(message)
 
 
@@ -393,6 +405,63 @@ def test_agree_command(tmp_path):
     assert "aligned units: 40" in text
 
 
+# Captured from the Counter-based statistics the count matrix replaced.
+AGREE_GOLDEN = {
+    2: """\
+raters: 2, aligned units: 60
+
+dimension             %agree   cohen  fleiss   alpha  interpretation       N
+main_category          75.0%   0.705   0.705   0.708  Substantial         60
+time                   98.3%   0.976   0.976   0.976  Almost Perfect      60
+referent               76.7%   0.565   0.542   0.546  Moderate            60
+duration               76.7%   0.565   0.542   0.546  Moderate            60
+validity               96.7%   0.921   0.921   0.921  Almost Perfect      60
+invalidity_reason      96.7%   0.932   0.932   0.933  Almost Perfect      60
+followup               90.0%   0.694   0.690   0.692  Substantial         60
+average                87.1%   0.766   0.758   0.760  Substantial          -
+""",
+    3: """\
+raters: 3, aligned units: 59
+
+dimension             %agree   cohen  fleiss   alpha  interpretation       N
+main_category          70.1%       -   0.648   0.650  Substantial         59
+time                   95.5%       -   0.936   0.936  Almost Perfect      59
+referent               73.4%       -   0.528   0.530  Moderate            59
+duration               73.4%       -   0.528   0.530  Moderate            59
+validity               92.1%       -   0.805   0.806  Almost Perfect      59
+invalidity_reason      92.1%       -   0.831   0.832  Almost Perfect      59
+followup               88.1%       -   0.636   0.638  Substantial         59
+average                83.5%       -   0.702   0.703  Substantial          -
+""",
+}
+
+
+def rater_files(tmp_path, n_raters):
+    """Rater 0 copies the synthetic labels; rater k swaps in a neighbour's
+    labels on every (2 + k)-th fact, and rater 2 leaves one fact unlabeled."""
+    facts, _ = synthetic_dataset(n_facts=60, invalid_count=18)
+    paths = []
+    for k in range(n_raters):
+        rated = []
+        for i, fact in enumerate(facts):
+            labels = fact.labels
+            if k and i % (2 + k) == 0:
+                labels = facts[(i + 5 * k) % len(facts)].labels
+            if k == 2 and i == 7:
+                labels = None
+            rated.append(FactRecord(id=fact.id, text=fact.text, labels=labels))
+        paths.append(tmp_path / f"rater{k}.jsonl")
+        write_facts(paths[-1], rated)
+    return paths
+
+
+@pytest.mark.parametrize("n_raters", [2, 3])
+def test_agree_report_golden(tmp_path, n_raters):
+    out = tmp_path / "agreement.txt"
+    assert run("agree", "--labels", *rater_files(tmp_path, n_raters), "--out", out) == 0
+    assert out.read_text() == AGREE_GOLDEN[n_raters]
+
+
 def test_agree_needs_two_files(tmp_path):
     facts, _ = synthetic_dataset(n_facts=10, invalid_count=3)
     path = tmp_path / "a.jsonl"
@@ -415,17 +484,18 @@ def test_missing_embedding_file_exit_code(workspace):
 
 
 @pytest.mark.parametrize(
-    "payload, message",
+    "mode, payload, message",
     [
-        ([[1.0, float("nan")], [0.0, 1.0]], "embeddings contain non-finite values"),
-        ([["x", 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: "),
-        ([[1.0, 2.0], [3.0]], "embeddings are not a numeric matrix: "),
+        ("payload", [[1.0, float("nan")], [0.0, 1.0]], "embeddings contain non-finite values"),
+        ("payload", [["x", 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: "),
+        ("payload", [[1.0, 2.0], [3.0]], "embeddings are not a numeric matrix: "),
+        ("body", [[0.5, 1.0]], "reply is not a JSON object: [[0.5, 1.0]]"),
     ],
-    ids=["nan", "string", "ragged"],
+    ids=["nan", "string", "ragged", "not-object"],
 )
-def test_embed_fetch_bad_reply_is_protocol_error(workspace, capsys, payload, message):
+def test_embed_fetch_bad_reply_is_protocol_error(workspace, capsys, mode, payload, message):
     tmp_path, facts_path, _, _ = workspace
-    with MockEmbedServer(mode="payload", dim=2, payload=payload) as server:
+    with MockEmbedServer(mode=mode, dim=2, payload=payload) as server:
         code = run(
             "embed-fetch",
             "--facts", facts_path,

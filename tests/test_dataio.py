@@ -76,6 +76,22 @@ def test_read_facts_unknown_label(tmp_path):
         read_facts(path)
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": "a", "text": 5}, "text must be a string"),
+        ({"id": "a", "text": "x", "excluded": "false"}, "'excluded' must be true or false"),
+    ],
+    ids=["text-not-string", "excluded-not-boolean"],
+)
+def test_read_facts_rejects_wrong_field_types(tmp_path, record, message):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ParseError, match=message) as excinfo:
+        read_facts(path)
+    assert excinfo.value.line_no == 1
+
+
 def test_read_facts_duplicate_id(tmp_path):
     path = tmp_path / "facts.jsonl"
     write_facts(path, [FactRecord(id="a", text="x")])
