@@ -39,32 +39,27 @@ class TfidfConfig:
     min_df: int = 2
     max_df: float = 0.95
     max_features: int = 10_000
-    sublinear_tf: bool = True
-    strip_accents: bool = True
 
 
 @dataclass(frozen=True)
 class TfidfVocab:
+    """The kept terms in lexicographic order and the idf of each, by column."""
+
     terms: tuple[str, ...]
-    df: tuple[int, ...]
     idf: np.ndarray
-    config: TfidfConfig
-    n_docs: int
 
     def index_of(self) -> dict[str, int]:
         return {term: i for i, term in enumerate(self.terms)}
 
 
-def tokenize(text: str, strip_accents: bool = True) -> list[str]:
-    text = text.lower()
-    if strip_accents:
-        text = unicodedata.normalize("NFKD", text)
-        text = "".join(ch for ch in text if not unicodedata.combining(ch))
+def tokenize(text: str) -> list[str]:
+    text = unicodedata.normalize("NFKD", text.lower())
+    text = "".join(ch for ch in text if not unicodedata.combining(ch))
     return _TOKEN_RE.findall(text)
 
 
-def _terms_of(text: str, config: TfidfConfig) -> list[str]:
-    tokens = tokenize(text, strip_accents=config.strip_accents)
+def _terms_of(text: str) -> list[str]:
+    tokens = tokenize(text)
     bigrams = [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
     return tokens + bigrams
 
@@ -76,7 +71,7 @@ def tfidf_fit(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfi
     n_docs = len(corpus)
     df: Counter = Counter()
     for text in corpus:
-        df.update(set(_terms_of(text, config)))
+        df.update(set(_terms_of(text)))
     kept = [
         term
         for term, count in df.items()
@@ -92,13 +87,7 @@ def tfidf_fit(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfi
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64
     )
-    return TfidfVocab(
-        terms=tuple(kept),
-        df=tuple(df[t] for t in kept),
-        idf=idf,
-        config=config,
-        n_docs=n_docs,
-    )
+    return TfidfVocab(terms=tuple(kept), idf=idf)
 
 
 def tfidf_transform(vocab: TfidfVocab, texts: Sequence[str]) -> sp.csr_matrix:
@@ -108,13 +97,10 @@ def tfidf_transform(vocab: TfidfVocab, texts: Sequence[str]) -> sp.csr_matrix:
     indices: list[int] = []
     indptr = [0]
     for text in texts:
-        counts = Counter(
-            index[t] for t in _terms_of(text, vocab.config) if t in index
-        )
+        counts = Counter(index[t] for t in _terms_of(text) if t in index)
         row = sorted(counts.items())
         for col, count in row:
-            tf = 1.0 + math.log(count) if vocab.config.sublinear_tf else float(count)
-            data.append(tf * vocab.idf[col])
+            data.append((1.0 + math.log(count)) * vocab.idf[col])
         indices.extend(col for col, _ in row)
         indptr.append(len(indices))
     matrix = sp.csr_matrix(

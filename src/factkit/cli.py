@@ -355,13 +355,9 @@ def cmd_embed_fetch(args, config) -> int:
 
 
 def _aggregate_and_render(reports) -> str:
-    try:
-        agg = metrics_mod.aggregate_seeds(reports)
-        dropped: list = []
-    except errors.SchemaMismatch:
-        trimmed, dropped = metrics_mod.harmonize_reports(reports)
-        agg = metrics_mod.aggregate_seeds(trimmed)
-    return metrics_mod.render_aggregate(agg, dropped)
+    """Mean±std report over the labels every seed scored, with a note per dropped label."""
+    trimmed, dropped = metrics_mod.harmonize_reports(reports)
+    return metrics_mod.render_aggregate(metrics_mod.aggregate_seeds(trimmed), dropped)
 
 
 def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str]) -> int:
@@ -481,9 +477,7 @@ def cmd_eval(args, config) -> int:
     predictions, _ = model_mod.predict(net, _embeddings_for(chosen, matrix))
     gold = model_mod.targets_from_facts(chosen, model_mod.canonical_label_space())
     report = metrics_mod.evaluate_labelsets(gold, predictions)
-    agg = metrics_mod.aggregate_seeds([report])
-    text = metrics_mod.render_aggregate(agg)
-    Path(args.out).write_text(text, encoding="utf-8")
+    Path(args.out).write_text(_aggregate_and_render([report]), encoding="utf-8")
     inputs = [args.facts, args.embeddings, args.model] + ([args.split] if args.split else [])
     write_manifest(args.out, "eval", {}, inputs, [], [args.out])
     print(f"eval: overall macro F1 {report.overall_macro_f1:.4f} over {len(chosen)} facts")

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateId, EmptyInput, ParseError, UnknownEnumValue
 from .prng import Xoshiro256StarStar
-from .taxonomy import Dimension, FactRecord, LabelSet
+from .taxonomy import FactRecord, LabelSet
 
 FractionLike = Union[Fraction, float, int, str]
 
@@ -45,13 +45,15 @@ def _to_fraction(value: FractionLike) -> Fraction:
 
 @dataclass
 class SplitSpec:
-    """Fractions, seed, and stratification dimension for one split."""
+    """Fractions and seed for one split; strata are always the main category.
+
+    These are exactly the values a split file's header records.
+    """
 
     train_frac: FractionLike = Fraction(7, 10)
     val_frac: FractionLike = Fraction(1, 10)
     test_frac: FractionLike = Fraction(2, 10)
     seed: int = 0
-    stratify_by: Dimension = Dimension.MAIN_CATEGORY
 
     def __post_init__(self):
         self.train_frac = _to_fraction(self.train_frac)
@@ -103,17 +105,34 @@ def _fact_from_obj(obj: dict, line_no: int) -> FactRecord:
         raise ParseError(line_no, str(exc)) from exc
 
 
+def _text_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
+    """(line number, text) per line of a UTF-8 file; undecodable bytes raise ParseError.
+
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as when the file is read as text.
+    """
+    line_no = 0
+    with open(path, "rb") as handle:
+        for chunk in handle:
+            for raw in chunk.splitlines():
+                line_no += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    message = f"not UTF-8 at byte {exc.start}: {exc.reason}"
+                    raise ParseError(line_no, message) from exc
+                yield line_no, line
+
+
 def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, object]]:
-    """(line number, parsed value) per non-blank line; bad JSON raises ParseError."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-            yield line_no, obj
+    """(line number, parsed value) per non-blank line; bad UTF-8 or JSON raises ParseError."""
+    for line_no, line in _text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        yield line_no, obj
 
 
 def read_facts(path: Union[str, Path]) -> list[FactRecord]:
@@ -183,10 +202,11 @@ def stratified_split(facts: Sequence[FactRecord], spec: SplitSpec) -> SplitAssig
     """Split facts into train/val/test within each stratum.
 
     Every fact must be labeled, with excluded facts already filtered out.
-    Strata are processed in lexicographic label order and shuffled with a
-    single xoshiro256** stream seeded from ``spec.seed``; per-stratum sizes
-    follow largest-remainder apportionment of the spec fractions. Ids within
-    each returned split keep their input order.
+    Strata are the main-category labels, processed in lexicographic order
+    and shuffled with a single xoshiro256** stream seeded from
+    ``spec.seed``; per-stratum sizes follow largest-remainder apportionment
+    of the spec fractions. Ids within each returned split keep their input
+    order.
     """
     if not facts:
         raise EmptyInput("no facts to split")
@@ -198,7 +218,7 @@ def stratified_split(facts: Sequence[FactRecord], spec: SplitSpec) -> SplitAssig
             raise ValueError(
                 f"fact {fact.id!r} is excluded; filter exclusions before splitting"
             )
-        strata.setdefault(fact.labels.get(spec.stratify_by), []).append(index)
+        strata.setdefault(fact.labels.main_category, []).append(index)
 
     rng = Xoshiro256StarStar(spec.seed)
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
@@ -231,8 +251,7 @@ def write_split(path: Union[str, Path], assignment: SplitAssignment, spec: Split
 
 def read_split(path: Union[str, Path]) -> tuple[SplitAssignment, SplitSpec]:
     """Read a split file back into an assignment and its spec."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = [line for _, line in _text_lines(path)]
     if len(lines) < 4:
         raise ParseError(len(lines), "split file needs a header and three id lines")
     header: dict[str, str] = {}

@@ -115,11 +115,17 @@ def load_embeddings(path: Union[str, Path]) -> EmbeddingMatrix:
         offset += 4
         if len(data) < offset + length:
             raise TruncatedFile(f"{path}: id table is short")
-        ids.append(data[offset : offset + length].decode("utf-8"))
+        try:
+            ids.append(data[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BadMagic(f"{path}: id {len(ids)} is not UTF-8: {exc.reason}") from exc
         offset += length
     if offset != len(data):
         raise TruncatedFile(f"{path}: {len(data) - offset} trailing bytes")
-    return EmbeddingMatrix(rows=rows.copy(), row_ids=tuple(ids))
+    try:
+        return EmbeddingMatrix(rows=rows.copy(), row_ids=tuple(ids))
+    except ValueError as exc:  # non-finite rows
+        raise BadMagic(f"{path}: {exc}") from exc
 
 
 def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:

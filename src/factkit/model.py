@@ -63,6 +63,7 @@ MASK = -1
 CHECKPOINT_MAGIC = int.from_bytes(b"FMHC", "little")
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 1 << 16  # elements per adamw_step block; its two scratch blocks are 512 KB each
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator floor
 
 
 @dataclass
@@ -383,21 +384,16 @@ def backward(
 
 @dataclass
 class TrainConfig:
+    """What a caller may vary about training; AdamW's betas and eps are fixed (``ADAM_*``)."""
+
     learning_rate: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 10
     patience: int = 3
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ValueError("betas must lie strictly between 0 and 1")
-        if self.adam_eps <= 0.0:
-            raise ValueError("eps must be positive")
         if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.weight_decay < math.inf):
             raise ValueError("learning rate and weight decay must be finite and nonnegative")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
@@ -421,26 +417,27 @@ def adamw_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, config: Tr
     """One AdamW update with decoupled weight decay, in place, ``ADAM_BLOCK`` elements at a time.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+
+    with moment decays ``ADAM_BETA1`` and ``ADAM_BETA2`` and eps ``ADAM_EPS``.
     """
     if not theta.shape == grad.shape == state.m.shape == state.v.shape:
         raise DimensionMismatch("theta, grad, and state must have one shape")
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    bias1 = 1.0 - b1**state.step
-    bias2 = 1.0 - b2**state.step
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
     scratch = np.empty((2, min(ADAM_BLOCK, theta.size)))
     for start in range(0, theta.size, ADAM_BLOCK):
         p, g, m, v = (a[start : start + ADAM_BLOCK] for a in (theta, grad, state.m, state.v))
         update, tmp = scratch[:, : p.size]
         # each operation of the formula in its evaluation order, into the scratch blocks
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=tmp)
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=tmp)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
         v += np.multiply(tmp, g, out=tmp)
         np.divide(m, bias1, out=update)
         np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
-        update /= np.add(tmp, config.adam_eps, out=tmp)
+        update /= np.add(tmp, ADAM_EPS, out=tmp)
         if config.weight_decay:
             update += np.multiply(p, config.weight_decay, out=tmp)
         p -= np.multiply(update, config.learning_rate, out=update)

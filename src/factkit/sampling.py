@@ -22,10 +22,9 @@ from .prng import Xoshiro256StarStar
 from .taxonomy import FactRecord
 from .embeddings import EmbeddingMatrix
 
-DEFAULT_K = 1000
 DEFAULT_CAP = 3
-DEFAULT_MAX_ITER = 100
-DEFAULT_TOL = 1e-4
+MAX_ITER = 100  # Lloyd iterations at most
+TOL = 1e-4  # stop once no centroid moves this far
 
 _CHUNK = 8192  # points per distance block, bounds peak memory
 
@@ -88,17 +87,11 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return points[chosen].copy()
 
 
-def kmeans_fit(
-    data: Union[EmbeddingMatrix, np.ndarray],
-    k: int,
-    seed: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> KMeansModel:
+def kmeans_fit(data: Union[EmbeddingMatrix, np.ndarray], k: int, seed: int) -> KMeansModel:
     """Fit K-Means with a fixed seed; the result is bitwise reproducible.
 
-    Stops when the largest centroid movement falls below ``tol`` or after
-    ``max_iter`` Lloyd iterations. All points being identical with ``k > 1``
+    Stops when the largest centroid movement falls below ``TOL`` or after
+    ``MAX_ITER`` Lloyd iterations. All points being identical with ``k > 1``
     is allowed and yields duplicate centroids.
     """
     points = _as_rows(data)
@@ -107,14 +100,12 @@ def kmeans_fit(
         raise ValueError("k must be positive")
     if k > n:
         raise KTooLarge(f"k={k} exceeds the {n} available points")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_plus_plus(points, k, rng)
     history: list[float] = []
     n_iter = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         n_iter += 1
         assignments, best = _assign(points, centroids)
         history.append(float(best.sum()))
@@ -136,7 +127,7 @@ def kmeans_fit(
 
         movement = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
         centroids = updated
-        if movement < tol:
+        if movement < TOL:
             break
 
     assignments, best = _assign(points, centroids)

@@ -209,6 +209,9 @@ class FactRecord:
             raise ValueError(f"fact {self.id!r} text must be a string")
         if not self.text.strip():
             raise ValueError(f"fact {self.id!r} has empty text")
+        for name in ("context", "exclusion_reason"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"fact {self.id!r} {name} must be a string or null")
         if self.source not in SOURCES:
             raise UnknownEnumValue("source", self.source)
 

@@ -38,10 +38,6 @@ def test_tokenize_strips_accents():
     assert tokenize("naïve résumé") == ["naive", "resume"]
 
 
-def test_tokenize_keeps_accents_when_disabled():
-    assert tokenize("Café", strip_accents=False) == ["café"]
-
-
 # --- vocabulary ---
 
 

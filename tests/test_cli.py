@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -139,15 +140,66 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
         assert run("canon", "--raw", raw_path, "--out", tmp_path / "facts.jsonl") == 4
         assert capsys.readouterr().err.startswith(message)
     facts_path = tmp_path / "typed.jsonl"
+    labels = LabelSet.invalid("No Fact").as_dict()
     fact_cases = [
         ({"id": "a", "text": 5}, "error: ParseError: line 1: fact 'a' text must be a string"),
         ({"id": "a", "text": "x", "excluded": "false"},
          "error: ParseError: line 1: 'excluded' must be true or false, not 'false'"),
+        ({"id": "a", "text": "x", "labels": labels, "context": 5},
+         "error: ParseError: line 1: fact 'a' context must be a string or null"),
+        ({"id": "a", "text": "x", "labels": labels, "exclusion_reason": ["x"]},
+         "error: ParseError: line 1: fact 'a' exclusion_reason must be a string or null"),
     ]
     for record, message in fact_cases:
         facts_path.write_text(json.dumps(record) + "\n")
         assert run("split", "--facts", facts_path, "--out", tmp_path / "split.txt") == 4
         assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["split", "canon", "agree", "eval"])
+def test_undecodable_line_is_parse_error(workspace, capsys, command):
+    """A byte that is not UTF-8 on line 2 of a JSON-lines or split file names that line."""
+    tmp_path, facts_path, emb_path, _ = workspace
+    bad = tmp_path / "bad.txt"
+    first = facts_path.read_bytes().split(b"\n", 1)[0]
+    bad.write_bytes((b"seed=1 train=7/10 val=1/10 test=1/5" if command == "eval" else first)
+                    + b"\n\xff\n\n\n")
+    model_path = tmp_path / "model.ckpt"
+    dim = load_embeddings(emb_path).dim
+    save_model(model_path, new_model(dim, canonical_label_space(), hidden=2))
+    argv = {
+        "split": ["split", "--facts", bad, "--out", tmp_path / "split.txt"],
+        "canon": ["canon", "--raw", bad, "--out", tmp_path / "canon.jsonl"],
+        "agree": ["agree", "--labels", facts_path, bad, "--out", tmp_path / "agree.txt"],
+        "eval": ["eval", "--model", model_path, "--facts", facts_path, "--embeddings", emb_path,
+                 "--split", bad, "--out", tmp_path / "eval.txt"],
+    }[command]
+    assert run(*argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: ParseError: line 2: not UTF-8 at byte 0: invalid start byte"
+    )
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("nan-row", "embedding rows contain non-finite values"),
+        ("id-not-utf8", "id 199 is not UTF-8: invalid start byte"),
+    ],
+    ids=["nan-row", "id-not-utf8"],
+)
+def test_bad_embedding_content_exit_code(workspace, capsys, defect, message):
+    tmp_path, facts_path, emb_path, _ = workspace
+    data = bytearray(emb_path.read_bytes())
+    if defect == "nan-row":
+        data[16:20] = struct.pack("<f", float("nan"))  # the first value, after the header
+    else:
+        data[-1] = 0xFF  # the last byte of the last id
+    bad = tmp_path / "bad.emb"
+    bad.write_bytes(data)
+    code = run("sample", "--facts", facts_path, "--embeddings", bad, "--out", tmp_path / "s.jsonl")
+    assert code == 5
+    assert capsys.readouterr().err.startswith(f"error: BadMagic: {bad}: {message}")
 
 
 def test_load_config_never_aliases_defaults(tmp_path):
@@ -190,6 +242,23 @@ def test_sample_command(workspace):
     assert 10 <= len(sampled) <= 30
     source_ids = {f.id for f in read_facts(facts_path)}
     assert all(f.id in source_ids for f in sampled)
+
+
+def test_sample_output_golden(tmp_path):
+    """Pins k-means++ seeding, Lloyd's stopping rule (tolerance and iteration cap)
+    and the capped draw: on these points a tolerance of 1e-2 or a cap of 3
+    iterations changes the sampled facts."""
+    facts, emb = synthetic_dataset(n_facts=1000, invalid_count=250, noise=1.0)
+    write_facts(tmp_path / "facts.jsonl", facts)
+    save_embeddings(tmp_path / "facts.emb", emb)
+    out = tmp_path / "sampled.jsonl"
+    assert run(
+        "sample", "--facts", tmp_path / "facts.jsonl", "--embeddings", tmp_path / "facts.emb",
+        "--out", out, "--k", "10", "--cap", "3", "--seed", "1",
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "844f1af8f4d7bc959013e5bc887e52dd8bc6a73b871806fa78f4ab108328daba"
+    )
 
 
 def test_embed_fetch_command(workspace):
@@ -354,6 +423,29 @@ def test_baseline_command(tmp_path):
         [l for l in text.splitlines() if l.startswith("overall_macro_f1.mean=")][0].split("=")[1]
     )
     assert mean > 0.8
+
+
+def test_baseline_report_golden(tmp_path):
+    """Pins the TF-IDF recipe: NFKD accent folding and 1 + ln(count) term frequency.
+
+    The label tokens are thinned so the scores stay below 100%, odd facts spell
+    "e" as "é", and the first word repeats up to twice."""
+    facts_path, _, config_path = token_signal_workspace(tmp_path)
+    facts = read_facts(facts_path)
+    for i, fact in enumerate(facts):
+        words = [w for c, w in enumerate(fact.text.split()) if (i * 7 + c * 3) % 5 >= 2] or ["empty"]
+        text = " ".join([words[0]] * (i % 3) + words)
+        fact.text = text.replace("e", "é") if i % 2 else text
+    write_facts(facts_path, facts)
+    out_dir = tmp_path / "base"
+    assert run(
+        "--config", config_path, "baseline", "--facts", facts_path, "--out-dir", out_dir,
+        "--seeds", "42", "123",
+    ) == 0
+    report = (out_dir / "baseline-metrics.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "36ea65f7abee040010fc528318f3d9a958dcea0756f1bf1763b35c0cd42ec23f"
+    )
 
 
 def test_train_and_baseline_write_identical_splits(tmp_path):

@@ -81,8 +81,10 @@ def test_read_facts_unknown_label(tmp_path):
     [
         ({"id": "a", "text": 5}, "text must be a string"),
         ({"id": "a", "text": "x", "excluded": "false"}, "'excluded' must be true or false"),
+        ({"id": "a", "text": "x", "context": 5}, "context must be a string or null"),
+        ({"id": "a", "text": "x", "exclusion_reason": ["x"]}, "exclusion_reason must be a string"),
     ],
-    ids=["text-not-string", "excluded-not-boolean"],
+    ids=["text-not-string", "excluded-not-boolean", "context-not-string", "reason-not-string"],
 )
 def test_read_facts_rejects_wrong_field_types(tmp_path, record, message):
     path = tmp_path / "facts.jsonl"

@@ -371,10 +371,6 @@ def test_adamw_step_temporaries_are_block_sized():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(adam_beta1=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(adam_eps=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     for bad in ({"learning_rate": math.nan}, {"weight_decay": math.inf}, {"learning_rate": -1.0}):
         with pytest.raises(ValueError, match="learning rate and weight decay"):

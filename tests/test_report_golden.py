@@ -8,6 +8,7 @@ rendering shows up here as a text diff.
 import numpy as np
 
 from factkit.analyze import aggregate_distribution, leakage_audit, render_distribution
+from factkit.cli import _aggregate_and_render
 from factkit.metrics import aggregate_seeds, evaluate_labelsets, render_aggregate
 from factkit.taxonomy import FactRecord
 
@@ -139,6 +140,133 @@ leakage audit: max per-cell share shift = 25.0000 pp
 """
 
 
+# The two reports below were captured from a cli._aggregate_and_render that
+# aggregated strictly first and harmonized only when the label sets differed.
+
+# Two seeds over the same labels: reversing the predicted rows keeps each label set.
+EXPECTED_TWO_SEEDS = """\
+category-level macro F1 (mean±std over seeds, %)
+
+Main Category      45.8±41.2
+Time               77.5±17.7
+Referent           88.6±0.0
+Duration           63.3±17.3
+Validity           79.5±0.0
+Invalidity Reason  39.4±0.0
+Followup           63.3±20.4
+Overall            61.9±17.3
+
+per-label F1 (mean±std over seeds, %)
+
+Duration / Long-term                   50.0±23.6  support=3.0
+Duration / None                         80.0±0.0  support=2.0
+Duration / Short-term                  60.0±28.3  support=3.0
+Followup / Maybe                        66.7±0.0  support=1.0
+Followup / None                        90.0±14.1  support=5.0
+Followup / Yes                         33.3±47.1  support=2.0
+Invalidity Reason / Context Insufficient    66.7±0.0  support=1.0
+Invalidity Reason / No Fact              0.0±0.0  support=0.0
+Invalidity Reason / None                90.9±0.0  support=6.0
+Invalidity Reason / Opinion              0.0±0.0  support=1.0
+Main Category / Characteristics        50.0±70.7  support=1.0
+Main Category / Demographics           50.0±70.7  support=1.0
+Main Category / Experience               0.0±0.0  support=1.0
+Main Category / Goals and Plans        50.0±70.7  support=1.0
+Main Category / None                   100.0±0.0  support=2.0
+Main Category / Preferences            25.0±35.4  support=2.0
+Referent / None                        100.0±0.0  support=2.0
+Referent / Other                        80.0±0.0  support=2.0
+Referent / Self                         85.7±0.0  support=4.0
+Time / Future                           80.0±0.0  support=3.0
+Time / None                            100.0±0.0  support=2.0
+Time / Past                            50.0±70.7  support=1.0
+Time / Present                          80.0±0.0  support=2.0
+Validity / Invalid                      66.7±0.0  support=2.0
+Validity / Valid                        92.3±0.0  support=6.0
+
+n_seeds=2
+degenerate=false
+overall_macro_f1.mean=0.618906
+overall_macro_f1.std=0.172534
+per_category.main_category.mean=0.458333
+per_category.main_category.std=0.412479
+per_category.time.mean=0.775000
+per_category.time.std=0.176777
+per_category.referent.mean=0.885714
+per_category.referent.std=0.000000
+per_category.duration.mean=0.633333
+per_category.duration.std=0.172848
+per_category.validity.mean=0.794872
+per_category.validity.std=0.000000
+per_category.invalidity_reason.mean=0.393939
+per_category.invalidity_reason.std=0.000000
+per_category.followup.mean=0.633333
+per_category.followup.std=0.204275
+"""
+
+# The second seed sees only the first six rows, so three labels never occur in it.
+EXPECTED_DROPPED = """\
+category-level macro F1 (mean±std over seeds, %)
+
+Main Category      68.8±8.8
+Time               95.0±7.1
+Referent           85.4±4.5
+Duration           78.9±4.7
+Validity           78.6±1.2
+Invalidity Reason  47.5±11.4
+Followup           66.7±15.7
+Overall            74.1±0.1
+
+per-label F1 (mean±std over seeds, %)
+
+Duration / Long-term                    73.3±9.4  support=2.5
+Duration / None                        90.0±14.1  support=2.0
+Duration / Short-term                   73.3±9.4  support=2.5
+Followup / Maybe                        66.7±0.0  support=1.0
+Followup / None                        100.0±0.0  support=4.5
+Followup / Yes                         33.3±47.1  support=1.5
+Invalidity Reason / Context Insufficient    66.7±0.0  support=1.0
+Invalidity Reason / None                95.5±6.4  support=5.0
+Invalidity Reason / Opinion              0.0±0.0  support=1.0
+Main Category / Demographics           100.0±0.0  support=1.0
+Main Category / Experience               0.0±0.0  support=1.0
+Main Category / None                   100.0±0.0  support=2.0
+Main Category / Preferences             50.0±0.0  support=2.0
+Referent / None                        100.0±0.0  support=2.0
+Referent / Other                        73.3±9.4  support=1.5
+Referent / Self                         82.9±4.0  support=3.5
+Time / Future                          90.0±14.1  support=2.5
+Time / None                            100.0±0.0  support=2.0
+Time / Past                            100.0±0.0  support=1.0
+Time / Present                         90.0±14.1  support=1.5
+Validity / Invalid                      66.7±0.0  support=2.0
+Validity / Valid                        90.6±2.4  support=5.0
+
+note: Invalidity Reason / No Fact missing from some seeds; omitted from per-label aggregation
+note: Main Category / Characteristics missing from some seeds; omitted from per-label aggregation
+note: Main Category / Goals and Plans missing from some seeds; omitted from per-label aggregation
+
+n_seeds=2
+degenerate=false
+overall_macro_f1.mean=0.741412
+overall_macro_f1.std=0.000717
+per_category.main_category.mean=0.687500
+per_category.main_category.std=0.088388
+per_category.time.mean=0.950000
+per_category.time.std=0.070711
+per_category.referent.mean=0.853968
+per_category.referent.std=0.044896
+per_category.duration.mean=0.788889
+per_category.duration.std=0.047140
+per_category.validity.mean=0.786325
+per_category.validity.std=0.012087
+per_category.invalidity_reason.mean=0.474747
+per_category.invalidity_reason.std=0.114280
+per_category.followup.mean=0.666667
+per_category.followup.std=0.157135
+"""
+
+
 def test_f1_report_bytes():
     report = evaluate_labelsets(GOLD, PRED)
     assert render_aggregate(aggregate_seeds([report])) == EXPECTED_F1
@@ -150,3 +278,10 @@ def test_distribution_report_bytes():
     tables = [(PRED, CONF_A), (GOLD, CONF_B)]
     text = render_distribution(aggregate_distribution(tables), leakage_audit(train, corpus, tables))
     assert text == EXPECTED_DISTRIBUTION
+
+
+def test_aggregate_and_render_bytes():
+    report = evaluate_labelsets(GOLD, PRED)
+    assert _aggregate_and_render([report, evaluate_labelsets(GOLD, PRED[::-1])]) == EXPECTED_TWO_SEEDS
+    dropped = [report, evaluate_labelsets(GOLD[:6], PRED[:6])]
+    assert _aggregate_and_render(dropped) == EXPECTED_DROPPED
