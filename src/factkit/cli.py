@@ -19,8 +19,8 @@ the package version, effective settings, a config digest, and SHA-256
 digests of its inputs; outputs themselves contain no timestamps, so a rerun
 with identical inputs reproduces them byte for byte.
 
-Errors print one line, ``error: <Category>: <message>``, and exit with a
-category-specific code:
+Errors print one line, ``error: <Category>: <message>``, and exit with the
+``exit_code`` that the error's class declares in :mod:`factkit.errors`:
 
     2 usage            3 config           4 data/parse/input files
     5 embedding file   6 endpoint         7 sampling
@@ -35,6 +35,7 @@ is configured through the config file or flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -52,6 +53,7 @@ from . import metrics as metrics_mod
 from . import model as model_mod
 from .dataio import (
     SplitSpec,
+    fact_from_obj,
     read_facts,
     read_jsonl,
     read_split,
@@ -70,7 +72,6 @@ from .errors import ConfigError, FactkitError
 from .sampling import cluster_sample, kmeans_fit
 from .taxonomy import (
     DIMENSIONS,
-    CanonResult,
     FactRecord,
     RawAnnotation,
     canonicalize,
@@ -168,39 +169,6 @@ def load_config(path: Optional[str], flags: Optional[dict] = None) -> dict:
 
 DEFAULT_CONFIG = load_config(None)
 
-EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
-    ((errors.ConfigError,), 3),
-    (
-        (
-            errors.ParseError,
-            errors.DuplicateId,
-            errors.EmptyInput,
-            errors.UnknownEnumValue,
-        ),
-        4,
-    ),
-    (
-        (errors.BadMagic, errors.TruncatedFile, errors.DimensionMismatch, errors.ZeroVector),
-        5,
-    ),
-    ((errors.TransportError, errors.ProtocolError, errors.DimensionDrift), 6),
-    ((errors.KTooLarge, errors.AlignmentError), 7),
-    ((errors.EmptySplit, errors.NonFiniteLoss, errors.LabelOutOfRange), 8),
-    (
-        (
-            errors.LengthMismatch,
-            errors.SchemaMismatch,
-            errors.NoComparableUnits,
-            errors.MissingRatings,
-            errors.OutOfRange,
-        ),
-        9,
-    ),
-    ((errors.EmptyVocabulary,), 10),
-    ((errors.EmptyTables,), 11),
-]
-
-
 def _split_spec(config: dict, seed: int) -> SplitSpec:
     split = config["split"]
     return SplitSpec(split["train"], split["val"], split["test"], seed=seed)
@@ -267,20 +235,16 @@ def cmd_canon(args, config) -> int:
     facts: list[FactRecord] = []
     exclusions = []
     for line_no, obj in raw_records:
-        try:
-            annotation = RawAnnotation(**obj["annotation"])
-            result: CanonResult = canonicalize(annotation)
-            fact = FactRecord(
-                id=obj["id"],
-                text=obj["text"],
-                context=obj.get("context"),
-                source=obj.get("source", "Other"),
-                labels=result.labels,
-                excluded=result.excluded,
-                exclusion_reason=result.exclusion_reason,
-            )
-        except (TypeError, KeyError, ValueError) as exc:
+        try:  # an unknown annotation field, or a list field that is not a list
+            result = canonicalize(RawAnnotation(**obj["annotation"]))
+        except TypeError as exc:
             raise errors.ParseError(line_no, str(exc)) from exc
+        fact = dataclasses.replace(
+            fact_from_obj(obj, line_no),
+            labels=result.labels,
+            excluded=result.excluded,
+            exclusion_reason=result.exclusion_reason,
+        )
         facts.append(fact)
         if result.excluded:
             exclusions.append({"id": fact.id, "reason": result.exclusion_reason})
@@ -356,8 +320,7 @@ def cmd_embed_fetch(args, config) -> int:
 
 def _aggregate_and_render(reports) -> str:
     """Mean±std report over the labels every seed scored, with a note per dropped label."""
-    trimmed, dropped = metrics_mod.harmonize_reports(reports)
-    return metrics_mod.render_aggregate(metrics_mod.aggregate_seeds(trimmed), dropped)
+    return metrics_mod.render_aggregate(metrics_mod.aggregate_seeds(reports))
 
 
 def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str]) -> int:
@@ -663,10 +626,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args, config)
     except FactkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        for exc_types, code in EXIT_CODES:
-            if isinstance(exc, exc_types):
-                return code
-        return 1
+        return exc.exit_code
     except OSError as exc:  # an input or output file; config files raise ConfigError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

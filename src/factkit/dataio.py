@@ -11,13 +11,14 @@ Facts live in UTF-8 JSON-lines files, one record per line::
      "excluded": false, "exclusion_reason": null}
 
 ``labels``, ``context``, ``excluded``, and ``exclusion_reason`` are optional
-on input. Label values are the canonical enumeration strings.
+on input. Label values are the canonical enumeration strings. An id is a
+non-empty string without commas or line breaks, so a split file can hold it.
 
 Split files carry one header line ``seed=<n> train=<p>/<q> val=<p>/<q>
 test=<p>/<q>`` followed by three lines of comma-separated ids (train, val,
-test). The shuffle behind a split uses the documented xoshiro256** generator
-so the same facts, fractions, and seed reproduce the same assignment in any
-implementation of this format.
+test); no id appears twice. The shuffle behind a split uses the documented
+xoshiro256** generator so the same facts, fractions, and seed reproduce the
+same assignment in any implementation of this format.
 """
 
 from __future__ import annotations
@@ -80,31 +81,6 @@ class SplitAssignment:
     test: tuple[str, ...]
 
 
-def _fact_from_obj(obj: dict, line_no: int) -> FactRecord:
-    if not isinstance(obj, dict):
-        raise ParseError(line_no, "record is not a JSON object")
-    try:
-        labels = None
-        if obj.get("labels") is not None:
-            labels = LabelSet.from_dict(obj["labels"])
-        excluded = obj.get("excluded", False)
-        if not isinstance(excluded, bool):
-            raise ValueError(f"'excluded' must be true or false, not {excluded!r}")
-        return FactRecord(
-            id=obj["id"],
-            text=obj["text"],
-            context=obj.get("context"),
-            source=obj.get("source", "Other"),
-            labels=labels,
-            excluded=excluded,
-            exclusion_reason=obj.get("exclusion_reason"),
-        )
-    except KeyError as exc:
-        raise ParseError(line_no, f"missing field {exc.args[0]!r}") from exc
-    except (UnknownEnumValue, ValueError, TypeError) as exc:
-        raise ParseError(line_no, str(exc)) from exc
-
-
 def _text_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
     """(line number, text) per line of a UTF-8 file; undecodable bytes raise ParseError.
 
@@ -144,12 +120,42 @@ def read_facts(path: Union[str, Path]) -> list[FactRecord]:
     facts: list[FactRecord] = []
     seen: set[str] = set()
     for line_no, obj in read_jsonl(path):
-        fact = _fact_from_obj(obj, line_no)
+        fact = fact_from_obj(obj, line_no)
         if fact.id in seen:
             raise DuplicateId(fact.id)
         seen.add(fact.id)
         facts.append(fact)
     return facts
+
+
+def fact_from_obj(obj: dict, line_no: int) -> FactRecord:
+    """The fact in one parsed JSON line; inverse of :func:`fact_to_obj`.
+
+    A missing ``id`` or ``text``, or a value that :class:`FactRecord` or
+    :class:`LabelSet` refuses, raises :class:`ParseError` naming ``line_no``.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(line_no, "record is not a JSON object")
+    try:
+        labels = None
+        if obj.get("labels") is not None:
+            labels = LabelSet.from_dict(obj["labels"])
+        excluded = obj.get("excluded", False)
+        if not isinstance(excluded, bool):
+            raise ValueError(f"'excluded' must be true or false, not {excluded!r}")
+        return FactRecord(
+            id=obj["id"],
+            text=obj["text"],
+            context=obj.get("context"),
+            source=obj.get("source", "Other"),
+            labels=labels,
+            excluded=excluded,
+            exclusion_reason=obj.get("exclusion_reason"),
+        )
+    except KeyError as exc:
+        raise ParseError(line_no, f"missing field {exc.args[0]!r}") from exc
+    except (UnknownEnumValue, ValueError, TypeError) as exc:
+        raise ParseError(line_no, str(exc)) from exc
 
 
 def fact_to_obj(fact: FactRecord) -> dict:
@@ -250,7 +256,11 @@ def write_split(path: Union[str, Path], assignment: SplitAssignment, spec: Split
 
 
 def read_split(path: Union[str, Path]) -> tuple[SplitAssignment, SplitSpec]:
-    """Read a split file back into an assignment and its spec."""
+    """Read a split file back into an assignment and its spec.
+
+    A malformed header, or an id listed twice within or across the three id
+    lines, raises :class:`ParseError` naming the line.
+    """
     lines = [line for _, line in _text_lines(path)]
     if len(lines) < 4:
         raise ParseError(len(lines), "split file needs a header and three id lines")
@@ -270,4 +280,10 @@ def read_split(path: Union[str, Path]) -> tuple[SplitAssignment, SplitSpec]:
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(1, f"bad split header: {exc}") from exc
     splits = [tuple(line.split(",")) if line else () for line in lines[1:4]]
+    seen: set[str] = set()
+    for line_no, ids in enumerate(splits, start=2):
+        for record_id in ids:
+            if record_id in seen:
+                raise ParseError(line_no, f"split id {record_id!r} is listed twice")
+            seen.add(record_id)
     return SplitAssignment(train=splits[0], val=splits[1], test=splits[2]), spec

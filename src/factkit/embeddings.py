@@ -25,6 +25,7 @@ from .errors import (
     BadMagic,
     DimensionDrift,
     DimensionMismatch,
+    EmptyInput,
     ProtocolError,
     TransportError,
     TruncatedFile,
@@ -163,10 +164,12 @@ def fetch_embeddings(
     retried up to ``retries`` times with exponential backoff; other statuses
     raise :class:`ProtocolError` immediately, as does a reply whose rows are
     not a finite numeric matrix. A change of dimension between batches
-    raises :class:`DimensionDrift`.
+    raises :class:`DimensionDrift`; no texts at all raise :class:`EmptyInput`.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
+    if not texts:
+        raise EmptyInput("no texts to embed")
     if ids is None:
         ids = tuple(str(i) for i in range(len(texts)))
     if len(ids) != len(texts):
@@ -198,8 +201,6 @@ def fetch_embeddings(
                 f"endpoint returned dim {dim} after declaring {declared_dim}"
             )
         chunks.append(array)
-    if not chunks:
-        raise ValueError("no texts to embed")
     return EmbeddingMatrix(rows=np.vstack(chunks), row_ids=tuple(ids))
 
 

@@ -168,7 +168,12 @@ class MeanStd:
 
 @dataclass(frozen=True)
 class SeedAggregate:
-    """Mean and sample std of every metric across seed reports."""
+    """Mean and sample std of every metric across seed reports.
+
+    ``per_label`` and ``mean_support`` cover the labels every report scored;
+    ``dropped`` lists the labels some report missed, sorted by dimension name
+    and label.
+    """
 
     overall: MeanStd
     per_category: dict[Dimension, MeanStd]
@@ -176,6 +181,7 @@ class SeedAggregate:
     mean_support: dict[tuple[Dimension, str], float]
     n_seeds: int
     degenerate: bool  # single report: std is 0 by convention
+    dropped: tuple[tuple[Dimension, str], ...]
 
 
 def _mean_std(values: Sequence[float]) -> MeanStd:
@@ -188,62 +194,37 @@ def _mean_std(values: Sequence[float]) -> MeanStd:
     return MeanStd(mean, math.sqrt(var))
 
 
+def _by_name(key: tuple[Dimension, str]) -> tuple[str, str]:
+    return key[0].value, key[1]
+
+
 def aggregate_seeds(reports: Sequence[MetricsReport]) -> SeedAggregate:
-    """Aggregate per-seed reports; all reports must share one label space."""
+    """Aggregate per-seed reports that share one dimension set.
+
+    A small test split can miss a rare label for some seed, so per-label
+    statistics cover only the labels that every report scored; the others
+    go to ``dropped``.
+    """
     if not reports:
         raise EmptyInput("no reports to aggregate")
     first = reports[0]
     for report in reports[1:]:
         if set(report.per_category_macro_f1) != set(first.per_category_macro_f1):
             raise SchemaMismatch("reports disagree on the dimension set")
-        if set(report.per_label_f1) != set(first.per_label_f1):
-            raise SchemaMismatch("reports disagree on the per-label key set")
+    shared = [key for key in first.per_label_f1 if all(key in r.per_label_f1 for r in reports)]
+    scored = {key for report in reports for key in report.per_label_f1}
     return SeedAggregate(
         overall=_mean_std([r.overall_macro_f1 for r in reports]),
         per_category={
             dim: _mean_std([r.per_category_macro_f1[dim] for r in reports])
             for dim in first.per_category_macro_f1
         },
-        per_label={
-            key: _mean_std([r.per_label_f1[key] for r in reports])
-            for key in first.per_label_f1
-        },
-        mean_support={
-            key: sum(r.support[key] for r in reports) / len(reports)
-            for key in first.support
-        },
+        per_label={key: _mean_std([r.per_label_f1[key] for r in reports]) for key in shared},
+        mean_support={key: sum(r.support[key] for r in reports) / len(reports) for key in shared},
         n_seeds=len(reports),
         degenerate=len(reports) == 1,
+        dropped=tuple(sorted(scored.difference(shared), key=_by_name)),
     )
-
-
-def harmonize_reports(
-    reports: Sequence[MetricsReport],
-) -> tuple[list[MetricsReport], list[tuple[Dimension, str]]]:
-    """Restrict per-label maps to keys present in every report.
-
-    Tiny test splits can miss a rare label entirely for one seed, which
-    makes strict aggregation refuse the reports. This keeps the shared
-    per-label keys and returns the dropped ones so callers can warn.
-    """
-    if not reports:
-        raise EmptyInput("no reports to harmonize")
-    shared = set(reports[0].per_label_f1)
-    union = set(reports[0].per_label_f1)
-    for report in reports[1:]:
-        shared &= set(report.per_label_f1)
-        union |= set(report.per_label_f1)
-    dropped = sorted(union - shared, key=lambda k: (k[0].value, k[1]))
-    trimmed = [
-        MetricsReport(
-            per_label_f1={k: r.per_label_f1[k] for k in shared},
-            per_category_macro_f1=dict(r.per_category_macro_f1),
-            overall_macro_f1=r.overall_macro_f1,
-            support={k: r.support[k] for k in shared},
-        )
-        for r in reports
-    ]
-    return trimmed, dropped
 
 
 def format_mean_std(stat: MeanStd) -> str:
@@ -262,26 +243,21 @@ DIMENSION_TITLES = {
 }
 
 
-def render_aggregate(
-    agg: SeedAggregate,
-    dropped_labels: Optional[Sequence[tuple[Dimension, str]]] = None,
-) -> str:
-    """Human-readable tables followed by machine-readable key=value lines."""
+def render_aggregate(agg: SeedAggregate) -> str:
+    """Human-readable tables, a ``note:`` line per dropped label, then key=value lines."""
     lines = ["category-level macro F1 (mean±std over seeds, %)", ""]
     width = max(len(t) for t in DIMENSION_TITLES.values()) + 2
     for dim in DIMENSIONS:
         lines.append(f"{DIMENSION_TITLES[dim]:<{width}}{format_mean_std(agg.per_category[dim])}")
     lines.append(f"{'Overall':<{width}}{format_mean_std(agg.overall)}")
     lines += ["", "per-label F1 (mean±std over seeds, %)", ""]
-    for (dim, label), stat in sorted(
-        agg.per_label.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-    ):
+    for dim, label in sorted(agg.per_label, key=_by_name):
         title = f"{DIMENSION_TITLES[dim]} / {label}"
-        support = agg.mean_support.get((dim, label), 0.0)
+        stat, support = agg.per_label[dim, label], agg.mean_support[dim, label]
         lines.append(f"{title:<36}{format_mean_std(stat):>12}  support={support:.1f}")
-    if dropped_labels:
+    if agg.dropped:
         lines.append("")
-        for dim, label in dropped_labels:
+        for dim, label in agg.dropped:
             lines.append(
                 f"note: {DIMENSION_TITLES[dim]} / {label} missing from some seeds; "
                 "omitted from per-label aggregation"

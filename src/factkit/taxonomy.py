@@ -192,7 +192,10 @@ class CanonResult:
 
 @dataclass
 class FactRecord:
-    """One personal-fact text with optional dialogue context and labels."""
+    """One personal-fact text with optional dialogue context and labels.
+
+    The id is a non-empty string without commas or line breaks.
+    """
 
     id: str
     text: str
@@ -205,6 +208,8 @@ class FactRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("fact id must be a non-empty string")
+        if any(char in self.id for char in ",\n\r"):  # split files separate ids by these
+            raise ValueError(f"fact id {self.id!r} contains a comma or line break")
         if not isinstance(self.text, str):
             raise ValueError(f"fact {self.id!r} text must be a string")
         if not self.text.strip():
@@ -216,7 +221,9 @@ class FactRecord:
             raise UnknownEnumValue("source", self.source)
 
 
-def _checked(field_name: str, value: str, accepted: set[str]) -> str:
+def _checked(field_name: str, value: object, accepted: set[str]) -> str:
+    if not isinstance(value, str):
+        raise UnknownEnumValue(field_name, value)
     value = value.strip()
     if value not in accepted:
         raise UnknownEnumValue(field_name, value)

@@ -112,16 +112,24 @@ def test_canon_writes_facts_and_exclusions(tmp_path):
     assert str(raw_path) in manifest["inputs"]
 
 
-def test_canon_bad_enum_exit_code(tmp_path):
+@pytest.mark.parametrize(
+    "annotation, value",
+    [
+        ({"main_category": "Sports"}, "'Sports'"),
+        ({"main_category": 5}, "5"),
+        ({"duration": [5]}, "5"),
+    ],
+    ids=["unknown-string", "number", "number-in-list"],
+)
+def test_canon_bad_enum_exit_code(tmp_path, capsys, annotation, value):
     raw_path = tmp_path / "raw.jsonl"
-    raw_path.write_text(
-        json.dumps(
-            {"id": "r1", "text": "x", "annotation": {"main_category": "Sports"}}
-        )
-        + "\n"
-    )
+    raw_path.write_text(json.dumps({"id": "r1", "text": "x", "annotation": annotation}) + "\n")
     code = run("canon", "--raw", raw_path, "--out", tmp_path / "facts.jsonl")
     assert code == 4
+    field = next(iter(annotation))
+    assert capsys.readouterr().err == (
+        f"error: UnknownEnumValue: unknown value {value} for field {field!r}\n"
+    )
 
 
 def test_canon_parse_errors_name_the_line(tmp_path, capsys):
@@ -134,6 +142,12 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
         ("5\n", "error: ParseError: line 1: missing 'annotation' object"),
         (json.dumps({"id": "r1", "text": 5, "annotation": {"broken": "Yes", "broken_reason": "No fact"}})
          + "\n", "error: ParseError: line 1: fact 'r1' text must be a string"),
+        (good + "\n" + json.dumps({"id": "r2", "text": "y", "annotation": {"duration": 5}}) + "\n",
+         "error: ParseError: line 2: 'int' object is not iterable"),
+        (json.dumps({"id": "r1", "text": "x", "source": "Reddit", "annotation": {}}) + "\n",
+         "error: ParseError: line 1: unknown value 'Reddit' for field 'source'"),
+        (json.dumps({"id": "r1", "text": "x", "excluded": 1, "annotation": {}}) + "\n",
+         "error: ParseError: line 1: 'excluded' must be true or false, not 1"),
     ]
     for content, message in cases:
         raw_path.write_text(content)
@@ -149,6 +163,8 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
          "error: ParseError: line 1: fact 'a' context must be a string or null"),
         ({"id": "a", "text": "x", "labels": labels, "exclusion_reason": ["x"]},
          "error: ParseError: line 1: fact 'a' exclusion_reason must be a string or null"),
+        ({"id": "a,b", "text": "x", "labels": labels},
+         "error: ParseError: line 1: fact id 'a,b' contains a comma or line break"),
     ]
     for record, message in fact_cases:
         facts_path.write_text(json.dumps(record) + "\n")
@@ -277,6 +293,16 @@ def test_embed_fetch_command(workspace):
     assert matrix.dim == 5
     assert len(matrix) == 200
     assert matrix.row_ids[0] == "s0000"
+
+
+def test_embed_fetch_empty_facts_exit_code(tmp_path, capsys):
+    facts_path = tmp_path / "facts.jsonl"
+    facts_path.write_text("")
+    # never contacted: an empty input fails before the first request
+    code = run("embed-fetch", "--facts", facts_path, "--endpoint", "http://127.0.0.1:9/embed",
+               "--out", tmp_path / "e.emb")
+    assert code == 4
+    assert capsys.readouterr().err == "error: EmptyInput: no texts to embed\n"
 
 
 def test_train_eval_predict_analyze_pipeline(workspace):
@@ -618,15 +644,23 @@ def test_malformed_checkpoint_header_exit_code(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "header",
-    ["seed=1 train=11/10 val=-1/5 test=1/10", "seed=1 train=1/0 val=1/10 test=1/5"],
-    ids=["fraction-negative", "fraction-zero-denominator"],
+    "header, repeat, message",
+    [
+        ("seed=1 train=11/10 val=-1/5 test=1/10", None, "line 1: bad split header: "),
+        ("seed=1 train=1/0 val=1/10 test=1/5", None, "line 1: bad split header: "),
+        ("seed=1 train=7/10 val=1/10 test=1/5", "test", "line 4: split id {!r} is listed twice"),
+        ("seed=1 train=7/10 val=1/10 test=1/5", "train", "line 4: split id {!r} is listed twice"),
+    ],
+    ids=["fraction-negative", "fraction-zero-denominator", "id-twice-in-test", "id-in-train-and-test"],
 )
-def test_eval_bad_split_header_exit_code(workspace, capsys, header):
+def test_eval_bad_split_header_exit_code(workspace, capsys, header, repeat, message):
     tmp_path, facts_path, emb_path, _ = workspace
     ids = [fact.id for fact in read_facts(facts_path) if not fact.excluded]
+    train, test = ids[:-10], ids[-10:]
+    if repeat:  # the last test id once more, on the line that ``repeat`` names
+        (test if repeat == "test" else train).append(test[-1])
     split_path = tmp_path / "split.txt"
-    split_path.write_text(f"{header}\n{','.join(ids[:-10])}\n\n{','.join(ids[-10:])}\n")
+    split_path.write_text(f"{header}\n{','.join(train)}\n\n{','.join(test)}\n")
     model_path = tmp_path / "model.ckpt"
     save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
     code = run(
@@ -634,7 +668,7 @@ def test_eval_bad_split_header_exit_code(workspace, capsys, header):
         "--split", split_path, "--out", tmp_path / "eval.txt",
     )
     assert code == 4
-    assert capsys.readouterr().err.startswith("error: ParseError: line 1: bad split header: ")
+    assert capsys.readouterr().err.startswith(f"error: ParseError: {message.format(ids[-1])}")
 
 
 @pytest.mark.parametrize(

@@ -83,8 +83,10 @@ def test_read_facts_unknown_label(tmp_path):
         ({"id": "a", "text": "x", "excluded": "false"}, "'excluded' must be true or false"),
         ({"id": "a", "text": "x", "context": 5}, "context must be a string or null"),
         ({"id": "a", "text": "x", "exclusion_reason": ["x"]}, "exclusion_reason must be a string"),
+        ({"id": "a\nb", "text": "x"}, "contains a comma or line break"),
     ],
-    ids=["text-not-string", "excluded-not-boolean", "context-not-string", "reason-not-string"],
+    ids=["text-not-string", "excluded-not-boolean", "context-not-string", "reason-not-string",
+         "id-with-line-break"],
 )
 def test_read_facts_rejects_wrong_field_types(tmp_path, record, message):
     path = tmp_path / "facts.jsonl"
@@ -295,6 +297,17 @@ def test_split_file_roundtrip(tmp_path):
     assert loaded == assignment
     assert loaded_spec.seed == 99
     assert loaded_spec.fractions == spec.fractions
+
+
+@pytest.mark.parametrize(
+    "id_lines, line_no", [("a,b\n\nc,a", 4), ("a\nb,b\nc", 3)], ids=["across-lines", "within-line"]
+)
+def test_read_split_rejects_repeated_ids(tmp_path, id_lines, line_no):
+    path = tmp_path / "split.txt"
+    path.write_text(f"seed=1 train=7/10 val=1/10 test=1/5\n{id_lines}\n")
+    with pytest.raises(ParseError, match="is listed twice") as excinfo:
+        read_split(path)
+    assert excinfo.value.line_no == line_no
 
 
 def test_read_split_rejects_malformed(tmp_path):

@@ -16,7 +16,6 @@ from factkit.metrics import (
     evaluate_labelsets,
     f1_per_label,
     format_mean_std,
-    harmonize_reports,
     macro_f1,
     pooled_overall_f1,
     render_aggregate,
@@ -305,19 +304,19 @@ def test_aggregate_single_report_degenerate():
     assert agg.overall.std == 0.0
 
 
-def test_aggregate_schema_mismatch():
-    with pytest.raises(SchemaMismatch):
-        aggregate_seeds([report_of(0.5, main="Preferences"), report_of(0.5, main="Experience")])
-
-
-def test_harmonize_reports_drops_disjoint_labels():
+def test_aggregate_drops_labels_some_seed_missed():
     reports = [report_of(0.5, main="Preferences"), report_of(0.5, main="Experience")]
-    trimmed, dropped = harmonize_reports(reports)
-    agg = aggregate_seeds(trimmed)
+    agg = aggregate_seeds(reports)
     assert agg.n_seeds == 2
-    dropped_keys = {(d.value, l) for d, l in dropped}
-    assert ("main_category", "Preferences") in dropped_keys
-    assert ("main_category", "Experience") in dropped_keys
+    assert agg.dropped == (
+        (Dimension.MAIN_CATEGORY, "Experience"),
+        (Dimension.MAIN_CATEGORY, "Preferences"),
+    )
+    assert not set(agg.dropped) & set(agg.per_label)
+    assert set(agg.per_label) == set(agg.mean_support)
+    no_dims = type(reports[0])({}, {}, 0.5, {})
+    with pytest.raises(SchemaMismatch):  # the dimension set must still match
+        aggregate_seeds([reports[0], no_dims])
 
 
 def test_format_mean_std():
