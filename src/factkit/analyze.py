@@ -12,6 +12,10 @@ order, codes indexing ``LABEL_SPACE``. Per dimension, one ``np.bincount``
 counts each label's facts and one weighted by confidence sums their
 confidences.
 
+Seed models are taken one at a time: each predicts over the whole corpus
+and is dropped before the next one is loaded, so memory holds one model
+and the small tables whatever the number of seeds.
+
 The leakage audit recomputes the distribution with facts that also occur in
 the training set (by exact trimmed text match) held out and reports the
 largest per-cell share shift in percentage points.
@@ -20,7 +24,7 @@ largest per-cell share shift in percentage points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,15 +38,29 @@ PredictionTable = tuple[np.ndarray, np.ndarray]  # (codes, confidences), both (N
 
 
 def predict_corpus(
-    models: Sequence[MultiHeadModel], embeddings: EmbeddingMatrix
+    models: Iterable[MultiHeadModel], embeddings: EmbeddingMatrix
 ) -> list[PredictionTable]:
-    """One prediction table per seed model over the same corpus."""
-    if not models:
+    """One prediction table per seed model over the same corpus.
+
+    ``models`` is consumed lazily and each model is dropped once it has
+    predicted, so a generator that loads checkpoints keeps one model alive
+    at a time. A model whose input dimension differs from the first raises
+    :class:`SchemaMismatch` when it arrives, after the earlier ones have
+    predicted; no models at all raise :class:`EmptyTables`.
+    """
+    tables: list[PredictionTable] = []
+    dim = None
+    for model in models:
+        # predict() holds every model to the canonical label space; only dim can differ
+        if dim is None:
+            dim = model.dim
+        elif model.dim != dim:
+            raise SchemaMismatch("seed models disagree on input dimension")
+        tables.append(predict(model, embeddings))
+        del model  # else it stays bound while the iterator loads the next one
+    if not tables:
         raise EmptyTables("no models given")
-    # predict() holds every model to the canonical label space; only dim can differ
-    if any(m.dim != models[0].dim for m in models):
-        raise SchemaMismatch("seed models disagree on input dimension")
-    return [predict(m, embeddings) for m in models]
+    return tables
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,6 @@ from .dataio import (
     write_split,
 )
 from .embeddings import (
-    EmbeddingMatrix,
     fetch_embeddings,
     l2_normalize,
     load_embeddings,
@@ -214,14 +213,6 @@ def _trainable(facts: Sequence[FactRecord]) -> list[FactRecord]:
     return usable
 
 
-def _embeddings_for(facts: Sequence[FactRecord], matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Rows of ``matrix`` reordered to align with ``facts``."""
-    return EmbeddingMatrix(
-        rows=matrix.take([f.id for f in facts]).astype(matrix.rows.dtype),
-        row_ids=tuple(f.id for f in facts),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -264,7 +255,7 @@ def cmd_canon(args, config) -> int:
 def cmd_sample(args, config) -> int:
     k, cap, seed = config["sampling"]["k"], config["sampling"]["cap"], config["seeds"][0]
     facts = read_facts(args.facts)
-    matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
+    matrix = load_embeddings(args.embeddings).select([f.id for f in facts])
     normalized = l2_normalize(matrix)
     kmeans = kmeans_fit(normalized, k=k, seed=seed)
     sampled = cluster_sample(facts, kmeans, cap=cap, seed=seed)
@@ -369,7 +360,7 @@ def _fit_per_seed(args, config, facts, fit, report_name: str, inputs: list[str])
 
 def cmd_train(args, config) -> int:
     facts = _trainable(read_facts(args.facts))
-    matrix = _embeddings_for(facts, load_embeddings(args.embeddings))
+    matrix = load_embeddings(args.embeddings).select([f.id for f in facts])
     settings = config["train"]
     out_dir = Path(args.out_dir)
 
@@ -392,8 +383,7 @@ def cmd_train(args, config) -> int:
         result = model_mod.train(net, matrix, targets, assignment, train_config)
         ckpt_path = out_dir / f"model-seed{seed}.ckpt"
         model_mod.save_model(ckpt_path, result.model)
-        test_matrix = EmbeddingMatrix(rows=matrix.take(assignment.test), row_ids=assignment.test)
-        predictions, _ = model_mod.predict(result.model, test_matrix)
+        predictions, _ = model_mod.predict(result.model, matrix.select(assignment.test))
         report = metrics_mod.evaluate_labelsets(targets[test_rows], predictions)
         note = f"best epoch {result.best_epoch} val F1 {result.best_val_f1:.4f} "
         return report, note, [ckpt_path]
@@ -437,7 +427,7 @@ def cmd_eval(args, config) -> int:
             raise errors.EmptySplit(f"split id {exc.args[0]!r} not in facts") from exc
     else:
         chosen = facts
-    predictions, _ = model_mod.predict(net, _embeddings_for(chosen, matrix))
+    predictions, _ = model_mod.predict(net, matrix.select([f.id for f in chosen]))
     gold = model_mod.targets_from_facts(chosen, model_mod.canonical_label_space())
     report = metrics_mod.evaluate_labelsets(gold, predictions)
     Path(args.out).write_text(_aggregate_and_render([report]), encoding="utf-8")
@@ -515,9 +505,10 @@ def _agree_row(title: str, report) -> str:
 
 
 def cmd_analyze(args, config) -> int:
-    nets = [model_mod.load_model(path) for path in args.models]
     corpus = read_facts(args.corpus)
-    matrix = _embeddings_for(corpus, load_embeddings(args.embeddings))
+    matrix = load_embeddings(args.embeddings).select([f.id for f in corpus])
+    # a generator: each checkpoint loads after the previous one has predicted and gone
+    nets = (model_mod.load_model(path) for path in args.models)
     tables = analyze_mod.predict_corpus(nets, matrix)
     report = analyze_mod.aggregate_distribution(tables)
     audit = None

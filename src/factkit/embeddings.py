@@ -12,6 +12,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -67,14 +68,18 @@ class EmbeddingMatrix:
     def index_of(self) -> dict[str, int]:
         return {row_id: i for i, row_id in enumerate(self.row_ids)}
 
-    def take(self, ids: Sequence[str]) -> np.ndarray:
-        """Rows for the given ids, in the given order, as float64."""
+    def select(self, ids: Sequence[str]) -> "EmbeddingMatrix":
+        """The matrix of the given ids' rows, in the given order and the stored dtype."""
         index = self.index_of()
         try:
             picks = [index[i] for i in ids]
         except KeyError as exc:
             raise DimensionMismatch(f"id {exc.args[0]!r} not in embedding matrix") from exc
-        return self.rows[picks].astype(np.float64)
+        return EmbeddingMatrix(rows=self.rows[picks], row_ids=tuple(ids))
+
+    def take(self, ids: Sequence[str]) -> np.ndarray:
+        """Rows for the given ids, in the given order, as float64."""
+        return self.select(ids).rows.astype(np.float64)
 
 
 def save_embeddings(path: Union[str, Path], matrix: EmbeddingMatrix) -> None:
@@ -91,40 +96,46 @@ def save_embeddings(path: Union[str, Path], matrix: EmbeddingMatrix) -> None:
 
 
 def load_embeddings(path: Union[str, Path]) -> EmbeddingMatrix:
-    """Read a ``.emb`` file, checking the declared byte counts exactly."""
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise TruncatedFile(f"{path}: shorter than the 16-byte header")
-    magic, version, n, d = struct.unpack_from("<4I", data, 0)
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: not an embedding file (magic {magic:#010x})")
-    if version != FORMAT_VERSION:
-        raise BadMagic(f"{path}: unsupported format version {version}")
-    offset = 16
-    payload = n * d * 4
-    if len(data) < offset + payload:
-        raise TruncatedFile(
-            f"{path}: header declares {n}x{d} floats but the payload is short"
-        )
-    rows = np.frombuffer(data, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
-    offset += payload
+    """Read a ``.emb`` file, checking the declared byte counts exactly.
+
+    The float32 payload is read straight into the returned array, so it is
+    held in memory once.
+    """
+    with open(path, "rb") as handle:
+        header = handle.read(16)
+        if len(header) < 16:
+            raise TruncatedFile(f"{path}: shorter than the 16-byte header")
+        magic, version, n, d = struct.unpack("<4I", header)
+        if magic != MAGIC:
+            raise BadMagic(f"{path}: not an embedding file (magic {magic:#010x})")
+        if version != FORMAT_VERSION:
+            raise BadMagic(f"{path}: unsupported format version {version}")
+        short = TruncatedFile(f"{path}: header declares {n}x{d} floats but the payload is short")
+        # checked against the file size first, so a corrupt header allocates nothing
+        if os.fstat(handle.fileno()).st_size < 16 + n * d * 4:
+            raise short
+        rows = np.empty((n, d), dtype="<f4")
+        if handle.readinto(rows) != rows.nbytes:
+            raise short
+        table = handle.read()
     ids = []
+    offset = 0
     for _ in range(n):
-        if len(data) < offset + 4:
+        if len(table) < offset + 4:
             raise TruncatedFile(f"{path}: id table is short")
-        (length,) = struct.unpack_from("<I", data, offset)
+        (length,) = struct.unpack_from("<I", table, offset)
         offset += 4
-        if len(data) < offset + length:
+        if len(table) < offset + length:
             raise TruncatedFile(f"{path}: id table is short")
         try:
-            ids.append(data[offset : offset + length].decode("utf-8"))
+            ids.append(table[offset : offset + length].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise BadMagic(f"{path}: id {len(ids)} is not UTF-8: {exc.reason}") from exc
         offset += length
-    if offset != len(data):
-        raise TruncatedFile(f"{path}: {len(data) - offset} trailing bytes")
+    if offset != len(table):
+        raise TruncatedFile(f"{path}: {len(table) - offset} trailing bytes")
     try:
-        return EmbeddingMatrix(rows=rows.copy(), row_ids=tuple(ids))
+        return EmbeddingMatrix(rows=rows, row_ids=tuple(ids))
     except ValueError as exc:  # non-finite rows
         raise BadMagic(f"{path}: {exc}") from exc
 

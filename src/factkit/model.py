@@ -64,6 +64,7 @@ CHECKPOINT_MAGIC = int.from_bytes(b"FMHC", "little")
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 1 << 16  # elements per adamw_step block; its two scratch blocks are 512 KB each
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator floor
+PREDICT_BLOCK = 2048  # rows per eval-mode forward block; float64 activations stay ~16 MB at hidden=1024
 
 
 @dataclass
@@ -218,28 +219,44 @@ def _dropout_mask(rng, shape, rate: float) -> Optional[np.ndarray]:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
+def _head_forward(
+    head: HeadParams, X: np.ndarray, rate: float, rng: Optional[np.random.Generator]
+):
+    """One head's logits for a (B, dim) batch, plus the cache backward needs.
+
+    Draws the head's two dropout masks from ``rng``, input mask first, unless
+    ``rate`` is 0 (eval mode), which draws nothing.
+    """
+    m1 = _dropout_mask(rng, X.shape, rate)
+    z = X if m1 is None else X * m1
+    t = np.tanh(z @ head.W1.T + head.b1)
+    m2 = _dropout_mask(rng, t.shape, rate)
+    u = t if m2 is None else t * m2
+    return u @ head.W2.T + head.b2, (z, t, u, m2)
+
+
+def _check_inputs(model: MultiHeadModel, X: np.ndarray) -> None:
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise DimensionMismatch(f"expected (*, {model.dim}) inputs, got {X.shape}")
+
+
 def _forward_batch(
     model: MultiHeadModel,
     X: np.ndarray,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Logits per head for a (B, dim) batch, plus the cache backward needs."""
-    if X.ndim != 2 or X.shape[1] != model.dim:
-        raise DimensionMismatch(f"expected (*, {model.dim}) inputs, got {X.shape}")
+    """Logits per head for a (B, dim) batch, plus the caches backward needs."""
+    _check_inputs(model, X)
     if train_mode and model.dropout_rate > 0.0 and rng is None:
         raise ValueError("train-mode dropout needs an RNG")
+    rate = model.dropout_rate if train_mode else 0.0
     logits: list[np.ndarray] = []
     cache = []
     for head in model.heads:
-        m1 = _dropout_mask(rng, X.shape, model.dropout_rate) if train_mode else None
-        z = X if m1 is None else X * m1
-        a = z @ head.W1.T + head.b1
-        t = np.tanh(a)
-        m2 = _dropout_mask(rng, t.shape, model.dropout_rate) if train_mode else None
-        u = t if m2 is None else t * m2
-        logits.append(u @ head.W2.T + head.b2)
-        cache.append((z, t, u, m2))
+        head_logits, head_cache = _head_forward(head, X, rate, rng)
+        logits.append(head_logits)
+        cache.append(head_cache)
     return logits, cache
 
 
@@ -486,13 +503,27 @@ def pooled_f1_indices(gold: np.ndarray, pred: np.ndarray) -> float:
 def predict_batch(model: MultiHeadModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode argmax indices and max-softmax confidences, per category.
 
-    Ties go to the lowest label index.
+    Ties go to the lowest label index. ``X`` may be any float dtype: it is
+    read in blocks of at most ``PREDICT_BLOCK`` rows, each upcast to float64
+    on its own, and eval mode keeps no backward cache, so memory beyond the
+    inputs and outputs is bounded by one block. The blocks split the rows
+    into near-equal parts, so no block has a single row unless ``X`` does:
+    numpy would send a one-row product to GEMV, whose rounding can differ
+    from the GEMM that computes every other row.
     """
-    logits, _ = _forward_batch(model, np.asarray(X, dtype=np.float64))
-    indices = np.stack([l.argmax(axis=1) for l in logits], axis=1)
-    confidences = np.stack(
-        [softmax(l).max(axis=1) for l in logits], axis=1
-    )
+    X = np.asarray(X)
+    _check_inputs(model, X)
+    indices = np.empty((len(X), model.n_categories), dtype=np.intp)
+    confidences = np.empty((len(X), model.n_categories))
+    start = 0
+    for block in np.array_split(X, max(1, -(-len(X) // PREDICT_BLOCK))):
+        rows = slice(start, start + len(block))
+        block = np.asarray(block, dtype=np.float64)
+        for c, head in enumerate(model.heads):
+            logits, _ = _head_forward(head, block, 0.0, None)
+            indices[rows, c] = logits.argmax(axis=1)
+            confidences[rows, c] = softmax(logits).max(axis=1)
+        start = rows.stop
     return indices, confidences
 
 
@@ -582,10 +613,13 @@ def predict(model: MultiHeadModel, embeddings: EmbeddingMatrix) -> tuple[np.ndar
     label sets. Heads are read independently: the invalidity-reason code is
     not reconciled against the validity code, so a row may be internally
     inconsistent. The model must carry the canonical label space.
+
+    The rows go to :func:`predict_batch` in their stored dtype, which reads
+    them in row blocks, so a float32 corpus is never upcast as a whole.
     """
     if list(zip(model.category_names, model.label_space)) != canonical_label_space():
         raise SchemaMismatch("model does not carry the canonical seven dimensions")
-    return predict_batch(model, embeddings.rows.astype(np.float64))
+    return predict_batch(model, embeddings.rows)
 
 
 # ---------------------------------------------------------------------------

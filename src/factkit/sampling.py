@@ -8,6 +8,13 @@ K-Means is Lloyd's algorithm with k-means++ seeding (single proposal per
 step). Distances are squared Euclidean, which on L2-normalized rows ranks
 identically to cosine distance. Clusters that empty out during an update are
 re-seeded with the point currently farthest from its assigned centroid.
+
+Seeding and assignment both expand squared distances as
+``|x|^2 - 2 x.c + |c|^2``, with ``|x|^2`` computed once and the result
+clamped at 0. A seeding step is therefore one matrix-vector product over the
+points plus O(n) work, with no n-by-d temporary, and it draws the next seed
+by inverting the cumulative sum of the squared distances at one uniform
+double, as ``Generator.choice`` with probabilities would.
 """
 
 from __future__ import annotations
@@ -73,17 +80,29 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
+    x_sq = np.einsum("ij,ij->i", points, points)
+
+    def dist_sq(i: int) -> np.ndarray:
+        """Squared distance from every point to point i, expanded as in ``_assign``."""
+        d2 = points @ points[i]
+        d2 *= -2.0
+        d2 += x_sq
+        d2 += x_sq[i]
+        return np.maximum(d2, 0.0, out=d2)
+
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = dist_sq(chosen[0])
     for i in range(1, k):
-        total = d2.sum()
+        cdf = np.cumsum(d2)
+        total = cdf[-1]
         if total > 0.0:
-            chosen[i] = rng.choice(n, p=d2 / total)
+            cdf /= total
+            chosen[i] = cdf.searchsorted(rng.random(), side="right")
         else:
             # All remaining mass is zero (duplicate points); any point works.
             chosen[i] = rng.integers(n)
-        d2 = np.minimum(d2, np.sum((points - points[chosen[i]]) ** 2, axis=1))
+        np.minimum(d2, dist_sq(chosen[i]), out=d2)
     return points[chosen].copy()
 
 

@@ -235,8 +235,13 @@ def canonicalize(raw: RawAnnotation) -> CanonResult:
 
     Raises :class:`UnknownEnumValue` for any field value outside the prompt
     enumerations (including ``broken_reason="None"`` on a broken fact, which
-    the prompt forbids).
+    the prompt forbids), and ``TypeError`` when ``categories`` or
+    ``duration`` is not a list.
     """
+    for name in ("categories", "duration"):
+        value = getattr(raw, name)
+        if not isinstance(value, list):
+            raise TypeError(f"{name!r} must be a list, not {value!r}")
     for item in raw.categories:
         _checked("categories", item, _CATEGORY_ITEM_ACCEPTED)
     main = _checked("main_category", raw.main_category, _MAIN_ACCEPTED)

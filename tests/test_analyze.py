@@ -1,16 +1,24 @@
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import factkit
 from factkit.analyze import (
     aggregate_distribution,
     leakage_audit,
     predict_corpus,
     render_distribution,
 )
-from factkit.embeddings import EmbeddingMatrix
+from factkit.dataio import write_facts
+from factkit.embeddings import EmbeddingMatrix, save_embeddings
 from factkit.errors import EmptyTables, SchemaMismatch
 from factkit.metrics import _mean_std
-from factkit.model import canonical_label_space, new_model
+from factkit.model import canonical_label_space, new_model, save_model
 from factkit.taxonomy import (
     DIMENSIONS,
     LABEL_SPACE,
@@ -58,8 +66,33 @@ def test_predict_corpus_schema_mismatch():
     a = new_model(4, canonical_label_space(), seed=0)
     b = new_model(5, canonical_label_space(), seed=0)
     emb = EmbeddingMatrix(rows=np.zeros((1, 4)), row_ids=("x",))
-    with pytest.raises(SchemaMismatch):
-        predict_corpus([a, b], emb)
+    for models in ([a, b], iter([a, b])):
+        with pytest.raises(SchemaMismatch):
+            predict_corpus(models, emb)
+
+
+@pytest.mark.parametrize("models", [[], iter([])], ids=["list", "iterator"])
+def test_predict_corpus_no_models(models):
+    emb = EmbeddingMatrix(rows=np.zeros((1, 4)), row_ids=("x",))
+    with pytest.raises(EmptyTables):
+        predict_corpus(models, emb)
+
+
+def test_predict_corpus_holds_one_generated_model_at_a_time():
+    emb = EmbeddingMatrix(rows=np.zeros((3, 4)), row_ids=tuple("abc"))
+    refs = []
+    alive_at_load = []
+
+    def models():
+        for seed in range(4):
+            alive_at_load.append(sum(ref() is not None for ref in refs))
+            model = new_model(4, canonical_label_space(), seed=seed)
+            refs.append(weakref.ref(model))
+            yield model
+            del model
+
+    assert len(predict_corpus(models(), emb)) == 4
+    assert alive_at_load == [0, 0, 0, 0]
 
 
 def test_predict_corpus_shares_sum_to_100():
@@ -74,6 +107,46 @@ def test_predict_corpus_shares_sum_to_100():
                 counts[labels.get(dim)] = counts.get(labels.get(dim), 0) + 1
             total = 100.0 * sum(counts.values()) / len(table)
             assert total == pytest.approx(100.0, abs=0.1)
+
+
+# The child reports its resident size before main() and its peak after it.
+# Both come from /proc/self/status: ru_maxrss, of RUSAGE_SELF as much as of
+# RUSAGE_CHILDREN, starts from the forking test process's own resident size.
+_RSS_PROBE = """
+import sys
+from factkit.cli import main
+
+def kib(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(field))
+
+before = kib("VmRSS:")
+code = main(sys.argv[1:])
+print(code, before, kib("VmHWM:"))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_analyze_memory_grows_by_one_checkpoint_not_by_their_number(tmp_path):
+    facts, _ = synthetic_dataset(n_facts=40, invalid_count=12)
+    rows = np.random.default_rng(0).normal(size=(len(facts), 512))
+    write_facts(tmp_path / "corpus.jsonl", facts)
+    save_embeddings(tmp_path / "corpus.emb", EmbeddingMatrix(rows, tuple(f.id for f in facts)))
+    model = new_model(512, canonical_label_space(), seed=0)  # hidden 512: ~15 MB of theta
+    paths = [str(tmp_path / f"model-{s}.ckpt") for s in range(6)]
+    for path in paths:
+        save_model(path, model)
+    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, "analyze", "--models", *paths,
+         "--corpus", str(tmp_path / "corpus.jsonl"), "--embeddings", str(tmp_path / "corpus.emb"),
+         "--out", str(tmp_path / "distribution.txt")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, before, after = map(int, result.stdout.split()[-3:])
+    assert code == 0
+    growth_bytes = (after - before) * 1024
+    assert growth_bytes < 3 * model.theta.nbytes
 
 
 # --- aggregation ---

@@ -143,7 +143,13 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
         (json.dumps({"id": "r1", "text": 5, "annotation": {"broken": "Yes", "broken_reason": "No fact"}})
          + "\n", "error: ParseError: line 1: fact 'r1' text must be a string"),
         (good + "\n" + json.dumps({"id": "r2", "text": "y", "annotation": {"duration": 5}}) + "\n",
-         "error: ParseError: line 2: 'int' object is not iterable"),
+         "error: ParseError: line 2: 'duration' must be a list, not 5"),
+        (json.dumps({"id": "r1", "text": "x", "annotation": {"duration": "Long-term"}}) + "\n",
+         "error: ParseError: line 1: 'duration' must be a list, not 'Long-term'"),
+        (json.dumps({"id": "r1", "text": "x", "annotation": {"duration": ""}}) + "\n",
+         "error: ParseError: line 1: 'duration' must be a list, not ''"),
+        (json.dumps({"id": "r1", "text": "x", "annotation": {"categories": "Hobbies"}}) + "\n",
+         "error: ParseError: line 1: 'categories' must be a list, not 'Hobbies'"),
         (json.dumps({"id": "r1", "text": "x", "source": "Reddit", "annotation": {}}) + "\n",
          "error: ParseError: line 1: unknown value 'Reddit' for field 'source'"),
         (json.dumps({"id": "r1", "text": "x", "excluded": 1, "annotation": {}}) + "\n",

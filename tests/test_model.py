@@ -23,6 +23,7 @@ from factkit.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     MASK,
+    PREDICT_BLOCK,
     AdamState,
     TrainConfig,
     adamw_step,
@@ -40,7 +41,7 @@ from factkit.model import (
     targets_from_facts,
     train,
 )
-from factkit.model import _loss_and_grads
+from factkit.model import _forward_batch, _loss_and_grads
 from factkit.taxonomy import DIMENSIONS, labelsets_from_codes
 
 from synth import synthetic_dataset
@@ -314,6 +315,21 @@ def test_predict_labelsets_unreconciled():
     assert labels.validity == "Valid"
     assert labels.invalidity_reason == "Opinion"  # left unreconciled
     assert conf.shape == (1, len(DIMENSIONS))
+
+
+@pytest.mark.parametrize("n", [1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 2 * PREDICT_BLOCK + 1])
+def test_predict_blocks_match_one_unblocked_pass_bitwise(n):
+    model = new_model(64, canonical_label_space(), hidden=32, seed=n)
+    rows = np.random.default_rng(n).normal(size=(n, 64)).astype(np.float32)
+    logits, _ = _forward_batch(model, rows.astype(np.float64))
+    indices = np.stack([l.argmax(axis=1) for l in logits], axis=1)
+    confidences = np.stack([softmax(l).max(axis=1) for l in logits], axis=1)
+    for got_indices, got_confidences in (
+        predict_batch(model, rows),
+        predict(model, EmbeddingMatrix(rows=rows, row_ids=tuple(map(str, range(n))))),
+    ):
+        assert np.array_equal(got_indices, indices)
+        assert np.array_equal(got_confidences, confidences)
 
 
 # --- AdamW ---

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from factkit.errors import AlignmentError, KTooLarge
-from factkit.sampling import KMeansModel, cluster_sample, kmeans_fit, recompute_inertia
+from factkit.sampling import (
+    KMeansModel,
+    _kmeans_plus_plus,
+    cluster_sample,
+    kmeans_fit,
+    recompute_inertia,
+)
 from factkit.taxonomy import FactRecord
+
+from synth import synthetic_dataset
 
 
 def blobs(seed=0, centers=((0.0, 0.0), (5.0, 5.0)), per=5, spread=0.1):
@@ -52,6 +60,34 @@ def test_two_blobs_match_bruteforce_partition():
     for cluster in (0, 1):
         members = points[model.assignments == cluster]
         assert np.allclose(model.centroids[cluster], members.mean(axis=0), atol=1e-9)
+
+
+def subtraction_seeding(points, k, rng):
+    """k-means++ as first written: exact squared differences, drawn by Generator.choice."""
+    n = points.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            chosen[i] = rng.choice(n, p=d2 / total)
+        else:
+            chosen[i] = rng.integers(n)
+        d2 = np.minimum(d2, np.sum((points - points[chosen[i]]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeding_matches_subtraction_reference(seed):
+    _, emb = synthetic_dataset(n_facts=400, invalid_count=120, seed=seed)
+    points = emb.rows / np.linalg.norm(emb.rows, axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    copies = rng.choice(len(points), size=len(points) // 20, replace=False)
+    points[copies] = points[rng.choice(len(points), size=copies.size)]  # 5% exact duplicates
+    for k in (1, 25, 150):
+        expected = subtraction_seeding(points, k, np.random.default_rng([seed, k]))
+        assert np.array_equal(_kmeans_plus_plus(points, k, np.random.default_rng([seed, k])), expected)
 
 
 def test_fixed_seed_is_bitwise_deterministic():
