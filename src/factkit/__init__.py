@@ -63,7 +63,6 @@ from .metrics import (
     SeedAggregate,
     aggregate_seeds,
     evaluate_labelsets,
-    f1_per_label,
     macro_f1,
     pooled_overall_f1,
 )

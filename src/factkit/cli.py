@@ -226,9 +226,9 @@ def cmd_canon(args, config) -> int:
     facts: list[FactRecord] = []
     exclusions = []
     for line_no, obj in raw_records:
-        try:  # an unknown annotation field, or a list field that is not a list
+        try:  # an unknown annotation field or value, or a list field that is not a list
             result = canonicalize(RawAnnotation(**obj["annotation"]))
-        except TypeError as exc:
+        except (TypeError, errors.UnknownEnumValue) as exc:
             raise errors.ParseError(line_no, str(exc)) from exc
         fact = dataclasses.replace(
             fact_from_obj(obj, line_no),
@@ -615,12 +615,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config, vars(args))
         return args.func(args, config)
-    except FactkitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:  # an input or output file; config files raise ConfigError
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    except (FactkitError, OSError) as exc:  # OSError: an input or output file; config files raise ConfigError
+        # a message may carry an endpoint's reply; its line breaks stay on one line
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, FactkitError) else 4
 
 
 if __name__ == "__main__":

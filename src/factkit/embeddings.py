@@ -8,25 +8,34 @@ values row-major, then N ids, each a u32 byte length followed by UTF-8 text.
 
 Rows are float32 on disk; training code upcasts to float64 before doing
 arithmetic.
+
+The provider is reached with the standard library's ``urllib.request``:
+only ``http`` and ``https`` URLs are accepted, HTTPS verifies against the
+system CA store (``SSL_CERT_FILE`` overrides it), and a redirect that would
+re-send the POST (307, 308) is not followed but is a :class:`ProtocolError`.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import struct
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import requests
 
 from .errors import (
     BadMagic,
     DimensionDrift,
     DimensionMismatch,
     EmptyInput,
+    FactkitError,
     ProtocolError,
     TransportError,
     TruncatedFile,
@@ -171,14 +180,19 @@ def fetch_embeddings(
 
     The endpoint takes ``{"texts": [...]}`` and answers 200 with
     ``{"dim": d, "embeddings": [[...], ...]}``. Rows come back in input
-    order whatever the batch size. Connection failures and 5xx answers are
-    retried up to ``retries`` times with exponential backoff; other statuses
-    raise :class:`ProtocolError` immediately, as does a reply whose rows are
-    not a finite numeric matrix. A change of dimension between batches
-    raises :class:`DimensionDrift`; no texts at all raise :class:`EmptyInput`.
+    order whatever the batch size. A URL that is not ``http`` or ``https``
+    raises :class:`TransportError` before any request. Connection failures,
+    timeouts and malformed replies (:class:`TransportError`) and 5xx answers
+    are retried up to ``retries`` times with exponential backoff; other
+    statuses raise :class:`ProtocolError` immediately, as does a body that
+    is not JSON or whose rows are not a finite numeric matrix. A change of
+    dimension between batches raises :class:`DimensionDrift`; no texts at
+    all raise :class:`EmptyInput`.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
+    if retries < 0:
+        raise ValueError("retries must be non-negative")
     if not texts:
         raise EmptyInput("no texts to embed")
     if ids is None:
@@ -216,25 +230,32 @@ def fetch_embeddings(
 
 
 def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
-    last_error: Optional[Exception] = None
+    if not endpoint.lower().startswith(("http://", "https://")):
+        raise TransportError(f"POST {endpoint} refused: only http and https URLs are supported")
+    data = json.dumps({"texts": batch}).encode("utf-8")
+    request_headers = {"Content-Type": "application/json", **(headers or {})}
+    last_error: FactkitError
     for attempt in range(retries + 1):
         if attempt:
             time.sleep(backoff * (2 ** (attempt - 1)))
         try:
-            response = requests.post(
-                endpoint, json={"texts": batch}, timeout=timeout, headers=headers
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(endpoint, data, request_headers, method="POST")
+            try:
+                with urllib.request.urlopen(request, timeout=timeout) as reply:
+                    status, raw = reply.status, reply.read()
+            except urllib.error.HTTPError as reply:  # a URLError, so caught first
+                with reply:
+                    status, raw = reply.code, reply.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a bad URL
             last_error = TransportError(f"POST {endpoint} failed: {exc}")
             continue
-        if response.status_code >= 500:
-            last_error = ProtocolError(response.status_code, response.text)
+        if status != 200:
+            last_error = ProtocolError(status, raw.decode("utf-8", "replace"))
+            if status < 500:
+                raise last_error
             continue
-        if response.status_code != 200:
-            raise ProtocolError(response.status_code, response.text)
         try:
-            return response.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise ProtocolError(200, f"non-JSON body: {exc}") from exc
-    assert last_error is not None
     raise last_error

@@ -106,15 +106,6 @@ def _hashable_codes(
     return list(code_of), codes[: len(gold), None], codes[len(gold) :, None]
 
 
-def f1_per_label(
-    gold: Sequence[Hashable], pred: Sequence[Hashable]
-) -> dict[Hashable, LabelScore]:
-    """Precision/recall/F1 per label over the gold-or-predicted universe."""
-    labels, gold_codes, pred_codes = _hashable_codes(gold, pred)
-    scores, _, _ = _f1_count(gold_codes, pred_codes, [len(labels)])
-    return {labels[code]: score for (_, code), score in scores.items()}
-
-
 def macro_f1(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:
     """Unweighted mean of per-label F1 over the evaluation's label universe."""
     labels, gold_codes, pred_codes = _hashable_codes(gold, pred)

@@ -1,7 +1,7 @@
 """In-process mock embedding endpoint for tests.
 
 Serves ``POST /embed`` with ``{"texts": [...]}`` and answers
-``{"dim": d, "embeddings": [[...], ...]}``. Four deterministic modes:
+``{"dim": d, "embeddings": [[...], ...]}``. Five deterministic modes:
 
 * ``bytelen``: each text maps to the 1-d vector [len(utf-8 bytes)].
 * ``hash``: each text maps to a fixed d-dim vector seeded from its bytes.
@@ -9,10 +9,15 @@ Serves ``POST /embed`` with ``{"texts": [...]}`` and answers
   (NaN included), to exercise malformed replies.
 * ``body``: every reply's whole JSON body is ``payload``, to exercise
   replies that are not an object.
+* ``raw``: every reply is ``payload``, bytes written to the socket verbatim,
+  status line included (see :func:`raw_reply`), to exercise any status,
+  body or malformed reply.
 
 Failure injection: ``fail_next`` answers that many 500s before succeeding,
-and ``drift_after`` switches the dimension after that many requests to
-exercise the drift check.
+``drift_after`` switches the dimension after that many requests to
+exercise the drift check, and ``delay`` waits that many seconds before
+each reply to exercise read timeouts. ``headers_seen`` keeps each request's
+headers, in arrival order.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -31,6 +37,15 @@ def _hash_vector(text: str, dim: int) -> list[float]:
     return [round(float(x), 6) for x in rng.normal(size=dim)]
 
 
+def raw_reply(status: str, body: bytes = b"", headers: str = "") -> bytes:
+    """One whole HTTP/1.0 reply, e.g. ``raw_reply("404 Not Found", b"gone")``.
+
+    ``headers`` holds any extra header lines, each ending in CRLF.
+    """
+    head = f"HTTP/1.0 {status}\r\n{headers}Content-Length: {len(body)}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
 class MockEmbedServer:
     def __init__(
         self,
@@ -39,23 +54,37 @@ class MockEmbedServer:
         fail_next: int = 0,
         drift_after: int = 0,
         payload: object = None,
+        delay: float = 0.0,
     ):
         self.mode = mode
         self.payload = payload
         self.dim = dim
         self.fail_next = fail_next
         self.drift_after = drift_after
+        self.delay = delay
         self.requests_seen = 0
+        self.headers_seen = []
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *args):
                 pass
 
+            def handle(self):
+                try:
+                    super().handle()
+                except BrokenPipeError:  # the client timed out before a delayed reply
+                    pass
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length))
                 outer.requests_seen += 1
+                outer.headers_seen.append(self.headers)
+                time.sleep(outer.delay)
+                if outer.mode == "raw":
+                    self.wfile.write(outer.payload)
+                    return
                 if outer.fail_next > 0:
                     outer.fail_next -= 1
                     self.send_response(500)

@@ -17,7 +17,7 @@ from factkit.model import (
 )
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
-from embed_server import MockEmbedServer
+from embed_server import MockEmbedServer, raw_reply
 from synth import synthetic_dataset
 
 FAST_CONFIG = {
@@ -112,26 +112,6 @@ def test_canon_writes_facts_and_exclusions(tmp_path):
     assert str(raw_path) in manifest["inputs"]
 
 
-@pytest.mark.parametrize(
-    "annotation, value",
-    [
-        ({"main_category": "Sports"}, "'Sports'"),
-        ({"main_category": 5}, "5"),
-        ({"duration": [5]}, "5"),
-    ],
-    ids=["unknown-string", "number", "number-in-list"],
-)
-def test_canon_bad_enum_exit_code(tmp_path, capsys, annotation, value):
-    raw_path = tmp_path / "raw.jsonl"
-    raw_path.write_text(json.dumps({"id": "r1", "text": "x", "annotation": annotation}) + "\n")
-    code = run("canon", "--raw", raw_path, "--out", tmp_path / "facts.jsonl")
-    assert code == 4
-    field = next(iter(annotation))
-    assert capsys.readouterr().err == (
-        f"error: UnknownEnumValue: unknown value {value} for field {field!r}\n"
-    )
-
-
 def test_canon_parse_errors_name_the_line(tmp_path, capsys):
     raw_path = tmp_path / "raw.jsonl"
     good = json.dumps({"id": "r1", "text": "x", "annotation": {}})
@@ -152,6 +132,12 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
          "error: ParseError: line 1: 'categories' must be a list, not 'Hobbies'"),
         (json.dumps({"id": "r1", "text": "x", "source": "Reddit", "annotation": {}}) + "\n",
          "error: ParseError: line 1: unknown value 'Reddit' for field 'source'"),
+        (good + "\n" + json.dumps({"id": "r2", "text": "y", "annotation": {"main_category": "Sports"}})
+         + "\n", "error: ParseError: line 2: unknown value 'Sports' for field 'main_category'\n"),
+        (json.dumps({"id": "r1", "text": "x", "annotation": {"main_category": 5}}) + "\n",
+         "error: ParseError: line 1: unknown value 5 for field 'main_category'\n"),
+        (json.dumps({"id": "r1", "text": "x", "annotation": {"duration": [5]}}) + "\n",
+         "error: ParseError: line 1: unknown value 5 for field 'duration'\n"),
         (json.dumps({"id": "r1", "text": "x", "excluded": 1, "annotation": {}}) + "\n",
          "error: ParseError: line 1: 'excluded' must be true or false, not 1"),
     ]
@@ -283,9 +269,10 @@ def test_sample_output_golden(tmp_path):
     )
 
 
-def test_embed_fetch_command(workspace):
+def test_embed_fetch_command(workspace, monkeypatch):
     tmp_path, facts_path, _, _ = workspace
     out = tmp_path / "fetched.emb"
+    monkeypatch.setenv("FACTKIT_EMBED_TOKEN", "s3cret")
     with MockEmbedServer(mode="hash", dim=5) as server:
         code = run(
             "embed-fetch",
@@ -299,6 +286,40 @@ def test_embed_fetch_command(workspace):
     assert matrix.dim == 5
     assert len(matrix) == 200
     assert matrix.row_ids[0] == "s0000"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cebf465e4c8fd3626f4cc45cac0de3a0df600277ce89ceea8400320c6726ae93"
+    )
+    assert len(server.headers_seen) == 13  # 200 facts in batches of 16
+    for headers in server.headers_seen:
+        assert headers["Authorization"] == "Bearer s3cret"
+        assert headers["Content-Type"] == "application/json"
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        (raw_reply("404 Not Found", b"<html>\n<h1>Not Found</h1>\n</html>\n"),
+         "ProtocolError: endpoint returned status 404: <html>\\n<h1>Not Found</h1>\\n</html>\\n"),
+        (b"garbage\r\n", "TransportError: POST "),
+    ],
+    ids=["404-html", "bad-status-line"],
+)
+def test_embed_fetch_error_is_one_line(workspace, capsys, reply, message):
+    tmp_path, facts_path, _, _ = workspace
+    config_path = tmp_path / "no-retry.json"
+    config_path.write_text(json.dumps({"embedding": {"retries": 0}}))
+    with MockEmbedServer(mode="raw", payload=reply) as server:
+        code = run(
+            "--config", config_path,
+            "embed-fetch",
+            "--facts", facts_path,
+            "--endpoint", server.url,
+            "--out", tmp_path / "fetched.emb",
+        )
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "\r" not in err
 
 
 def test_embed_fetch_empty_facts_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from factkit.errors import (
     ZeroVector,
 )
 
-from embed_server import MockEmbedServer
+from embed_server import MockEmbedServer, raw_reply
 
 
 def matrix_of(rows, ids=None):
@@ -200,3 +202,57 @@ def test_fetch_custom_ids():
     with MockEmbedServer(mode="bytelen") as server:
         m = fetch_embeddings(server.url, ["a", "bb"], batch_size=2, ids=["u", "v"])
     assert m.row_ids == ("u", "v")
+
+
+def test_fetch_rejects_negative_retries():
+    with pytest.raises(ValueError):
+        fetch_embeddings("http://127.0.0.1:9/embed", ["x"], batch_size=1, retries=-1)
+
+
+# --- HTTP transport: what each reply maps to, and how many requests it takes ---
+
+
+@pytest.mark.parametrize(
+    "reply, retries, error, requests_seen",
+    [
+        (raw_reply("404 Not Found", b"no such route"), 2, ProtocolError, 1),
+        (raw_reply("503 Service Unavailable", b"busy"), 2, ProtocolError, 3),
+        (raw_reply("200 OK", b"<html>not json</html>"), 2, ProtocolError, 1),
+        (b"garbage\r\n", 1, TransportError, 2),
+    ],
+    ids=["404-at-once", "503-retried", "non-json-200", "bad-status-line-retried"],
+)
+def test_fetch_reply_mapping(reply, retries, error, requests_seen):
+    with MockEmbedServer(mode="raw", payload=reply) as server:
+        with pytest.raises(error):
+            fetch_embeddings(server.url, ["x"], batch_size=1, retries=retries, backoff=0.01)
+    assert server.requests_seen == requests_seen
+
+
+def test_fetch_read_timeout_is_transport_error():
+    with MockEmbedServer(mode="bytelen", delay=0.5) as server:
+        with pytest.raises(TransportError):
+            fetch_embeddings(server.url, ["x"], batch_size=1, retries=0, timeout=0.1)
+    assert server.requests_seen == 1
+
+
+def test_fetch_does_not_follow_redirects():
+    with MockEmbedServer(mode="bytelen") as target:
+        moved = raw_reply("307 Temporary Redirect", headers=f"Location: {target.url}\r\n")
+        with MockEmbedServer(mode="raw", payload=moved) as server:
+            with pytest.raises(ProtocolError) as excinfo:
+                fetch_embeddings(server.url, ["x"], batch_size=1, backoff=0.01)
+    assert excinfo.value.status == 307
+    assert (server.requests_seen, target.requests_seen) == (1, 0)
+
+
+def test_fetch_rejects_non_http_and_malformed_urls(tmp_path):
+    # a readable reply file: a client that opened file:// URLs would succeed
+    reply = tmp_path / "reply.json"
+    reply.write_text(json.dumps({"dim": 1, "embeddings": [[1.0]]}))
+    with MockEmbedServer(mode="bytelen") as server:
+        address = server.url.split("://", 1)[1]
+        for url in (address, f"ftp://{address}", reply.as_uri(), "http://", "http://[::1"):
+            with pytest.raises(TransportError):
+                fetch_embeddings(url, ["x"], batch_size=1, retries=0, timeout=1.0)
+    assert server.requests_seen == 0

@@ -14,7 +14,6 @@ from factkit.metrics import (
     MeanStd,
     aggregate_seeds,
     evaluate_labelsets,
-    f1_per_label,
     format_mean_std,
     macro_f1,
     pooled_overall_f1,
@@ -38,33 +37,46 @@ def oracle_f1(gold, pred):
     return out
 
 
+def main_category_report(gold, pred):
+    """evaluate_labelsets over facts that differ only in their main category."""
+    return evaluate_labelsets(
+        label_codes([valid_labels(main=g) for g in gold]),
+        label_codes([valid_labels(main=p) for p in pred]),
+    )
+
+
+def main_scores(report, field="per_label_f1"):
+    """``report.<field>`` restricted to the main category, keyed by label."""
+    return {l: v for (d, l), v in getattr(report, field).items() if d == Dimension.MAIN_CATEGORY}
+
+
 def test_perfect_predictions():
-    gold = ["A", "B", "A", "C"]
-    scores = f1_per_label(gold, gold)
-    assert all(s.f1 == 1.0 for s in scores.values())
+    gold = ["Preferences", "Experience", "Preferences", "Demographics"]
+    report = main_category_report(gold, gold)
+    assert set(report.per_label_f1.values()) == {1.0}
     assert macro_f1(gold, gold) == 1.0
 
 
 def test_hand_computed_example():
-    gold = ["A", "A", "B", "B"]
-    pred = ["A", "B", "B", "B"]
-    scores = f1_per_label(gold, pred)
-    assert scores["A"].f1 == pytest.approx(2 / 3, abs=1e-12)
-    assert scores["B"].f1 == pytest.approx(0.8, abs=1e-12)
-    assert scores["A"].support == 2
+    gold = ["Preferences", "Preferences", "Experience", "Experience"]
+    pred = ["Preferences", "Experience", "Experience", "Experience"]
+    report = main_category_report(gold, pred)
+    assert main_scores(report) == pytest.approx({"Preferences": 2 / 3, "Experience": 0.8}, abs=1e-12)
+    assert main_scores(report, "support") == {"Preferences": 2, "Experience": 2}
     assert macro_f1(gold, pred) == pytest.approx((2 / 3 + 0.8) / 2, abs=1e-9)
 
 
 def test_absent_label_not_reported():
-    scores = f1_per_label(["A", "A"], ["A", "A"])
-    assert set(scores) == {"A"}
+    report = main_category_report(["Preferences"] * 2, ["Preferences"] * 2)
+    assert set(main_scores(report)) == set(main_scores(report, "support")) == {"Preferences"}
 
 
 def test_zero_division_gives_zero_f1():
-    # B predicted never and gold never overlapping predictions
-    scores = f1_per_label(["B"], ["A"])
-    assert scores["B"].f1 == 0.0
-    assert scores["A"].f1 == 0.0
+    # Experience never predicted, Preferences never gold
+    report = main_category_report(["Experience"], ["Preferences"])
+    assert main_scores(report) == {"Experience": 0.0, "Preferences": 0.0}
+    assert main_scores(report, "support") == {"Experience": 1, "Preferences": 0}
+    assert macro_f1(["B"], ["A"]) == 0.0
 
 
 def test_length_mismatch():
@@ -140,10 +152,10 @@ def test_pooled_locality_of_errors():
     pred_good = [valid_labels(time="Future", followup="Yes"), valid_labels(time="Future", followup="Yes")]
     pred_bad = [valid_labels(time="Future", followup="Yes"), valid_labels(time="Future", followup="Maybe")]
     # only followup-related pooled types may change
-    full = f1_per_label(*_pooled_pairs(gold, pred_good))
-    damaged = f1_per_label(*_pooled_pairs(gold, pred_bad))
+    full = evaluate_labelsets(label_codes(gold), label_codes(pred_good)).per_label_f1
+    damaged = evaluate_labelsets(label_codes(gold), label_codes(pred_bad)).per_label_f1
     changed = {k for k in set(full) | set(damaged) if full.get(k) != damaged.get(k)}
-    assert all(key[0] == "followup" for key in changed)
+    assert all(key[0] == Dimension.FOLLOWUP for key in changed)
     assert changed
 
 
