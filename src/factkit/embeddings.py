@@ -9,10 +9,8 @@ values row-major, then N ids, each a u32 byte length followed by UTF-8 text.
 Rows are float32 on disk; training code upcasts to float64 before doing
 arithmetic.
 
-The provider is reached with the standard library's ``urllib.request``:
-only ``http`` and ``https`` URLs are accepted, HTTPS verifies against the
-system CA store (``SSL_CERT_FILE`` overrides it), and a redirect that would
-re-send the POST (307, 308) is not followed but is a :class:`ProtocolError`.
+The provider is reached with ``urllib.request`` over ``http``/``https`` only;
+HTTPS verifies against the system CA store, and no redirect is followed.
 """
 
 from __future__ import annotations
@@ -180,14 +178,12 @@ def fetch_embeddings(
 
     The endpoint takes ``{"texts": [...]}`` and answers 200 with
     ``{"dim": d, "embeddings": [[...], ...]}``. Rows come back in input
-    order whatever the batch size. A URL that is not ``http`` or ``https``
-    raises :class:`TransportError` before any request. Connection failures,
-    timeouts and malformed replies (:class:`TransportError`) and 5xx answers
-    are retried up to ``retries`` times with exponential backoff; other
-    statuses raise :class:`ProtocolError` immediately, as does a body that
-    is not JSON or whose rows are not a finite numeric matrix. A change of
-    dimension between batches raises :class:`DimensionDrift`; no texts at
-    all raise :class:`EmptyInput`.
+    order whatever the batch size. Only ``http``/``https`` URLs are sent.
+    Transport failures (:class:`TransportError`) and 5xx answers are retried
+    up to ``retries`` times with exponential backoff; other statuses and
+    non-JSON bodies raise :class:`ProtocolError` immediately, as does a reply
+    whose rows are not a finite numeric matrix. A change of dimension between
+    batches raises :class:`DimensionDrift`; no texts raise :class:`EmptyInput`.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -229,6 +225,14 @@ def fetch_embeddings(
     return EmbeddingMatrix(rows=np.vstack(chunks), row_ids=tuple(ids))
 
 
+# urlopen's opener less its redirect, file, FTP and data handlers: a 3xx is an HTTPError
+_OPENER = urllib.request.OpenerDirector()
+for _handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                 urllib.request.HTTPSHandler(), urllib.request.HTTPDefaultErrorHandler(),
+                 urllib.request.HTTPErrorProcessor()):
+    _OPENER.add_handler(_handler)
+
+
 def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
     if not endpoint.lower().startswith(("http://", "https://")):
         raise TransportError(f"POST {endpoint} refused: only http and https URLs are supported")
@@ -241,7 +245,7 @@ def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
         try:
             request = urllib.request.Request(endpoint, data, request_headers, method="POST")
             try:
-                with urllib.request.urlopen(request, timeout=timeout) as reply:
+                with _OPENER.open(request, timeout=timeout) as reply:
                     status, raw = reply.status, reply.read()
             except urllib.error.HTTPError as reply:  # a URLError, so caught first
                 with reply:

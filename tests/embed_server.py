@@ -17,7 +17,8 @@ Failure injection: ``fail_next`` answers that many 500s before succeeding,
 ``drift_after`` switches the dimension after that many requests to
 exercise the drift check, and ``delay`` waits that many seconds before
 each reply to exercise read timeouts. ``headers_seen`` keeps each request's
-headers, in arrival order.
+headers, in arrival order. A GET is answered 405 but is counted and its
+headers kept, so a test sees a redirect that turned the POST into a GET.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ class MockEmbedServer:
                     super().handle()
                 except BrokenPipeError:  # the client timed out before a delayed reply
                     pass
+
+            def do_GET(self):
+                outer.requests_seen += 1
+                outer.headers_seen.append(self.headers)
+                self.send_error(405)
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))

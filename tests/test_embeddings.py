@@ -1,4 +1,5 @@
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -236,14 +237,32 @@ def test_fetch_read_timeout_is_transport_error():
     assert server.requests_seen == 1
 
 
-def test_fetch_does_not_follow_redirects():
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_fetch_does_not_follow_redirects(status):
+    # the bearer token must not reach whatever host the endpoint redirects to
     with MockEmbedServer(mode="bytelen") as target:
-        moved = raw_reply("307 Temporary Redirect", headers=f"Location: {target.url}\r\n")
+        moved = raw_reply(f"{status} Moved", headers=f"Location: {target.url}\r\n")
         with MockEmbedServer(mode="raw", payload=moved) as server:
             with pytest.raises(ProtocolError) as excinfo:
-                fetch_embeddings(server.url, ["x"], batch_size=1, backoff=0.01)
-    assert excinfo.value.status == 307
+                fetch_embeddings(
+                    server.url, ["x"], batch_size=1, backoff=0.01,
+                    headers={"Authorization": "Bearer secret"},
+                )
+    assert excinfo.value.status == status
     assert (server.requests_seen, target.requests_seen) == (1, 0)
+    assert server.headers_seen[0]["Authorization"] == "Bearer secret"
+
+
+def test_fetch_redirect_to_ftp_is_protocol_error():
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    moved = raw_reply("302 Found", headers=f"Location: ftp://127.0.0.1:{port}/x\r\n")
+    with MockEmbedServer(mode="raw", payload=moved) as server:
+        with pytest.raises(ProtocolError) as excinfo:
+            fetch_embeddings(server.url, ["x"], batch_size=1, retries=0, timeout=1.0)
+    assert excinfo.value.status == 302
+    assert server.requests_seen == 1
 
 
 def test_fetch_rejects_non_http_and_malformed_urls(tmp_path):
