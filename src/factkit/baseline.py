@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import metrics
 from .errors import DimensionMismatch, EmptyInput, EmptyVocabulary
@@ -90,8 +89,10 @@ def tfidf_fit(corpus: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfi
     return TfidfVocab(terms=tuple(kept), idf=idf)
 
 
-def tfidf_transform(vocab: TfidfVocab, texts: Sequence[str]) -> sp.csr_matrix:
-    """Sparse TF-IDF rows, L2-normalized; all-unknown texts give zero rows."""
+def tfidf_transform(vocab: TfidfVocab, texts: Sequence[str]):
+    """TF-IDF rows as a scipy CSR matrix, L2-normalized; all-unknown texts give zero rows."""
+    import scipy.sparse as sp  # here, not at the top: only the baseline needs it
+
     index = vocab.index_of()
     data: list[float] = []
     indices: list[int] = []
@@ -153,6 +154,8 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
     """
     if not 0.0 <= l2 < math.inf:
         raise ValueError("l2 must be finite and nonnegative")
+    import scipy.sparse as sp  # here, not at the top: only the baseline needs it
+
     X = sp.csr_matrix(X) if not sp.issparse(X) else X.tocsr()
     n, n_features = X.shape
     if n != len(y):

@@ -24,7 +24,10 @@ Every parameter lives in one float64 vector, ``MultiHeadModel.theta``: each
 head's W1, b1, W2, b2, row-major, in category order. The heads are views into
 it, so an in-place update of a head's array is an update of ``theta``. The
 gradient and both AdamW moments are vectors laid out like ``theta``, and the
-AdamW step updates them in place, one fixed-size block at a time.
+AdamW step updates them in place, one fixed-size block at a time. Training
+holds five such vectors and allocates none of them per batch or per epoch:
+the parameters (the caller's ``theta``, updated in place), one gradient
+buffer refilled by every batch, the two moments, and one best-epoch snapshot.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -346,32 +349,39 @@ def _loss_and_grads(
     targets: np.ndarray,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean per-example loss over the batch and its gradient, laid out like ``theta``."""
+    """Mean per-example loss over the batch and its gradient, laid out like ``theta``.
+
+    The gradient is written into ``out``, whatever it held, and returned;
+    ``None`` means a fresh vector.
+    """
     targets = _check_targets(model, targets)
     logits, cache = _forward_batch(model, X, train_mode=train_mode, rng=rng)
     per_example, valid, valid_counts = _batch_loss_terms(model, logits, targets)
     total = float(per_example.mean())
 
-    grad = np.zeros_like(model.theta)
+    grad = np.zeros_like(model.theta) if out is None else out
     grad_heads = replace(model, theta=grad).heads
     scale_rows = np.where(valid_counts > 0, 1.0 / np.maximum(valid_counts, 1.0), 0.0) / X.shape[0]
-    for c, (head, out) in enumerate(zip(model.heads, grad_heads)):
+    for c, (head, slots) in enumerate(zip(model.heads, grad_heads)):
         rows = np.flatnonzero(valid[:, c])
         if rows.size == 0:
+            for array in slots.arrays():
+                array.fill(0.0)
             continue
         z, t, u, m2 = cache[c]
         probs = np.exp(_log_softmax(logits[c][rows]))
         probs[np.arange(rows.size), targets[rows, c]] -= 1.0
         G = probs * (_gold_weights(model, targets, c, rows) * scale_rows[rows])[:, None]
-        np.matmul(G.T, u[rows], out=out.W2)
-        np.sum(G, axis=0, out=out.b2)
+        np.matmul(G.T, u[rows], out=slots.W2)
+        np.sum(G, axis=0, out=slots.b2)
         dU = G @ head.W2
         if m2 is not None:
             dU = dU * m2[rows]
         dA = dU * (1.0 - t[rows] ** 2)
-        np.matmul(dA.T, z[rows], out=out.W1)
-        np.sum(dA, axis=0, out=out.b1)
+        np.matmul(dA.T, z[rows], out=slots.W1)
+        np.sum(dA, axis=0, out=slots.b1)
     return total, grad
 
 
@@ -542,6 +552,11 @@ def train(
     macro F1 decides whether this epoch's parameters become the kept
     snapshot. Training stops after ``patience`` consecutive epochs without
     improvement or at ``max_epochs``.
+
+    Training runs in place: ``model.theta`` holds the last step's parameters
+    afterwards (pass ``model.copy()`` to keep the initial ones). The returned
+    ``model`` wraps the best epoch's snapshot, a vector of its own; its other
+    fields are ``model``'s.
     """
     if not split.train or not split.val:
         raise EmptySplit("train and val splits must both be non-empty")
@@ -560,11 +575,12 @@ def train(
     X_val = embeddings.rows[val_rows].astype(np.float64)
     T_val = targets[val_rows]
 
-    work = model.copy()
-    state = AdamState.zeros_like(work.theta)
+    state = AdamState.zeros_like(model.theta)
+    grad = np.empty_like(model.theta)
+    best_theta = np.empty_like(model.theta)
     rng = np.random.default_rng(config.seed)
 
-    best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always sets ``best``
+    best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always fills ``best_theta``
     best_epoch = 0
     since_best = 0
     history: list[EpochStats] = []
@@ -575,24 +591,23 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_loss, grad = _loss_and_grads(
-                work, X_train[batch], T_train[batch], train_mode=True, rng=rng
+            batch_loss, _ = _loss_and_grads(
+                model, X_train[batch], T_train[batch], train_mode=True, rng=rng, out=grad
             )
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at {start}: loss={batch_loss}"
                 )
-            adamw_step(state, work.theta, grad, config)
-            del grad  # or two full gradients are alive during the next batch
+            adamw_step(state, model.theta, grad, config)
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
 
-        val_pred, _ = predict_batch(work, X_val)
+        val_pred, _ = predict_batch(model, X_val)
         val_f1 = pooled_f1_indices(T_val, val_pred)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen, val_f1=val_f1))
 
         if val_f1 > best_f1:
-            best = work.copy()
+            np.copyto(best_theta, model.theta)
             best_f1 = val_f1
             best_epoch = epoch
             since_best = 0
@@ -602,7 +617,12 @@ def train(
             if since_best >= max(config.patience, 1):
                 break
 
-    return TrainResult(model=best, history=history, best_epoch=best_epoch, best_val_f1=best_f1)
+    return TrainResult(
+        model=replace(model, theta=best_theta),
+        history=history,
+        best_epoch=best_epoch,
+        best_val_f1=best_f1,
+    )
 
 
 def predict(model: MultiHeadModel, embeddings: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import factkit
 from factkit.analyze import (
     aggregate_distribution,
     leakage_audit,
@@ -29,6 +24,7 @@ from factkit.taxonomy import (
     labelsets_from_codes,
 )
 
+from rss_probe import HAS_PROC, run_probed
 from synth import synthetic_dataset
 
 
@@ -109,24 +105,7 @@ def test_predict_corpus_shares_sum_to_100():
             assert total == pytest.approx(100.0, abs=0.1)
 
 
-# The child reports its resident size before main() and its peak after it.
-# Both come from /proc/self/status: ru_maxrss, of RUSAGE_SELF as much as of
-# RUSAGE_CHILDREN, starts from the forking test process's own resident size.
-_RSS_PROBE = """
-import sys
-from factkit.cli import main
-
-def kib(field):
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith(field))
-
-before = kib("VmRSS:")
-code = main(sys.argv[1:])
-print(code, before, kib("VmHWM:"))
-"""
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
 def test_analyze_memory_grows_by_one_checkpoint_not_by_their_number(tmp_path):
     facts, _ = synthetic_dataset(n_facts=40, invalid_count=12)
     rows = np.random.default_rng(0).normal(size=(len(facts), 512))
@@ -136,16 +115,11 @@ def test_analyze_memory_grows_by_one_checkpoint_not_by_their_number(tmp_path):
     paths = [str(tmp_path / f"model-{s}.ckpt") for s in range(6)]
     for path in paths:
         save_model(path, model)
-    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, "analyze", "--models", *paths,
-         "--corpus", str(tmp_path / "corpus.jsonl"), "--embeddings", str(tmp_path / "corpus.emb"),
-         "--out", str(tmp_path / "distribution.txt")],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+    code, growth_bytes = run_probed(
+        "analyze", "--models", *paths, "--corpus", tmp_path / "corpus.jsonl",
+        "--embeddings", tmp_path / "corpus.emb", "--out", tmp_path / "distribution.txt",
     )
-    code, before, after = map(int, result.stdout.split()[-3:])
     assert code == 0
-    growth_bytes = (after - before) * 1024
     assert growth_bytes < 3 * model.theta.nbytes
 
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import factkit
 from factkit.cli import DEFAULT_CONFIG, load_config, main
 from factkit.dataio import read_facts, read_split, write_facts
 from factkit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
@@ -12,12 +17,14 @@ from factkit.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     canonical_label_space,
+    load_model,
     new_model,
     save_model,
 )
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
 from embed_server import MockEmbedServer, raw_reply
+from rss_probe import HAS_PROC, run_probed
 from synth import synthetic_dataset
 
 FAST_CONFIG = {
@@ -49,6 +56,16 @@ def workspace(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # only the baseline needs scipy.sparse, so no other command pays for loading it
+    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, factkit.cli; print('scipy.sparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.split() == ["False"]
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -435,6 +452,25 @@ def test_train_rerun_is_byte_identical(workspace):
     ).read_bytes()
 
 
+@pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
+def test_train_memory_holds_five_parameter_vectors(tmp_path):
+    # at d = hidden = 1024 theta is ~59 MB, so the vectors training keeps
+    # (parameters, gradient, two AdamW moments, best-epoch snapshot) dominate
+    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
+    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 1024 - emb.dim))
+    write_facts(tmp_path / "facts.jsonl", facts)
+    save_embeddings(tmp_path / "facts.emb", EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids))
+    config = dict(FAST_CONFIG, seeds=[1], train=dict(FAST_CONFIG["train"], max_epochs=3))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, growth_bytes = run_probed(
+        "--config", tmp_path / "config.json", "train", "--facts", tmp_path / "facts.jsonl",
+        "--embeddings", tmp_path / "facts.emb", "--out-dir", tmp_path / "out",
+    )
+    assert code == 0
+    theta_bytes = load_model(tmp_path / "out" / "model-seed1.ckpt").theta.nbytes
+    assert growth_bytes < 6 * theta_bytes, f"peak growth {growth_bytes / theta_bytes:.2f} x theta"
+
+
 def test_train_with_inverse_frequency_weighting(workspace):
     tmp_path, facts_path, emb_path, _ = workspace
     config = json.loads(json.dumps(FAST_CONFIG))
@@ -451,8 +487,6 @@ def test_train_with_inverse_frequency_weighting(workspace):
         "--out-dir", out_dir,
     )
     assert code == 0
-    from factkit.model import load_model
-
     model = load_model(out_dir / "model-seed42.ckpt")
     assert model.label_weights is not None
     # rare labels carry larger weights than frequent ones

@@ -4,6 +4,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ def test_masked_category_gradient_exactly_zero():
     for grad in grads[:4]:
         assert np.all(grad == 0.0)
     assert any(np.any(g != 0.0) for g in grads[4:])
+
+
+def test_gradient_into_a_dirty_buffer_is_bitwise_the_fresh_one():
+    # no row leaves the first head unmasked, so its slots must be zeroed, not skipped
+    model = small_model(dim=4, hidden=3, seed=5, dropout=0.2)
+    X = np.random.default_rng(2).normal(size=(6, 4))
+    targets = np.column_stack([np.full(6, MASK), [0, 1, 1, 0, 1, 0]])
+    loss, fresh = _loss_and_grads(model, X, targets, True, np.random.default_rng(3))
+    buffer = np.full_like(model.theta, np.nan)
+    loss_again, grad = _loss_and_grads(model, X, targets, True, np.random.default_rng(3), out=buffer)
+    assert grad is buffer
+    assert loss_again == loss
+    assert np.array_equal(buffer, fresh)  # bitwise, and no NaN left
+    assert not np.any(fresh[: sum(a.size for a in model.heads[0].arrays())])
 
 
 def test_weight_doubling_scales_gradient():
@@ -445,6 +460,22 @@ def test_train_deterministic():
     assert results[0].history == results[1].history
     for a, b in zip(results[0].model.parameters(), results[1].model.parameters()):
         assert np.array_equal(a, b)
+
+
+def test_train_updates_model_in_place_and_returns_a_snapshot():
+    emb, targets, split = tiny_task()
+    config = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=10, patience=2, seed=2)
+    model = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
+    result = train(model, emb, targets, split, config)
+    assert not np.shares_memory(result.model.theta, model.theta)
+    assert all(np.shares_memory(a, result.model.theta) for a in result.model.parameters())
+    # patience ran out after the best epoch, so the last step moved model past the snapshot
+    assert result.history[-1].epoch > result.best_epoch
+    assert not np.array_equal(model.theta, result.model.theta)
+    # the same run stopped at the best epoch leaves that epoch's parameters in model
+    again = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
+    train(again, emb, targets, split, replace(config, max_epochs=result.best_epoch))
+    assert np.array_equal(again.theta, result.model.theta)
 
 
 def test_train_golden_digest_across_adamw_blocks():
