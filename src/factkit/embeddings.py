@@ -43,6 +43,8 @@ from .errors import (
 MAGIC = int.from_bytes(b"FEMB", "little")
 FORMAT_VERSION = 1
 
+_NORM_ROWS = 1024  # rows whose squares l2_normalize holds at once
+
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
@@ -76,7 +78,12 @@ class EmbeddingMatrix:
         return {row_id: i for i, row_id in enumerate(self.row_ids)}
 
     def select(self, ids: Sequence[str]) -> "EmbeddingMatrix":
-        """The matrix of the given ids' rows, in the given order and the stored dtype."""
+        """The matrix of the given ids' rows, in the given order and the stored dtype.
+
+        Ids that list every row in stored order give this matrix itself, not a copy.
+        """
+        if tuple(ids) == self.row_ids:
+            return self
         index = self.index_of()
         try:
             picks = [index[i] for i in ids]
@@ -153,14 +160,17 @@ def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     Raises :class:`ZeroVector` with the first offending row index if any row
     has zero norm.
     """
-    rows = matrix.rows.astype(np.float64)
-    norms = np.linalg.norm(rows, axis=1)
+    rows = matrix.rows.astype(np.float64)  # the one float64 copy, divided in place
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), _NORM_ROWS):  # norm squares a block at a time
+        block = rows[start : start + _NORM_ROWS]
+        norms[start : start + len(block)] = np.linalg.norm(block, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]))
-    normalized = rows / norms[:, None]
+    rows /= norms[:, None]
     return EmbeddingMatrix(
-        rows=normalized.astype(matrix.rows.dtype), row_ids=matrix.row_ids
+        rows=rows.astype(matrix.rows.dtype, copy=False), row_ids=matrix.row_ids
     )
 
 

@@ -34,6 +34,7 @@ MAX_ITER = 100  # Lloyd iterations at most
 TOL = 1e-4  # stop once no centroid moves this far
 
 _CHUNK = 8192  # points per distance block, bounds peak memory
+_SUM_ROWS = 1024  # points per block of a cluster's sum, bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,9 @@ class KMeansModel:
 
 
 def _as_rows(data: Union[EmbeddingMatrix, np.ndarray]) -> np.ndarray:
-    rows = data.rows if isinstance(data, EmbeddingMatrix) else np.asarray(data)
-    return rows.astype(np.float64)
+    """The points as float64, not copied if they already are; nothing here writes to them."""
+    rows = data.rows if isinstance(data, EmbeddingMatrix) else data
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +78,34 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
             d2, assignments[start : start + _CHUNK, None], axis=1
         )[:, 0]
     return assignments, best
+
+
+def _cluster_sums(points: np.ndarray, assignments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each cluster's sum of its points, added in point order as ``np.add.at`` adds them.
+
+    A stable sort groups each cluster's points in point order, and its blocks
+    of at most ``_SUM_ROWS`` rows are gathered into one buffer behind a row
+    holding the sum so far. Reducing over the rows then adds each column in
+    sequence. A single column reduces pairwise instead, so it is summed by a
+    running scan, which keeps the order.
+    """
+    d = points.shape[1]
+    order = np.argsort(assignments, kind="stable")
+    sums = np.zeros((len(counts), d))
+    buffer = np.empty((_SUM_ROWS + 1, d))
+    end = 0
+    for cluster, count in enumerate(counts.tolist()):
+        start, end = end, end + count
+        for low in range(start, end, _SUM_ROWS):
+            high = min(low + _SUM_ROWS, end)
+            rows = buffer[: high - low + 1]
+            rows[0] = sums[cluster]
+            np.take(points, order[low:high], axis=0, out=rows[1:], mode="clip")
+            if d == 1:
+                sums[cluster] = np.cumsum(rows[:, 0])[-1]
+            else:
+                np.add.reduce(rows, axis=0, out=sums[cluster])
+    return sums
 
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,9 +159,8 @@ def kmeans_fit(data: Union[EmbeddingMatrix, np.ndarray], k: int, seed: int) -> K
         assignments, best = _assign(points, centroids)
         history.append(float(best.sum()))
 
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignments, points)
-        counts = np.bincount(assignments, minlength=k).astype(np.float64)
+        counts = np.bincount(assignments, minlength=k)
+        sums = _cluster_sums(points, assignments, counts)
         occupied = counts > 0
         updated = centroids.copy()
         updated[occupied] = sums[occupied] / counts[occupied, None]

@@ -68,6 +68,30 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert result.stdout.split() == ["False"]
 
 
+def test_sample_and_analyze_leave_scipy_sparse_unloaded(workspace):
+    tmp_path, facts_path, emb_path, config_path = workspace
+    model_path = tmp_path / "model.ckpt"
+    save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
+    commands = [
+        ["--config", config_path, "sample", "--facts", facts_path, "--embeddings", emb_path,
+         "--out", tmp_path / "sampled.jsonl", "--k", "5"],
+        ["analyze", "--models", model_path, "--corpus", facts_path, "--embeddings", emb_path,
+         "--out", tmp_path / "distribution.txt"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from factkit.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy.sparse' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([[str(a) for a in argv] for argv in commands])],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], False]
+
+
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("frobnicate")
@@ -708,6 +732,52 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     code = run("split", "--facts", tmp_path / "nope.jsonl", "--out", tmp_path / "split.txt")
     assert code == 4
     assert capsys.readouterr().err.startswith("error: FileNotFoundError: [Errno 2] ")
+
+
+def test_missing_checkpoint_is_data_error_before_any_output(workspace, capsys):
+    tmp_path, facts_path, emb_path, _ = workspace
+    model_path = tmp_path / "model.ckpt"
+    save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
+    missing = tmp_path / "nope.ckpt"
+    report = tmp_path / "distribution.txt"
+    code = run("analyze", "--models", model_path, missing, "--corpus", facts_path,
+               "--embeddings", emb_path, "--out", report)
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: '{missing}'"
+    )
+    assert not report.exists()
+
+
+def _sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_canon_in_place_records_the_input_digest_before_the_run(tmp_path):
+    raw_path = tmp_path / "raw.jsonl"
+    row = {"id": "r1", "text": "I jog.", "annotation": {"broken": "Yes", "broken_reason": "No fact"}}
+    raw_path.write_text(json.dumps(row) + "\n")
+    before = _sha256_of(raw_path)
+    assert run("canon", "--raw", raw_path, "--out", raw_path) == 0
+    assert _sha256_of(raw_path) != before  # the output replaced the input
+    manifest = json.loads((tmp_path / "raw.jsonl.manifest.json").read_text())
+    assert manifest["inputs"] == {str(raw_path): before}
+
+
+def test_analyze_manifest_digests_every_input(workspace):
+    tmp_path, facts_path, emb_path, _ = workspace
+    dim = load_embeddings(emb_path).dim
+    models = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+    for seed, path in enumerate(models):
+        save_model(path, new_model(dim, canonical_label_space(), hidden=2, seed=seed))
+    report = tmp_path / "distribution.txt"
+    code = run("analyze", "--models", *models, "--corpus", facts_path,
+               "--embeddings", emb_path, "--out", report)
+    assert code == 0
+    manifest = json.loads((tmp_path / "distribution.txt.manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(path): _sha256_of(path) for path in (*models, facts_path, emb_path)
+    }
 
 
 def test_malformed_checkpoint_header_exit_code(workspace, capsys):

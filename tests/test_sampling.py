@@ -5,7 +5,9 @@ import pytest
 
 from factkit.errors import AlignmentError, KTooLarge
 from factkit.sampling import (
+    _SUM_ROWS,
     KMeansModel,
+    _cluster_sums,
     _kmeans_plus_plus,
     cluster_sample,
     kmeans_fit,
@@ -88,6 +90,48 @@ def test_seeding_matches_subtraction_reference(seed):
     for k in (1, 25, 150):
         expected = subtraction_seeding(points, k, np.random.default_rng([seed, k]))
         assert np.array_equal(_kmeans_plus_plus(points, k, np.random.default_rng([seed, k])), expected)
+
+
+def add_at_sums(points, assignments, k):
+    """Cluster sums as first written: ``np.add.at`` adds the points one by one."""
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, assignments, points)
+    return sums
+
+
+@pytest.mark.parametrize(
+    "n, d, k, layout",
+    [
+        (5000, 1, 7, "random"),
+        (5000, 2, 7, "random"),
+        (3 * _SUM_ROWS + 5, 1, 4, "one-cluster"),
+        (3 * _SUM_ROWS + 5, 2, 4, "one-cluster"),
+        (3 * _SUM_ROWS + 5, 33, 1, "one-cluster"),
+        (2000, 2, 9, "duplicates"),
+        (2000, 64, 9, "duplicates"),
+        (2000, 3, 12, "empty-clusters"),
+        (2000, 1, 12, "negative-zeros"),
+        (2000, 5, 12, "negative-zeros"),
+    ],
+)
+def test_cluster_sums_match_add_at_bitwise(n, d, k, layout):
+    rng = np.random.default_rng([n, d, k])
+    # magnitudes 1e8 apart, so any change in the order of additions shows in the bits
+    points = rng.normal(size=(n, d)) * rng.choice([1e-8, 1.0, 1e8], size=(n, d))
+    assignments = rng.integers(0, k, n)
+    if layout == "one-cluster":
+        assignments[:] = k - 1
+    elif layout == "duplicates":
+        points = points[rng.integers(0, 50, n)]
+    elif layout == "empty-clusters":
+        assignments[assignments % 3 == 0] = 1
+    elif layout == "negative-zeros":  # add.at starts at +0.0: a cluster of -0.0 rows sums to +0.0
+        points[rng.random((n, d)) < 0.5] = -0.0
+        assignments[rng.random(n) < 0.5] = 0
+        points[assignments == 0] = -0.0
+    counts = np.bincount(assignments, minlength=k)
+    sums = _cluster_sums(points, assignments, counts)
+    assert sums.tobytes() == add_at_sums(points, assignments, k).tobytes()
 
 
 def test_fixed_seed_is_bitwise_deterministic():
