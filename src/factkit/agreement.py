@@ -32,7 +32,7 @@ from .errors import (
     NoComparableUnits,
     OutOfRange,
 )
-from .metrics import _hashable_codes
+from .metrics import _hashable_codes, _mean_std
 
 
 @dataclass
@@ -214,22 +214,22 @@ def compute_agreement(table: RatingsTable) -> AgreementReport:
 
 
 def average_report(reports: Sequence[AgreementReport]) -> AgreementReport:
-    """Cross-dimension average row: plain means of each statistic."""
+    """Cross-dimension average row: the fsum mean of each statistic the reports give."""
     if not reports:
         raise EmptyInput("no reports to average")
 
     def mean_of(values: list[Optional[float]]) -> Optional[float]:
         present = [v for v in values if v is not None]
-        return sum(present) / len(present) if present else None
+        return _mean_std(present).mean if present else None
 
     fleiss = mean_of([r.fleiss for r in reports])
     cohen = mean_of([r.cohen for r in reports])
     kappa = fleiss if fleiss is not None else (cohen if cohen is not None else 0.0)
     return AgreementReport(
-        percent=sum(r.percent for r in reports) / len(reports),
+        percent=mean_of([r.percent for r in reports]),
         cohen=cohen,
         fleiss=fleiss,
-        kripp_alpha=sum(r.kripp_alpha for r in reports) / len(reports),
+        kripp_alpha=mean_of([r.kripp_alpha for r in reports]),
         interpretation=landis_koch(kappa),
         n_units=0,
     )

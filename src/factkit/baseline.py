@@ -28,6 +28,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DimensionMismatch, EmptyInput, EmptyVocabulary
+from .model import _log_softmax
 from .taxonomy import DIMENSIONS, Dimension
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -132,9 +133,7 @@ def _objective(theta, X, y_idx, share, l2) -> tuple[float, np.ndarray]:
     """
     params = theta.reshape(-1, X.shape[1] + 1)
     weights, bias = params[:, :-1], params[:, -1]
-    scores = X @ weights.T + bias
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = _log_softmax(X @ weights.T + bias)
     rows = np.arange(len(y_idx))
     loss = float(-(share * log_probs[rows, y_idx]).sum() + 0.5 * l2 * (weights**2).sum())
     residual = np.exp(log_probs)

@@ -14,11 +14,12 @@ One executable with a subcommand per pipeline stage::
     factkit analyze      ensemble label distributions + leakage audit
 
 Settings come from an optional JSON config file (``--config``), overridden
-per command by flags. Every command writes ``<output>.manifest.json`` with
-the package version, effective settings, a config digest, and SHA-256
-digests of its inputs, taken in parallel before the command runs; outputs
-themselves contain no timestamps, so a rerun with identical inputs
-reproduces them byte for byte.
+per command by flags. Each ``cmd_*(args, config)`` returns the paths it
+wrote, the settings and the seeds it used; :func:`main` then writes
+``<first output>.manifest.json`` with those, the package version, a config
+digest, and SHA-256 digests of the inputs, taken in parallel before the
+command runs. Outputs themselves contain no timestamps, so a rerun with
+identical inputs reproduces them byte for byte.
 
 Errors print one line, ``error: <Category>: <message>``, and exit with the
 ``exit_code`` that the error's class declares in :mod:`factkit.errors`:
@@ -61,6 +62,7 @@ from .dataio import (
     read_split,
     stratified_split,
     write_facts,
+    write_jsonl,
     write_split,
 )
 from .embeddings import (
@@ -213,14 +215,13 @@ def digest_inputs(paths: Sequence[str]) -> dict[str, str]:
 
 
 def write_manifest(
-    out_path: str,
     command: str,
     settings: dict,
     inputs: dict[str, str],
     seeds: Sequence[int],
     outputs: Sequence[str],
 ) -> None:
-    """Write ``<out_path>.manifest.json``; ``inputs`` maps each input path to its SHA-256."""
+    """Write ``<outputs[0]>.manifest.json``; ``inputs`` maps each input path to its SHA-256."""
     manifest = {
         "artifact_version": __version__,
         "command": command,
@@ -233,7 +234,7 @@ def write_manifest(
         "seeds": list(seeds),
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as handle:
+    with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -249,7 +250,7 @@ def _trainable(facts: Sequence[FactRecord]) -> list[FactRecord]:
 # subcommands
 
 
-def cmd_canon(args, config, digests) -> int:
+def cmd_canon(args, config):
     raw_records = list(read_jsonl(args.raw))
     for line_no, obj in raw_records:
         if not isinstance(obj, dict) or "annotation" not in obj:
@@ -274,51 +275,37 @@ def cmd_canon(args, config, digests) -> int:
 
     write_facts(args.out, facts)
     exclusions_path = args.exclusions or f"{args.out}.exclusions.jsonl"
-    with open(exclusions_path, "w", encoding="utf-8") as handle:
-        for entry in exclusions:
-            handle.write(json.dumps(entry) + "\n")
-    write_manifest(
-        args.out, "canon", {}, digests, [], [args.out, exclusions_path]
-    )
+    write_jsonl(exclusions_path, exclusions)
     print(f"canon: {len(facts)} facts written, {len(exclusions)} excluded")
-    return 0
+    return [args.out, exclusions_path], {}, []
 
 
-def cmd_sample(args, config, digests) -> int:
+def cmd_sample(args, config):
     k, cap, seed = config["sampling"]["k"], config["sampling"]["cap"], config["seeds"][0]
     facts = read_facts(args.facts)
-    matrix = load_embeddings(args.embeddings).select([f.id for f in facts])
-    normalized = l2_normalize(matrix)
-    kmeans = kmeans_fit(normalized, k=k, seed=seed)
+    # one name for the rows, so the loaded matrix is freed before K-Means copies them
+    rows = l2_normalize(load_embeddings(args.embeddings).select([f.id for f in facts]))
+    kmeans = kmeans_fit(rows, k=k, seed=seed)
     sampled = cluster_sample(facts, kmeans, cap=cap, seed=seed)
     write_facts(args.out, sampled)
-    settings = {"k": k, "cap": cap, "seed": seed}
-    write_manifest(args.out, "sample", settings, digests, [seed], [args.out])
     print(f"sample: {len(sampled)} of {len(facts)} facts kept across {k} clusters")
-    return 0
+    return [args.out], {"k": k, "cap": cap, "seed": seed}, [seed]
 
 
-def cmd_split(args, config, digests) -> int:
+def cmd_split(args, config):
     facts = _trainable(read_facts(args.facts))
     seed = config["seeds"][0]
     spec = _split_spec(config, seed)
     assignment = stratified_split(facts, spec)
     write_split(args.out, assignment, spec)
-    settings = {
-        "seed": seed,
-        "train": str(spec.train_frac),
-        "val": str(spec.val_frac),
-        "test": str(spec.test_frac),
-    }
-    write_manifest(args.out, "split", settings, digests, [seed], [args.out])
     print(
         f"split: train={len(assignment.train)} val={len(assignment.val)} "
         f"test={len(assignment.test)}"
     )
-    return 0
+    return [args.out], {"seed": seed, **config["split"]}, [seed]
 
 
-def cmd_embed_fetch(args, config, digests) -> int:
+def cmd_embed_fetch(args, config):
     facts = read_facts(args.facts)
     embedding = config["embedding"]
     headers = None
@@ -335,10 +322,8 @@ def cmd_embed_fetch(args, config, digests) -> int:
         headers=headers,
     )
     save_embeddings(args.out, matrix)
-    settings = {"endpoint": args.endpoint, "batch_size": embedding["batch_size"]}
-    write_manifest(args.out, "embed-fetch", settings, digests, [], [args.out])
     print(f"embed-fetch: {len(matrix)} embeddings of dim {matrix.dim}")
-    return 0
+    return [args.out], {"endpoint": args.endpoint, "batch_size": embedding["batch_size"]}, []
 
 
 def _aggregate_and_render(reports) -> str:
@@ -346,13 +331,14 @@ def _aggregate_and_render(reports) -> str:
     return metrics_mod.render_aggregate(metrics_mod.aggregate_seeds(reports))
 
 
-def _fit_per_seed(args, config, digests, facts, fit, report_name: str) -> int:
+def _fit_per_seed(args, config, facts, fit, report_name: str):
     """Split, write ``split-seed<N>.txt``, fit and score per seed, then report.
 
     ``fit(seed, assignment, targets, train_rows, test_rows)`` is the command's
     own step: ``targets`` are the facts' (N, 7) label codes, the row lists
     index them, and it returns the test report, a note for the per-seed line
-    and the paths it wrote.
+    and the paths it wrote. Returns what a command returns, the aggregate
+    report first.
     """
     command = args.command
     targets = model_mod.targets_from_facts(facts, model_mod.canonical_label_space())
@@ -377,20 +363,11 @@ def _fit_per_seed(args, config, digests, facts, fit, report_name: str) -> int:
 
     report_path = out_dir / report_name
     report_path.write_text(_aggregate_and_render(reports), encoding="utf-8")
-    outputs.append(str(report_path))
-    write_manifest(
-        str(report_path),
-        command,
-        {command: config[command], "split": config["split"]},
-        digests,
-        seeds,
-        outputs,
-    )
     print(f"{command}: aggregate report at {report_path}")
-    return 0
+    return [str(report_path), *outputs], {command: config[command], "split": config["split"]}, seeds
 
 
-def cmd_train(args, config, digests) -> int:
+def cmd_train(args, config):
     facts = _trainable(read_facts(args.facts))
     matrix = load_embeddings(args.embeddings).select([f.id for f in facts])
     settings = config["train"]
@@ -420,33 +397,30 @@ def cmd_train(args, config, digests) -> int:
         note = f"best epoch {result.best_epoch} val F1 {result.best_val_f1:.4f} "
         return report, note, [ckpt_path]
 
-    return _fit_per_seed(args, config, digests, facts, fit, "metrics.txt")
+    return _fit_per_seed(args, config, facts, fit, "metrics.txt")
 
 
-def cmd_predict(args, config, digests) -> int:
+def cmd_predict(args, config):
     net = model_mod.load_model(args.model)
     matrix = load_embeddings(args.embeddings)
     codes, confidences = model_mod.predict(net, matrix)
     rows = zip(matrix.row_ids, labelsets_from_codes(codes), confidences.tolist())
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for row_id, labels, conf in rows:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": row_id,
-                        "labels": labels.as_dict(),
-                        "confidence": {d.value: round(c, 6) for d, c in zip(DIMENSIONS, conf)},
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    write_manifest(args.out, "predict", {}, digests, [], [args.out])
+    write_jsonl(
+        args.out,
+        (
+            {
+                "id": row_id,
+                "labels": labels.as_dict(),
+                "confidence": {d.value: round(c, 6) for d, c in zip(DIMENSIONS, conf)},
+            }
+            for row_id, labels, conf in rows
+        ),
+    )
     print(f"predict: {len(codes)} facts labeled")
-    return 0
+    return [args.out], {}, []
 
 
-def cmd_eval(args, config, digests) -> int:
+def cmd_eval(args, config):
     facts = _trainable(read_facts(args.facts))
     net = model_mod.load_model(args.model)
     matrix = load_embeddings(args.embeddings)
@@ -463,12 +437,11 @@ def cmd_eval(args, config, digests) -> int:
     gold = model_mod.targets_from_facts(chosen, model_mod.canonical_label_space())
     report = metrics_mod.evaluate_labelsets(gold, predictions)
     Path(args.out).write_text(_aggregate_and_render([report]), encoding="utf-8")
-    write_manifest(args.out, "eval", {}, digests, [], [args.out])
     print(f"eval: overall macro F1 {report.overall_macro_f1:.4f} over {len(chosen)} facts")
-    return 0
+    return [args.out], {}, []
 
 
-def cmd_baseline(args, config, digests) -> int:
+def cmd_baseline(args, config):
     facts = _trainable(read_facts(args.facts))
     l2 = config["baseline"]["l2"]
     texts = [fact.text for fact in facts]
@@ -480,10 +453,10 @@ def cmd_baseline(args, config, digests) -> int:
         X_test = baseline_mod.tfidf_transform(vocab, [texts[row] for row in test_rows])
         return baseline_mod.baseline_eval(models, X_test, targets[test_rows]), "", []
 
-    return _fit_per_seed(args, config, digests, facts, fit, "baseline-metrics.txt")
+    return _fit_per_seed(args, config, facts, fit, "baseline-metrics.txt")
 
 
-def cmd_agree(args, config, digests) -> int:
+def cmd_agree(args, config):
     if len(args.labels) < 2:
         raise ConfigError("agree needs at least two label files")
     rater_facts = [read_facts(path) for path in args.labels]
@@ -518,9 +491,8 @@ def cmd_agree(args, config, digests) -> int:
     lines.append(_agree_row("average", average))
     text = "\n".join(lines) + "\n"
     Path(args.out).write_text(text, encoding="utf-8")
-    write_manifest(args.out, "agree", {}, digests, [], [args.out])
     print(f"agree: report at {args.out}")
-    return 0
+    return [args.out], {}, []
 
 
 def _agree_row(title: str, report) -> str:
@@ -535,7 +507,7 @@ def _agree_row(title: str, report) -> str:
     )
 
 
-def cmd_analyze(args, config, digests) -> int:
+def cmd_analyze(args, config):
     corpus = read_facts(args.corpus)
     matrix = load_embeddings(args.embeddings).select([f.id for f in corpus])
     # a generator: each checkpoint loads after the previous one has predicted and gone
@@ -548,9 +520,8 @@ def cmd_analyze(args, config, digests) -> int:
         audit = analyze_mod.leakage_audit(train_facts, corpus, tables)
     text = analyze_mod.render_distribution(report, audit)
     Path(args.out).write_text(text, encoding="utf-8")
-    write_manifest(args.out, "analyze", {}, digests, [], [args.out])
     print(f"analyze: report at {args.out}")
-    return 0
+    return [args.out], {}, []
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +614,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config, vars(args))
         # inputs are hashed before the command runs, so an output may overwrite one
-        return args.func(args, config, digest_inputs(_input_paths(args)))
+        digests = digest_inputs(_input_paths(args))
+        outputs, settings, seeds = args.func(args, config)
+        write_manifest(args.command, settings, digests, seeds, outputs)
+        return 0
     except (FactkitError, OSError) as exc:  # OSError: an input or output file; config files raise ConfigError
         # a message may carry an endpoint's reply; its line breaks stay on one line
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")

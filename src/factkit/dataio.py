@@ -170,11 +170,16 @@ def fact_to_obj(fact: FactRecord) -> dict:
     }
 
 
+def write_jsonl(path: Union[str, Path], records: Iterable[object]) -> None:
+    """Write one JSON value per line, as UTF-8 text; inverse of :func:`read_jsonl`."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def write_facts(path: Union[str, Path], facts: Iterable[FactRecord]) -> None:
     """Write facts as JSON lines; inverse of :func:`read_facts`."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for fact in facts:
-            handle.write(json.dumps(fact_to_obj(fact), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(fact_to_obj, facts))
 
 
 def dedup_exact(facts: Sequence[FactRecord]) -> list[FactRecord]:

@@ -43,7 +43,7 @@ from .errors import (
 MAGIC = int.from_bytes(b"FEMB", "little")
 FORMAT_VERSION = 1
 
-_NORM_ROWS = 1024  # rows whose squares l2_normalize holds at once
+_NORM_ROWS = 1024  # rows that l2_normalize holds as float64 at once
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def save_embeddings(path: Union[str, Path], matrix: EmbeddingMatrix) -> None:
     n, d = rows.shape
     with open(path, "wb") as handle:
         handle.write(struct.pack("<4I", MAGIC, FORMAT_VERSION, n, d))
-        handle.write(rows.tobytes())
+        rows.tofile(handle)
         for row_id in matrix.row_ids:
             encoded = row_id.encode("utf-8")
             handle.write(struct.pack("<I", len(encoded)))
@@ -158,20 +158,19 @@ def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit Euclidean norm.
 
     Raises :class:`ZeroVector` with the first offending row index if any row
-    has zero norm.
+    has zero norm. Each block of rows is upcast to float64, divided by its
+    norms and stored into the result, which has the stored dtype.
     """
-    rows = matrix.rows.astype(np.float64)  # the one float64 copy, divided in place
-    norms = np.empty(len(rows))
-    for start in range(0, len(rows), _NORM_ROWS):  # norm squares a block at a time
-        block = rows[start : start + _NORM_ROWS]
-        norms[start : start + len(block)] = np.linalg.norm(block, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVector(int(zero[0]))
-    rows /= norms[:, None]
-    return EmbeddingMatrix(
-        rows=rows.astype(matrix.rows.dtype, copy=False), row_ids=matrix.row_ids
-    )
+    result = np.empty_like(matrix.rows)
+    for start in range(0, len(result), _NORM_ROWS):
+        block = matrix.rows[start : start + _NORM_ROWS].astype(np.float64)
+        norms = np.linalg.norm(block, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ZeroVector(start + int(zero[0]))
+        block /= norms[:, None]
+        result[start : start + len(block)] = block
+    return EmbeddingMatrix(rows=result, row_ids=matrix.row_ids)
 
 
 def fetch_embeddings(

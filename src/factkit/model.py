@@ -709,9 +709,10 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
             raise BadMagic(f"{path}: not a model checkpoint")
         if version != CHECKPOINT_VERSION:
             raise BadMagic(f"{path}: unsupported checkpoint version {version}")
-        blob = handle.read(blob_len)
-        if len(blob) < blob_len:
+        # checked against the file size first, so a corrupt length allocates nothing
+        if os.fstat(handle.fileno()).st_size < 12 + blob_len:
             raise TruncatedFile(f"{path}: header JSON is short")
+        blob = handle.read(blob_len)
         try:
             fields = _header_fields(json.loads(blob.decode("utf-8")))
         except (KeyError, TypeError, ValueError) as exc:

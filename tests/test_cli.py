@@ -495,6 +495,26 @@ def test_train_memory_holds_five_parameter_vectors(tmp_path):
     assert growth_bytes < 6 * theta_bytes, f"peak growth {growth_bytes / theta_bytes:.2f} x theta"
 
 
+@pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
+def test_sample_memory_frees_the_loaded_rows_before_kmeans(tmp_path):
+    # 16,000 rows of d = 1024 in ten planted clusters, so Lloyd converges in a few
+    # iterations. K-Means holds a float64 copy of the normalized rows (two float32
+    # sizes); holding the loaded rows and l2_normalize's float64 copy as well
+    # cost one float32 size more.
+    n, d, k = 16_000, 1024, 10
+    rng = np.random.default_rng(0)
+    rows = (rng.normal(size=(k, d))[np.arange(n) % k] + rng.normal(0.0, 0.1, (n, d))).astype(np.float32)
+    facts = [FactRecord(id=f"f{i}", text="t") for i in range(n)]
+    write_facts(tmp_path / "facts.jsonl", facts)
+    save_embeddings(tmp_path / "facts.emb", EmbeddingMatrix(rows, tuple(f.id for f in facts)))
+    code, growth_bytes = run_probed(
+        "sample", "--facts", tmp_path / "facts.jsonl", "--embeddings", tmp_path / "facts.emb",
+        "--out", tmp_path / "sampled.jsonl", "--k", k, "--seed", "1",
+    )
+    assert code == 0
+    assert growth_bytes < 5.4 * rows.nbytes, f"peak growth {growth_bytes / rows.nbytes:.2f} x rows"
+
+
 def test_train_with_inverse_frequency_weighting(workspace):
     tmp_path, facts_path, emb_path, _ = workspace
     config = json.loads(json.dumps(FAST_CONFIG))
