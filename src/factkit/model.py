@@ -20,6 +20,13 @@ Dropout is inverted (scaling by 1/(1-rate) at train time, identity at eval
 time) and drawn independently per head, per example. All training arithmetic
 is float64.
 
+A head's loss term is scaled only by per-example counts of unmasked targets,
+so training takes one pass over the heads per batch. For each head in turn it
+runs the forward step, which draws the head's input dropout mask and then its
+hidden mask, takes the log-softmax over the unmasked rows once, adds the
+weighted cross-entropy to the per-example sums, and writes the head's
+gradient.
+
 Every parameter lives in one float64 vector, ``MultiHeadModel.theta``: each
 head's W1, b1, W2, b2, row-major, in category order. The heads are views into
 it, so an in-place update of a head's array is an update of ``theta``. The
@@ -219,6 +226,8 @@ def inverse_frequency_label_weights(
 def _dropout_mask(rng, shape, rate: float) -> Optional[np.ndarray]:
     if rate == 0.0:
         return None
+    if rng is None:
+        raise ValueError("train-mode dropout needs an RNG")
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -243,26 +252,6 @@ def _check_inputs(model: MultiHeadModel, X: np.ndarray) -> None:
         raise DimensionMismatch(f"expected (*, {model.dim}) inputs, got {X.shape}")
 
 
-def _forward_batch(
-    model: MultiHeadModel,
-    X: np.ndarray,
-    train_mode: bool = False,
-    rng: Optional[np.random.Generator] = None,
-):
-    """Logits per head for a (B, dim) batch, plus the caches backward needs."""
-    _check_inputs(model, X)
-    if train_mode and model.dropout_rate > 0.0 and rng is None:
-        raise ValueError("train-mode dropout needs an RNG")
-    rate = model.dropout_rate if train_mode else 0.0
-    logits: list[np.ndarray] = []
-    cache = []
-    for head in model.heads:
-        head_logits, head_cache = _head_forward(head, X, rate, rng)
-        logits.append(head_logits)
-        cache.append(head_cache)
-    return logits, cache
-
-
 def forward(
     model: MultiHeadModel,
     h: np.ndarray,
@@ -273,8 +262,8 @@ def forward(
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (model.dim,):
         raise DimensionMismatch(f"expected a ({model.dim},) vector, got {h.shape}")
-    logits, _ = _forward_batch(model, h[None, :], train_mode=train_mode, rng=rng)
-    return [l[0] for l in logits]
+    rate = model.dropout_rate if train_mode else 0.0
+    return [_head_forward(head, h[None, :], rate, rng)[0][0] for head in model.heads]
 
 
 def _check_targets(model: MultiHeadModel, targets: np.ndarray) -> np.ndarray:
@@ -305,42 +294,38 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(np.atleast_2d(logits)))
 
 
-def _gold_weights(model, targets, c, rows) -> np.ndarray:
-    """Per-example CE scale for head c: w_c, times the gold label weight."""
+def _add_head_ce(model, logits, targets, c, contrib):
+    """Add head c's weighted cross-entropy to ``contrib`` on the rows it does not mask.
+
+    Returns those rows, their log-softmax and their CE scale: w_c, times the
+    gold label's weight.
+    """
+    rows = np.flatnonzero(targets[:, c] >= 0)
+    log_probs = _log_softmax(logits[rows])
     scale = np.full(rows.size, model.category_weights[c])
     if model.label_weights is not None:
         scale = scale * model.label_weights[c][targets[rows, c]]
-    return scale
+    contrib[rows] += scale * -log_probs[np.arange(rows.size), targets[rows, c]]
+    return rows, log_probs, scale
 
 
-def _batch_loss_terms(model, logits, targets):
-    """Per-example loss and per-head CE pieces shared by loss and backward."""
-    B = targets.shape[0]
-    valid = targets >= 0
-    valid_counts = valid.sum(axis=1).astype(np.float64)
-    contrib = np.zeros(B, dtype=np.float64)
-    for c in range(model.n_categories):
-        rows = np.flatnonzero(valid[:, c])
-        if rows.size == 0:
-            continue
-        log_probs = _log_softmax(logits[c][rows])
-        ce = -log_probs[np.arange(rows.size), targets[rows, c]]
-        contrib[rows] += _gold_weights(model, targets, c, rows) * ce
-    per_example = np.where(valid_counts > 0, contrib / np.maximum(valid_counts, 1.0), 0.0)
-    return per_example, valid, valid_counts
+def _unmasked_counts(targets: np.ndarray) -> np.ndarray:
+    """|V| per example, at least 1: a fully masked example adds nothing to its sum anyway."""
+    return np.maximum((targets >= 0).sum(axis=1), 1.0)
 
 
 def loss(model: MultiHeadModel, logits: Sequence[np.ndarray], target: np.ndarray) -> float:
     """Masked weighted cross-entropy for one example's logits."""
     targets = _check_targets(model, target)
-    batch_logits = [np.atleast_2d(np.asarray(l, dtype=np.float64)) for l in logits]
-    for c, l in enumerate(batch_logits):
+    contrib = np.zeros(len(targets))
+    for c in range(model.n_categories):
+        l = np.atleast_2d(np.asarray(logits[c], dtype=np.float64))
         if l.shape[1] != len(model.label_space[c]):
             raise DimensionMismatch(
                 f"category {model.category_names[c]!r} logits have width {l.shape[1]}"
             )
-    per_example, _, _ = _batch_loss_terms(model, batch_logits, targets)
-    return float(per_example[0])
+        _add_head_ce(model, l, targets, c, contrib)
+    return float(contrib[0] / _unmasked_counts(targets)[0])
 
 
 def _loss_and_grads(
@@ -353,27 +338,24 @@ def _loss_and_grads(
 ) -> tuple[float, np.ndarray]:
     """Mean per-example loss over the batch and its gradient, laid out like ``theta``.
 
-    The gradient is written into ``out``, whatever it held, and returned;
-    ``None`` means a fresh vector.
+    One pass, head by head: the head's forward step (its dropout masks drawn
+    then), its cross-entropy and its gradient. The gradient is written into
+    ``out``, whatever it held, and returned; ``None`` means a fresh vector.
     """
     targets = _check_targets(model, targets)
-    logits, cache = _forward_batch(model, X, train_mode=train_mode, rng=rng)
-    per_example, valid, valid_counts = _batch_loss_terms(model, logits, targets)
-    total = float(per_example.mean())
-
+    _check_inputs(model, X)
+    rate = model.dropout_rate if train_mode else 0.0
+    counts = _unmasked_counts(targets)
+    scale_rows = 1.0 / counts / X.shape[0]
+    contrib = np.zeros(X.shape[0])
     grad = np.zeros_like(model.theta) if out is None else out
-    grad_heads = replace(model, theta=grad).heads
-    scale_rows = np.where(valid_counts > 0, 1.0 / np.maximum(valid_counts, 1.0), 0.0) / X.shape[0]
-    for c, (head, slots) in enumerate(zip(model.heads, grad_heads)):
-        rows = np.flatnonzero(valid[:, c])
-        if rows.size == 0:
-            for array in slots.arrays():
-                array.fill(0.0)
-            continue
-        z, t, u, m2 = cache[c]
-        probs = np.exp(_log_softmax(logits[c][rows]))
-        probs[np.arange(rows.size), targets[rows, c]] -= 1.0
-        G = probs * (_gold_weights(model, targets, c, rows) * scale_rows[rows])[:, None]
+    for c, (head, slots) in enumerate(zip(model.heads, replace(model, theta=grad).heads)):
+        logits, (z, t, u, m2) = _head_forward(head, X, rate, rng)
+        rows, log_probs, scale = _add_head_ce(model, logits, targets, c, contrib)
+        # a fully masked head has no rows, and its empty products write zeros
+        G = np.exp(log_probs)
+        G[np.arange(rows.size), targets[rows, c]] -= 1.0
+        G *= (scale * scale_rows[rows])[:, None]
         np.matmul(G.T, u[rows], out=slots.W2)
         np.sum(G, axis=0, out=slots.b2)
         dU = G @ head.W2
@@ -382,7 +364,7 @@ def _loss_and_grads(
         dA = dU * (1.0 - t[rows] ** 2)
         np.matmul(dA.T, z[rows], out=slots.W1)
         np.sum(dA, axis=0, out=slots.b1)
-    return total, grad
+    return float((contrib / counts).mean()), grad
 
 
 def backward(
@@ -726,4 +708,7 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         theta = np.empty(size, dtype="<f8")
         if handle.readinto(theta) != theta.nbytes:
             raise TruncatedFile(f"{path}: parameter block is short")
+    # min and max both propagate NaN, and neither allocates a temporary the size of theta
+    if not np.isfinite((theta.min(initial=0.0), theta.max(initial=0.0))).all():
+        raise BadMagic(f"{path}: non-finite parameters")
     return MultiHeadModel(theta=theta, **fields)

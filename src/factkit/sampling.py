@@ -59,24 +59,27 @@ def _as_rows(data: Union[EmbeddingMatrix, np.ndarray]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per point (ties to the lowest index) and its squared distance."""
+def _assign(
+    points: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per point (ties to the lowest index) and its squared distance.
+
+    ``x_sq`` holds each point's squared norm.
+    """
     n = points.shape[0]
     assignments = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     for start in range(0, n, _CHUNK):
-        block = points[start : start + _CHUNK]
-        d2 = (
-            np.einsum("ij,ij->i", block, block)[:, None]
-            - 2.0 * block @ centroids.T
-            + c_sq[None, :]
-        )
+        rows = slice(start, start + _CHUNK)
+        # Building d2 in place in the product gives the same bits without the
+        # ``2.0 * block`` copy, but when commands that follow ``sample`` run in
+        # the same process, glibc then kept the freed heap resident: the corpus
+        # benchmark's peak RSS rose 11%.
+        d2 = x_sq[rows, None] - 2.0 * points[rows] @ centroids.T + c_sq[None, :]
         np.maximum(d2, 0.0, out=d2)
-        assignments[start : start + _CHUNK] = np.argmin(d2, axis=1)
-        best[start : start + _CHUNK] = np.take_along_axis(
-            d2, assignments[start : start + _CHUNK, None], axis=1
-        )[:, 0]
+        assignments[rows] = np.argmin(d2, axis=1)
+        best[rows] = np.take_along_axis(d2, assignments[rows, None], axis=1)[:, 0]
     return assignments, best
 
 
@@ -152,11 +155,12 @@ def kmeans_fit(data: Union[EmbeddingMatrix, np.ndarray], k: int, seed: int) -> K
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_plus_plus(points, k, rng)
+    x_sq = np.einsum("ij,ij->i", points, points)
     history: list[float] = []
     n_iter = 0
     for _ in range(MAX_ITER):
         n_iter += 1
-        assignments, best = _assign(points, centroids)
+        assignments, best = _assign(points, centroids, x_sq)
         history.append(float(best.sum()))
 
         counts = np.bincount(assignments, minlength=k)
@@ -178,7 +182,7 @@ def kmeans_fit(data: Union[EmbeddingMatrix, np.ndarray], k: int, seed: int) -> K
         if movement < TOL:
             break
 
-    assignments, best = _assign(points, centroids)
+    assignments, best = _assign(points, centroids, x_sq)
     history.append(float(best.sum()))
     return KMeansModel(
         k=k,

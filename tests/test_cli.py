@@ -810,6 +810,33 @@ def test_malformed_checkpoint_header_exit_code(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: BadMagic: ")
 
 
+def test_non_finite_checkpoint_exit_code(workspace, capsys):
+    tmp_path, _, emb_path, _ = workspace
+    model = new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2)
+    model.theta[7] = np.nan
+    save_model(tmp_path / "nan.ckpt", model)
+    out = tmp_path / "p.jsonl"
+    code = run("predict", "--model", tmp_path / "nan.ckpt", "--embeddings", emb_path, "--out", out)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadMagic: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_training_exit_code(workspace, capsys):
+    tmp_path, facts_path, emb_path, _ = workspace
+    config_path = tmp_path / "overflow.json"
+    train = {**FAST_CONFIG["train"], "learning_rate": 1e308}
+    config_path.write_text(json.dumps({**FAST_CONFIG, "train": train}))
+    out_dir = tmp_path / "run"
+    code = run("--config", config_path, "train", "--facts", facts_path, "--embeddings", emb_path,
+               "--out-dir", out_dir)
+    assert code == 8
+    assert capsys.readouterr().err == "error: NonFiniteLoss: epoch 1, batch at 32: loss=nan\n"
+
+
 @pytest.mark.parametrize(
     "header, repeat, message",
     [

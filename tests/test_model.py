@@ -42,7 +42,7 @@ from factkit.model import (
     targets_from_facts,
     train,
 )
-from factkit.model import _forward_batch, _loss_and_grads
+from factkit.model import _head_forward, _loss_and_grads
 from factkit.taxonomy import DIMENSIONS, labelsets_from_codes
 
 from synth import synthetic_dataset
@@ -236,6 +236,73 @@ def test_gradient_into_a_dirty_buffer_is_bitwise_the_fresh_one():
     assert not np.any(fresh[: sum(a.size for a in model.heads[0].arrays())])
 
 
+def two_pass_loss_and_grads(model, X, targets, rng):
+    """The loss and gradient as first written: every head forward, then the loss, then the gradient."""
+    rate = model.dropout_rate
+    caches = [_head_forward(head, X, rate, rng) for head in model.heads]
+
+    def log_softmax(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def gold_weights(c, rows):
+        scale = np.full(rows.size, model.category_weights[c])
+        if model.label_weights is not None:
+            scale = scale * model.label_weights[c][targets[rows, c]]
+        return scale
+
+    valid = targets >= 0
+    valid_counts = valid.sum(axis=1).astype(np.float64)
+    contrib = np.zeros(len(X))
+    for c, (logits, _) in enumerate(caches):
+        rows = np.flatnonzero(valid[:, c])
+        if rows.size == 0:
+            continue
+        ce = -log_softmax(logits[rows])[np.arange(rows.size), targets[rows, c]]
+        contrib[rows] += gold_weights(c, rows) * ce
+    per_example = np.where(valid_counts > 0, contrib / np.maximum(valid_counts, 1.0), 0.0)
+
+    grad = np.zeros_like(model.theta)
+    scale_rows = np.where(valid_counts > 0, 1.0 / np.maximum(valid_counts, 1.0), 0.0) / len(X)
+    for c, (head, slots) in enumerate(zip(model.heads, replace(model, theta=grad).heads)):
+        rows = np.flatnonzero(valid[:, c])
+        if rows.size == 0:
+            continue
+        logits, (z, t, u, m2) = caches[c]
+        probs = np.exp(log_softmax(logits[rows]))
+        probs[np.arange(rows.size), targets[rows, c]] -= 1.0
+        G = probs * (gold_weights(c, rows) * scale_rows[rows])[:, None]
+        np.matmul(G.T, u[rows], out=slots.W2)
+        np.sum(G, axis=0, out=slots.b2)
+        dU = G @ head.W2
+        if m2 is not None:
+            dU = dU * m2[rows]
+        dA = dU * (1.0 - t[rows] ** 2)
+        np.matmul(dA.T, z[rows], out=slots.W1)
+        np.sum(dA, axis=0, out=slots.b1)
+    return float(per_example.mean()), grad
+
+
+@pytest.mark.parametrize("batch", [1, 33])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_pass_loss_and_grads_match_the_two_pass_reference_bitwise(batch, seed):
+    rng = np.random.default_rng([seed, batch])
+    space = canonical_label_space()
+    label_weights = [rng.uniform(0.5, 2.0, size=len(labels)) for _, labels in space]
+    model = new_model(
+        16, space, hidden=8, dropout_rate=0.2, label_weights=label_weights,
+        category_weights=rng.uniform(0.5, 2.0, size=len(space)), seed=seed,
+    )
+    X = rng.normal(size=(batch, 16))
+    targets = np.column_stack([rng.integers(MASK, len(labels), size=batch) for _, labels in space])
+    targets[:, 2] = MASK  # one head fully masked: its masks are still drawn
+    expected = two_pass_loss_and_grads(model, X, targets, np.random.default_rng(seed))
+    buffer = np.full_like(model.theta, np.nan)
+    got = _loss_and_grads(model, X, targets, True, np.random.default_rng(seed), out=buffer)
+    assert got[0] == expected[0]
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
 def test_weight_doubling_scales_gradient():
     base = small_model(dim=3, hidden=2, seed=9, weights=(1.0, 1.0))
     doubled = small_model(dim=3, hidden=2, seed=9, weights=(2.0, 1.0))
@@ -336,7 +403,7 @@ def test_predict_labelsets_unreconciled():
 def test_predict_blocks_match_one_unblocked_pass_bitwise(n):
     model = new_model(64, canonical_label_space(), hidden=32, seed=n)
     rows = np.random.default_rng(n).normal(size=(n, 64)).astype(np.float32)
-    logits, _ = _forward_batch(model, rows.astype(np.float64))
+    logits = [_head_forward(head, rows.astype(np.float64), 0.0, None)[0] for head in model.heads]
     indices = np.stack([l.argmax(axis=1) for l in logits], axis=1)
     confidences = np.stack([softmax(l).max(axis=1) for l in logits], axis=1)
     for got_indices, got_confidences in (
@@ -601,6 +668,17 @@ def test_checkpoint_truncation_detected(tmp_path, edit):
     save_model(path, model)
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(TruncatedFile):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, -1])
+def test_checkpoint_with_non_finite_parameters_is_bad_magic(tmp_path, value, at):
+    model = new_model(3, TWO_HEADS, hidden=2, seed=0)
+    model.theta[at] = value
+    path = tmp_path / "model.ckpt"
+    save_model(path, model)
+    with pytest.raises(BadMagic, match="non-finite parameters"):
         load_model(path)
 
 

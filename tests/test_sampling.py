@@ -5,8 +5,10 @@ import pytest
 
 from factkit.errors import AlignmentError, KTooLarge
 from factkit.sampling import (
+    _CHUNK,
     _SUM_ROWS,
     KMeansModel,
+    _assign,
     _cluster_sums,
     _kmeans_plus_plus,
     cluster_sample,
@@ -90,6 +92,45 @@ def test_seeding_matches_subtraction_reference(seed):
     for k in (1, 25, 150):
         expected = subtraction_seeding(points, k, np.random.default_rng([seed, k]))
         assert np.array_equal(_kmeans_plus_plus(points, k, np.random.default_rng([seed, k])), expected)
+
+
+def expression_assign(points, centroids):
+    """Assignment as first written: each block's distances in one expression with temporaries."""
+    n = points.shape[0]
+    assignments = np.empty(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.float64)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    for start in range(0, n, _CHUNK):
+        block = points[start : start + _CHUNK]
+        d2 = (
+            np.einsum("ij,ij->i", block, block)[:, None]
+            - 2.0 * block @ centroids.T
+            + c_sq[None, :]
+        )
+        np.maximum(d2, 0.0, out=d2)
+        assignments[start : start + _CHUNK] = np.argmin(d2, axis=1)
+        best[start : start + _CHUNK] = np.take_along_axis(
+            d2, assignments[start : start + _CHUNK, None], axis=1
+        )[:, 0]
+    return assignments, best
+
+
+@pytest.mark.parametrize("n, d, k", [(1, 3, 1), (50, 8, 7), (_CHUNK + 37, 4, 5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_assign_matches_expression_reference_bitwise(n, d, k, seed):
+    rng = np.random.default_rng([seed, n, d, k])
+    points = rng.normal(size=(n, d))
+    centroids = points[rng.choice(n, size=k, replace=False)].copy()
+    if k > 1:
+        # near ties: midpoints of two centroids, a few ulps off to either side
+        mid = (centroids[0] + centroids[1]) / 2.0
+        nudges = rng.integers(-3, 4, size=(min(n, 20), 1)) * np.spacing(np.abs(mid).max())
+        points[: len(nudges)] = mid + nudges * (centroids[1] - centroids[0])
+    x_sq = np.einsum("ij,ij->i", points, points)
+    got = _assign(points, centroids, x_sq)
+    expected = expression_assign(points, centroids)
+    assert np.array_equal(got[0], expected[0])
+    assert got[1].tobytes() == expected[1].tobytes()
 
 
 def add_at_sums(points, assignments, k):
