@@ -169,10 +169,12 @@ def landis_koch(value: float) -> str:
     rounded = round(value, 3)
     if rounded < 0.0:
         return "Poor"
-    for upper, band in LANDIS_KOCH_BANDS:
-        if rounded <= upper:
-            return band
-    return "Almost Perfect"
+    return next(band for upper, band in LANDIS_KOCH_BANDS if rounded <= upper)
+
+
+def _band(cohen: Optional[float], fleiss: Optional[float]) -> str:
+    """The band of a row: by Cohen's kappa if given, else Fleiss', else of 0.0."""
+    return landis_koch(next((k for k in (cohen, fleiss) if k is not None), 0.0))
 
 
 @dataclass(frozen=True)
@@ -190,31 +192,28 @@ class AgreementReport:
 def compute_agreement(table: RatingsTable) -> AgreementReport:
     """All applicable statistics for one table.
 
-    Cohen's kappa is reported for exactly two raters, Fleiss' kappa for
-    complete tables; the interpretation band follows the kappa statistic
-    (Fleiss when there are more than two raters, Cohen otherwise).
+    Cohen's kappa is reported for two complete raters, Fleiss' kappa for
+    complete tables; the interpretation band follows Cohen's kappa when it
+    is reported, else Fleiss'.
     """
-    cohen = None
-    if table.n_raters == 2 and table.is_complete():
-        cohen = cohen_kappa(
-            [row[0] for row in table.values], [row[1] for row in table.values]
-        )
-    fleiss = fleiss_kappa(table) if table.is_complete() else None
-    kappa_for_band = fleiss if table.n_raters > 2 else cohen
-    if kappa_for_band is None:
-        kappa_for_band = fleiss if fleiss is not None else 0.0
+    complete = table.is_complete()
+    cohen = cohen_kappa(*zip(*table.values)) if complete and table.n_raters == 2 else None
+    fleiss = fleiss_kappa(table) if complete else None
     return AgreementReport(
         percent=percent_agreement(table),
         cohen=cohen,
         fleiss=fleiss,
         kripp_alpha=krippendorff_alpha_nominal(table),
-        interpretation=landis_koch(kappa_for_band),
+        interpretation=_band(cohen, fleiss),
         n_units=table.n_units,
     )
 
 
 def average_report(reports: Sequence[AgreementReport]) -> AgreementReport:
-    """Cross-dimension average row: the fsum mean of each statistic the reports give."""
+    """Cross-dimension average row: the fsum mean of each statistic the reports give.
+
+    Its band follows the mean kappas by the rule of :func:`compute_agreement`.
+    """
     if not reports:
         raise EmptyInput("no reports to average")
 
@@ -224,12 +223,11 @@ def average_report(reports: Sequence[AgreementReport]) -> AgreementReport:
 
     fleiss = mean_of([r.fleiss for r in reports])
     cohen = mean_of([r.cohen for r in reports])
-    kappa = fleiss if fleiss is not None else (cohen if cohen is not None else 0.0)
     return AgreementReport(
         percent=mean_of([r.percent for r in reports]),
         cohen=cohen,
         fleiss=fleiss,
         kripp_alpha=mean_of([r.kripp_alpha for r in reports]),
-        interpretation=landis_koch(kappa),
+        interpretation=_band(cohen, fleiss),
         n_units=0,
     )

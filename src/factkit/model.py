@@ -92,10 +92,18 @@ class HeadParams:
 
 def _layout(dim: int, hidden: int, label_space) -> tuple[list[tuple[int, ...]], int]:
     """Shapes of the heads' W1, b1, W2, b2 in ``theta`` order, and ``theta``'s size."""
+    if not (type(dim) is int and type(hidden) is int and dim >= 1 and hidden >= 1):
+        raise ValueError(f"dim and hidden must be >= 1 and integers, got {dim!r}, {hidden!r}")
+    if any(len(labels) < 2 for labels in label_space):
+        raise ValueError("every category needs at least two labels")
     shapes = [
         s for n in map(len, label_space) for s in ((hidden, dim), (hidden,), (n, hidden), (n,))
     ]
     return shapes, sum(map(math.prod, shapes))
+
+
+def _nonnegative(weights: np.ndarray, n: int) -> bool:
+    return weights.shape == (n,) and bool(np.all(weights >= 0))  # NaN fails >= 0 too
 
 
 @dataclass
@@ -105,6 +113,9 @@ class MultiHeadModel:
     ``theta`` holds every parameter; ``heads`` are views into it. ``label_weights``,
     when set, weights each category's cross-entropy by the gold label's weight
     (one nonnegative array per category); ``None`` means uniform weighting.
+
+    Construction (with ``_layout``) is the one check of a model's fields, so a
+    checkpoint loads only if :func:`new_model` could have built the same model.
     """
 
     dim: int
@@ -119,6 +130,15 @@ class MultiHeadModel:
 
     def __post_init__(self):
         shapes, size = _layout(self.dim, self.hidden, self.label_space)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
+        if not _nonnegative(self.category_weights, len(self.label_space)):
+            raise ValueError("category_weights must be one nonnegative value per category")
+        if self.label_weights is not None and not (
+            len(self.label_weights) == len(self.label_space)
+            and all(map(_nonnegative, self.label_weights, map(len, self.label_space)))
+        ):
+            raise ValueError("label_weights must give one nonnegative value per label")
         if self.theta.shape != (size,):
             raise DimensionMismatch(f"theta must hold {size} values, got shape {self.theta.shape}")
         parts = np.split(self.theta, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
@@ -156,38 +176,27 @@ def new_model(
     label_weights: Optional[Sequence[Sequence[float]]] = None,
     seed: int = 0,
 ) -> MultiHeadModel:
-    """Fresh model with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights."""
+    """Fresh model with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights.
+
+    Only fills defaults and draws the weights. ``MultiHeadModel`` checks the fields, for
+    :func:`load_model` too, so a checkpoint loads only if ``new_model`` could have built it.
+    """
     if hidden is None:
         hidden = dim
-    if dim < 1 or hidden < 1:
-        raise ValueError("dim and hidden must be >= 1")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError("dropout_rate must lie in [0, 1)")
-    names = tuple(name for name, _ in label_space)
-    spaces = tuple(tuple(labels) for _, labels in label_space)
     if category_weights is None:
-        weights = np.ones(len(names), dtype=np.float64)
-    else:
-        weights = np.asarray(category_weights, dtype=np.float64)
-        if weights.shape != (len(names),) or np.any(weights < 0):
-            raise ValueError("category_weights must be one nonnegative value per category")
-    if any(len(labels) < 2 for labels in spaces):
-        raise ValueError("every category needs at least two labels")
-    per_label = None
+        category_weights = [1.0] * len(label_space)
     if label_weights is not None:
-        per_label = [np.asarray(w, dtype=np.float64) for w in label_weights]
-        for w, labels in zip(per_label, spaces):
-            if w.shape != (len(labels),) or np.any(w < 0):
-                raise ValueError("label_weights must give one nonnegative value per label")
+        label_weights = [np.array(w, dtype=np.float64) for w in label_weights]
+    spaces = tuple(tuple(labels) for _, labels in label_space)
     model = MultiHeadModel(
         dim=dim,
         hidden=hidden,
         dropout_rate=dropout_rate,
-        category_names=names,
+        category_names=tuple(name for name, _ in label_space),
         label_space=spaces,
-        category_weights=weights,
+        category_weights=np.array(category_weights, dtype=np.float64),
         theta=np.zeros(_layout(dim, hidden, spaces)[1]),
-        label_weights=per_label,
+        label_weights=label_weights,
     )
     rng = np.random.default_rng(seed)
     for head in model.heads:
@@ -267,9 +276,7 @@ def forward(
 
 
 def _check_targets(model: MultiHeadModel, targets: np.ndarray) -> np.ndarray:
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.ndim == 1:
-        targets = targets[None, :]
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
     if targets.shape[1] != model.n_categories:
         raise DimensionMismatch(
             f"targets have {targets.shape[1]} categories, model has {model.n_categories}"
@@ -279,8 +286,7 @@ def _check_targets(model: MultiHeadModel, targets: np.ndarray) -> np.ndarray:
         bad = (column < MASK) | (column >= len(labels))
         if np.any(bad):
             raise LabelOutOfRange(
-                f"category {model.category_names[c]!r} target out of range: "
-                f"{column[bad][0]}"
+                f"category {model.category_names[c]!r} target out of range: {column[bad][0]}"
             )
     return targets
 
@@ -380,9 +386,7 @@ def backward(
     between the forward pass and the gradients; leave it off when gradient
     checking.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[None, :]
+    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
     _, grad = _loss_and_grads(model, h, target, train_mode=train_mode, rng=rng)
     return replace(model, theta=grad).parameters()
 
@@ -563,8 +567,7 @@ def train(
     rng = np.random.default_rng(config.seed)
 
     best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always fills ``best_theta``
-    best_epoch = 0
-    since_best = 0
+    best_epoch = since_best = 0
     history: list[EpochStats] = []
 
     for epoch in range(1, config.max_epochs + 1):
@@ -573,13 +576,12 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_loss, _ = _loss_and_grads(
-                model, X_train[batch], T_train[batch], train_mode=True, rng=rng, out=grad
-            )
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(
-                    f"epoch {epoch}, batch at {start}: loss={batch_loss}"
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+                batch_loss, _ = _loss_and_grads(
+                    model, X_train[batch], T_train[batch], train_mode=True, rng=rng, out=grad
                 )
+            if not np.isfinite(batch_loss):
+                raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")
             adamw_step(state, model.theta, grad, config)
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
@@ -639,9 +641,7 @@ def save_model(path: Union[str, Path], model: MultiHeadModel) -> None:
                 "labels": list(labels),
                 "weight": float(weight),
                 "label_weights": (
-                    None
-                    if model.label_weights is None
-                    else [float(w) for w in model.label_weights[c]]
+                    None if model.label_weights is None else model.label_weights[c].tolist()
                 ),
             }
             for c, (name, labels, weight) in enumerate(
@@ -657,31 +657,28 @@ def save_model(path: Union[str, Path], model: MultiHeadModel) -> None:
 
 
 def _header_fields(header: dict) -> dict:
-    """``MultiHeadModel`` fields but ``theta``; raises KeyError, TypeError or ValueError."""
-    dim, hidden, entries = header["dim"], header["hidden"], header["categories"]
-    if not (type(dim) is int and type(hidden) is int and dim > 0 and hidden > 0):
-        raise ValueError(f"dim and hidden must be positive integers, got {dim!r}, {hidden!r}")
-    spaces = tuple(tuple(e["labels"]) for e in entries)
-    per_label = None
-    if any(e.get("label_weights") is not None for e in entries):
-        per_label = [
-            np.array([float(w) for w in e.get("label_weights") or [1.0] * len(labels)])
-            for e, labels in zip(entries, spaces)
-        ]
-        if [w.shape for w in per_label] != [(len(labels),) for labels in spaces]:
-            raise ValueError("label_weights must give one value per label")
-    return dict(
-        dim=dim,
-        hidden=hidden,
+    """``MultiHeadModel`` fields but ``theta``, read from the JSON keys, unchecked."""
+    entries = header["categories"]
+    fields = dict(
+        dim=header["dim"],
+        hidden=header["hidden"],
         dropout_rate=header["dropout_rate"],
         category_names=tuple(e["name"] for e in entries),
-        label_space=spaces,
+        label_space=tuple(tuple(e["labels"]) for e in entries),
         category_weights=np.array([float(e["weight"]) for e in entries]),
-        label_weights=per_label,
     )
+    per_label = [e.get("label_weights") for e in entries]
+    if any(w is not None for w in per_label):
+        fields["label_weights"] = [np.array(w, dtype=np.float64) for w in per_label]
+    return fields
 
 
 def load_model(path: Union[str, Path]) -> MultiHeadModel:
+    """A :func:`save_model` checkpoint; it loads only if :func:`new_model` could have built it.
+
+    Any error building the model from the header is ``BadMagic``, as are
+    non-finite parameters; a file of the wrong size is ``TruncatedFile``.
+    """
     with open(path, "rb") as handle:
         fixed = handle.read(12)
         if len(fixed) < 12:
@@ -697,9 +694,11 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         blob = handle.read(blob_len)
         try:
             fields = _header_fields(json.loads(blob.decode("utf-8")))
+            size = _layout(fields["dim"], fields["hidden"], fields["label_space"])[1]
+            # checked over a zero-stride stand-in for theta, which allocates nothing
+            MultiHeadModel(theta=np.broadcast_to(0.0, size), **fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadMagic(f"{path}: malformed checkpoint header: {exc!r}") from exc
-        size = _layout(fields["dim"], fields["hidden"], fields["label_space"])[1]
         extra = os.fstat(handle.fileno()).st_size - handle.tell() - 8 * size
         if extra < 0:
             raise TruncatedFile(f"{path}: parameter block is short")

@@ -111,9 +111,11 @@ def _cluster_sums(points: np.ndarray, assignments: np.ndarray, counts: np.ndarra
     return sums
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_plus_plus(
+    points: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray
+) -> np.ndarray:
+    """k seed centroids drawn by k-means++; ``x_sq`` holds each point's squared norm."""
     n = points.shape[0]
-    x_sq = np.einsum("ij,ij->i", points, points)
 
     def dist_sq(i: int) -> np.ndarray:
         """Squared distance from every point to point i, expanded as in ``_assign``."""
@@ -153,9 +155,8 @@ def kmeans_fit(data: Union[EmbeddingMatrix, np.ndarray], k: int, seed: int) -> K
     if k > n:
         raise KTooLarge(f"k={k} exceeds the {n} available points")
 
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_plus_plus(points, k, rng)
     x_sq = np.einsum("ij,ij->i", points, points)
+    centroids = _kmeans_plus_plus(points, k, np.random.default_rng(seed), x_sq)
     history: list[float] = []
     n_iter = 0
     for _ in range(MAX_ITER):

@@ -151,6 +151,20 @@ def test_fleiss_degenerate_single_label():
     assert fleiss_kappa(table) == 1.0
 
 
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        pytest.param([], EmptyInput, "no units", id="no-units"),
+        pytest.param([["a", "b"], ["a"]], LengthMismatch, "one cell per rater", id="ragged"),
+        pytest.param([["a"], ["b"]], ValueError, "two raters", id="one-rater"),
+        pytest.param([["a", "b"], [None, None]], ValueError, "at least one rating", id="unrated"),
+    ],
+)
+def test_ratings_table_errors(values, error, message):
+    with pytest.raises(error, match=message):
+        RatingsTable(values=values)
+
+
 def test_fleiss_rejects_missing():
     table = RatingsTable(values=[["A", None, "B"]])
     with pytest.raises(MissingRatings):
@@ -340,3 +354,12 @@ def test_average_report_means():
     assert avg.fleiss == pytest.approx(0.7)
     assert avg.kripp_alpha == pytest.approx(0.7)
     assert avg.interpretation == "Substantial"  # band of the averaged kappa
+
+
+def test_average_band_follows_the_rows_rule():
+    # two complete raters: every row bands by Cohen's kappa, so the average row does too
+    split = RatingsTable(values=[["a", "b"], ["b", "b"]] * 3)  # Cohen 0, Fleiss -1/3
+    perfect = RatingsTable(values=[["b", "b"], ["a", "a"], ["a", "a"]])
+    avg = average_report([compute_agreement(split), compute_agreement(perfect)])
+    assert (avg.cohen, avg.fleiss) == pytest.approx((0.5, 1 / 3), abs=1e-12)
+    assert avg.interpretation == "Moderate"  # mean Fleiss' kappa, 0.333, would read "Fair"

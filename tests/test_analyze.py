@@ -67,6 +67,12 @@ def test_predict_corpus_schema_mismatch():
             predict_corpus(models, emb)
 
 
+def test_aggregate_tables_of_different_lengths():
+    labels = [valid(), valid("Routine Activities")]
+    with pytest.raises(SchemaMismatch, match="different numbers of facts"):
+        aggregate_distribution([table_from(labels), table_from(labels[:1])])
+
+
 @pytest.mark.parametrize("models", [[], iter([])], ids=["list", "iterator"])
 def test_predict_corpus_no_models(models):
     emb = EmbeddingMatrix(rows=np.zeros((1, 4)), row_ids=("x",))

@@ -17,7 +17,7 @@ from factkit.baseline import (
     tokenize,
     train_baseline,
 )
-from factkit.errors import EmptyVocabulary
+from factkit.errors import DimensionMismatch, EmptyInput, EmptyVocabulary
 from factkit.metrics import macro_f1
 from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, label_codes
 
@@ -237,6 +237,14 @@ def test_logreg_rejects_bad_l2(l2):
         logreg_train(X, y, l2=l2)
 
 
+def test_logreg_rejects_misaligned_and_empty_inputs():
+    X, y = separable_set()
+    with pytest.raises(DimensionMismatch, match="rows vs"):
+        logreg_train(X, y[:-1])
+    with pytest.raises(EmptyInput, match="zero samples"):
+        logreg_train(sp.csr_matrix((0, 3)), [])
+
+
 def test_logreg_deterministic():
     X, y = separable_set()
     a = logreg_train(X, y)
@@ -271,6 +279,15 @@ def test_baseline_eval_perfect_models():
     report = baseline_eval(perfect_models_for(labelsets), X, label_codes(labelsets))
     assert report.overall_macro_f1 == 1.0
     assert all(v == 1.0 for v in report.per_label_f1.values())
+
+
+def test_baseline_eval_missing_dimension():
+    labelsets = synthetic_labels(n_facts=60, invalid_count=20)
+    X = sp.csr_matrix(embed_labels(labelsets, noise=0.0))
+    models = perfect_models_for(labelsets)
+    del models[DIMENSIONS[-1]]
+    with pytest.raises(DimensionMismatch, match=DIMENSIONS[-1].value):
+        baseline_eval(models, X, label_codes(labelsets))
 
 
 def test_random_guess_macro_f1_near_half():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -10,16 +11,20 @@ import numpy as np
 import pytest
 
 import factkit
+from factkit import cli
 from factkit.cli import DEFAULT_CONFIG, load_config, main
 from factkit.dataio import read_facts, read_split, write_facts
 from factkit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from factkit.metrics import evaluate_labelsets
 from factkit.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     canonical_label_space,
     load_model,
     new_model,
+    predict,
     save_model,
+    targets_from_facts,
 )
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
@@ -810,6 +815,42 @@ def test_malformed_checkpoint_header_exit_code(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: BadMagic: ")
 
 
+def _label_weights_negative(header):
+    for category in header["categories"]:
+        category["label_weights"] = [-1.0] * len(category["labels"])
+
+
+# headers that new_model could not have built, each one field away from a saved checkpoint
+REFUSED_HEADER_EDITS = {
+    "dropout-string": lambda h: h.update(dropout_rate="x"),
+    "dropout-above-one": lambda h: h.update(dropout_rate=5.0),
+    "weight-negative": lambda h: h["categories"][0].update(weight=-1.0),
+    "weight-nan": lambda h: h["categories"][0].update(weight=math.nan),
+    "one-label": lambda h: h["categories"][0].update(labels=h["categories"][0]["labels"][:1]),
+    "label-weights-negative": _label_weights_negative,
+}
+
+
+@pytest.mark.parametrize("edit", REFUSED_HEADER_EDITS.values(), ids=REFUSED_HEADER_EDITS.keys())
+def test_refused_checkpoint_header_exit_code(workspace, capsys, edit):
+    tmp_path, _, emb_path, _ = workspace
+    path = tmp_path / "model.ckpt"
+    save_model(path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + blob_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len :])
+    out = tmp_path / "p.jsonl"
+    code = run("predict", "--model", path, "--embeddings", emb_path, "--out", out)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadMagic: ") and err.count("\n") == 1
+    assert "malformed checkpoint header" in err
+    assert not out.exists()
+
+
 def test_non_finite_checkpoint_exit_code(workspace, capsys):
     tmp_path, _, emb_path, _ = workspace
     model = new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2)
@@ -823,8 +864,7 @@ def test_non_finite_checkpoint_exit_code(workspace, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_training_exit_code(workspace, capsys):
     tmp_path, facts_path, emb_path, _ = workspace
     config_path = tmp_path / "overflow.json"
@@ -835,6 +875,39 @@ def test_overflowing_training_exit_code(workspace, capsys):
                "--out-dir", out_dir)
     assert code == 8
     assert capsys.readouterr().err == "error: NonFiniteLoss: epoch 1, batch at 32: loss=nan\n"
+
+
+def test_overflowing_training_prints_one_line_in_a_child_process(workspace):
+    tmp_path, facts_path, emb_path, _ = workspace
+    config_path = tmp_path / "overflow.json"
+    train = {**FAST_CONFIG["train"], "learning_rate": 1e308}
+    config_path.write_text(json.dumps({**FAST_CONFIG, "train": train}))
+    argv = ["--config", config_path, "train", "--facts", facts_path, "--embeddings", emb_path,
+            "--out-dir", tmp_path / "run"]
+    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-m", "factkit.cli", *map(str, argv)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 8
+    assert result.stderr == "error: NonFiniteLoss: epoch 1, batch at 32: loss=nan\n"
+
+
+def test_eval_without_split_scores_every_trainable_fact(workspace, capsys):
+    tmp_path, facts_path, emb_path, _ = workspace
+    model_path = tmp_path / "model.ckpt"
+    save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
+    out = tmp_path / "eval.txt"
+    code = run("eval", "--model", model_path, "--facts", facts_path, "--embeddings", emb_path,
+               "--out", out)
+    assert code == 0
+    trainable = [f for f in read_facts(facts_path) if f.labels is not None and not f.excluded]
+    assert f"over {len(trainable)} facts" in capsys.readouterr().out
+    predictions, _ = predict(
+        load_model(model_path), load_embeddings(emb_path).select([f.id for f in trainable])
+    )
+    gold = targets_from_facts(trainable, canonical_label_space())
+    report = evaluate_labelsets(gold, predictions)
+    assert out.read_text() == cli._aggregate_and_render([report])
 
 
 @pytest.mark.parametrize(
@@ -901,6 +974,10 @@ def test_eval_bad_split_header_exit_code(workspace, capsys, header, repeat, mess
             "split",
             id="split-fraction-negative",
         ),
+        pytest.param("[1, 2]", "split", id="root-not-object"),
+        pytest.param(
+            '{"split": {"train": "1/2", "val": "1/4", "test": "1/5"}}', "split", id="split-sum"
+        ),
     ],
 )
 def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
@@ -917,7 +994,8 @@ def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
     }[command]
     code = run("--config", bad_config, command, "--facts", facts_path, *rest)
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: ConfigError: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -721,6 +721,18 @@ def _category(**changes):
         pytest.param(_header(categories=_category(label_weights=[1.0])), id="label-weights-short"),
         pytest.param(_header(categories=_category(label_weights="ab")), id="label-weights-string"),
         pytest.param(_header(categories=["alpha"]), id="category-not-object"),
+        pytest.param(_header(dropout_rate="x"), id="dropout-string"),
+        pytest.param(_header(dropout_rate=5.0), id="dropout-above-one"),
+        pytest.param(_header(categories=_category(weight=-1.0)), id="weight-negative"),
+        pytest.param(_header(categories=_category(weight=math.nan)), id="weight-nan"),
+        pytest.param(_header(categories=_category(labels=["a0"])), id="one-label"),
+        pytest.param(
+            _header(categories=_category(label_weights=[1.0, -0.5])), id="label-weights-negative"
+        ),
+        pytest.param(
+            _header(categories=_category(label_weights=[1.0, 2.0]) + _category(label_weights=None)),
+            id="label-weights-mixed-null",
+        ),
     ],
 )
 def test_malformed_checkpoint_header_is_bad_magic(tmp_path, blob):
@@ -728,6 +740,70 @@ def test_malformed_checkpoint_header_is_bad_magic(tmp_path, blob):
     fixed = struct.pack("<3I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob))
     path.write_bytes(fixed + blob + bytes(8 * 64))
     with pytest.raises(BadMagic, match="malformed checkpoint header"):
+        load_model(path)
+
+
+def _set_label_weights(*weights):
+    def edit(header):
+        for category, w in zip(header["categories"], weights):
+            category["label_weights"] = w
+
+    return edit
+
+
+def _edit_category(c, **changes):
+    return lambda header: header["categories"][c].update(changes)
+
+
+# Each way new_model refuses its arguments, and the same change made to a saved header
+NEW_MODEL_REFUSALS = [
+    pytest.param({"dim": 0}, lambda h: h.update(dim=0), "dim and hidden", id="dim-zero"),
+    pytest.param({"hidden": -1}, lambda h: h.update(hidden=-1), "dim and hidden", id="hidden"),
+    pytest.param({"dim": 3.0}, lambda h: h.update(dim=3.0), "dim and hidden", id="dim-float"),
+    pytest.param(
+        {"label_space": [TWO_HEADS[0], ("beta", ("b0",))]},
+        _edit_category(1, labels=["b0"]),
+        "two labels",
+        id="one-label",
+    ),
+    pytest.param({"dropout_rate": 1.0}, lambda h: h.update(dropout_rate=1.0), "dropout_rate",
+                 id="dropout-one"),
+    pytest.param({"dropout_rate": -0.1}, lambda h: h.update(dropout_rate=-0.1), "dropout_rate",
+                 id="dropout-negative"),
+    pytest.param({"dropout_rate": math.nan}, lambda h: h.update(dropout_rate=math.nan),
+                 "dropout_rate", id="dropout-nan"),
+    pytest.param({"category_weights": [1.0, -1.0]}, _edit_category(1, weight=-1.0),
+                 "category_weights", id="category-weight-negative"),
+    pytest.param({"category_weights": [math.nan, 1.0]}, _edit_category(0, weight=math.nan),
+                 "category_weights", id="category-weight-nan"),
+    pytest.param({"label_weights": [(1.0, 1.0, 1.0), (1.0, -1.0)]},
+                 _set_label_weights([1.0, 1.0, 1.0], [1.0, -1.0]), "label_weights",
+                 id="label-weight-negative"),
+    pytest.param({"label_weights": [(1.0, math.nan, 1.0), (1.0, 1.0)]},
+                 _set_label_weights([1.0, math.nan, 1.0], [1.0, 1.0]), "label_weights",
+                 id="label-weight-nan"),
+    pytest.param({"label_weights": [(1.0, 1.0), (1.0, 1.0)]},
+                 _set_label_weights([1.0, 1.0], [1.0, 1.0]), "label_weights",
+                 id="label-weights-short"),
+    pytest.param({"label_weights": [(1.0, 1.0, 1.0)]},
+                 _set_label_weights([1.0, 1.0, 1.0], None), "label_weights",
+                 id="label-weights-one-category"),
+]
+
+
+@pytest.mark.parametrize("changes, edit, message", NEW_MODEL_REFUSALS)
+def test_a_header_new_model_refuses_is_bad_magic(tmp_path, changes, edit, message):
+    with pytest.raises(ValueError, match=message):
+        new_model(**{"dim": 3, "label_space": TWO_HEADS, "hidden": 2, **changes})
+    path = tmp_path / "model.ckpt"
+    save_model(path, new_model(3, TWO_HEADS, hidden=2, seed=0))
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + blob_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len :])
+    with pytest.raises(BadMagic, match=f"malformed checkpoint header: .*{message}"):
         load_model(path)
 
 

@@ -91,7 +91,9 @@ def test_seeding_matches_subtraction_reference(seed):
     points[copies] = points[rng.choice(len(points), size=copies.size)]  # 5% exact duplicates
     for k in (1, 25, 150):
         expected = subtraction_seeding(points, k, np.random.default_rng([seed, k]))
-        assert np.array_equal(_kmeans_plus_plus(points, k, np.random.default_rng([seed, k])), expected)
+        x_sq = np.einsum("ij,ij->i", points, points)
+        got = _kmeans_plus_plus(points, k, np.random.default_rng([seed, k]), x_sq)
+        assert np.array_equal(got, expected)
 
 
 def expression_assign(points, centroids):
