@@ -263,12 +263,14 @@ def write_split(path: Union[str, Path], assignment: SplitAssignment, spec: Split
 def read_split(path: Union[str, Path]) -> tuple[SplitAssignment, SplitSpec]:
     """Read a split file back into an assignment and its spec.
 
-    A malformed header, or an id listed twice within or across the three id
-    lines, raises :class:`ParseError` naming the line.
+    A malformed header, a line after the three id lines, or an id listed
+    twice within or across them raises :class:`ParseError` naming the line.
     """
     lines = [line for _, line in _text_lines(path)]
     if len(lines) < 4:
         raise ParseError(len(lines), "split file needs a header and three id lines")
+    if len(lines) > 4:
+        raise ParseError(5, "split file has a line after its three id lines")
     header: dict[str, str] = {}
     for token in lines[0].split():
         if "=" not in token:
@@ -284,7 +286,7 @@ def read_split(path: Union[str, Path]) -> tuple[SplitAssignment, SplitSpec]:
         )
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(1, f"bad split header: {exc}") from exc
-    splits = [tuple(line.split(",")) if line else () for line in lines[1:4]]
+    splits = [tuple(line.split(",")) if line else () for line in lines[1:]]
     seen: set[str] = set()
     for line_no, ids in enumerate(splits, start=2):
         for record_id in ids:

@@ -55,8 +55,8 @@ class EmbeddingMatrix:
 
     def __post_init__(self):
         rows = np.asarray(self.rows)
-        if rows.ndim != 2:
-            raise DimensionMismatch(f"rows must be 2-D, got shape {rows.shape}")
+        if rows.ndim != 2 or rows.shape[1] == 0:
+            raise DimensionMismatch(f"rows must be 2-D with columns, got shape {rows.shape}")
         if rows.shape[0] != len(self.row_ids):
             raise DimensionMismatch(
                 f"{rows.shape[0]} rows but {len(self.row_ids)} ids"
@@ -191,8 +191,9 @@ def fetch_embeddings(
     Transport failures (:class:`TransportError`) and 5xx answers are retried
     up to ``retries`` times with exponential backoff; other statuses and
     non-JSON bodies raise :class:`ProtocolError` immediately, as does a reply
-    whose rows are not a finite numeric matrix. A change of dimension between
-    batches raises :class:`DimensionDrift`; no texts raise :class:`EmptyInput`.
+    whose rows are not a finite numeric matrix with at least one column. A
+    change of dimension between batches raises :class:`DimensionDrift`; no
+    texts raise :class:`EmptyInput`.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -222,6 +223,8 @@ def fetch_embeddings(
             raise ProtocolError(200, f"embeddings are not a numeric matrix: {exc}") from exc
         if array.ndim != 2 or dim != array.shape[1]:
             raise ProtocolError(200, f"declared dim {dim!r} does not match payload")
+        if dim == 0:
+            raise ProtocolError(200, "embeddings have no columns")
         if not np.all(np.isfinite(array)):
             raise ProtocolError(200, "embeddings contain non-finite values")
         if declared_dim is None:

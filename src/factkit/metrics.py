@@ -2,8 +2,10 @@
 
 Labels arrive as (N, 7) int64 code arrays (:func:`taxonomy.label_codes`),
 column c indexing ``LABEL_SPACE[DIMENSIONS[c]]``. Every score comes from one
-``np.bincount`` confusion count over ``dim_offset + code`` pairs: gold counts
-are its row sums, predicted counts its column sums, hits its diagonal.
+``np.bincount`` confusion count over ``dim_offset + code`` pairs: support is
+its row sums, predicted counts its column sums, hits its diagonal, and
+precision, recall and F1 are read off those as per-label arrays. Report
+titles come from the dimension names (``main_category`` → ``Main Category``).
 
 Conventions, fixed so numbers are comparable across runs:
 
@@ -33,26 +35,19 @@ from .errors import EmptyInput, LabelOutOfRange, LengthMismatch, SchemaMismatch
 from .taxonomy import DIMENSIONS, LABEL_SPACE, Dimension, LabelSet, label_codes
 
 _LABEL_SIZES = tuple(len(LABEL_SPACE[dim]) for dim in DIMENSIONS)
-_LABEL_KEYS = [[(dim, label) for label in LABEL_SPACE[dim]] for dim in DIMENSIONS]
-
-
-@dataclass(frozen=True)
-class LabelScore:
-    precision: float
-    recall: float
-    f1: float
-    support: int
+_LABEL_KEYS = [(dim, label) for dim in DIMENSIONS for label in LABEL_SPACE[dim]]
 
 
 def _f1_count(
     gold: np.ndarray, pred: np.ndarray, sizes: Sequence[int]
-) -> tuple[dict[tuple[int, int], LabelScore], list[Optional[float]], float]:
-    """Per-label scores, per-column macro F1 and pooled macro F1.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[float]], float]:
+    """Per-label F1, support and scored mask; per-column and pooled macro F1.
 
     ``gold`` and ``pred`` are (N, C) code arrays; column c holds codes in
     ``range(sizes[c])``. A negative gold code (a masked target) drops that
-    cell from the count. Scores are keyed by (column, code); a column with no
-    counted cell has macro F1 ``None``.
+    cell from the count. Per-label arrays hold column 0's codes, then column
+    1's, and so on; a label is scored if seen in gold or predictions, and a
+    column with no scored label has macro F1 ``None``.
     """
     gold = np.asarray(gold, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
@@ -61,38 +56,27 @@ def _f1_count(
     keep = gold >= 0
     if np.any(gold >= sizes) or np.any(keep & ((pred < 0) | (pred >= sizes))):
         raise LabelOutOfRange("label code outside its column's label space")
-    offsets = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
-    flat_gold = (gold + offsets)[keep]
-    flat_pred = (pred + offsets)[keep]
+    bounds = np.cumsum([0, *sizes], dtype=np.int64)
+    flat_gold = (gold + bounds[:-1])[keep]
+    flat_pred = (pred + bounds[:-1])[keep]
     if flat_gold.size == 0:
         raise EmptyInput("F1 of an empty evaluation is undefined")
-    total = int(sum(sizes))
+    total = int(bounds[-1])
     confusion = np.bincount(flat_gold * total + flat_pred, minlength=total * total)
     confusion = confusion.reshape(total, total)
-    gold_count = confusion.sum(axis=1).tolist()
-    pred_count = confusion.sum(axis=0).tolist()
-    hits = confusion.diagonal().tolist()
-
-    scores: dict[tuple[int, int], LabelScore] = {}
+    support, predicted = confusion.sum(axis=1), confusion.sum(axis=0)
+    hits = confusion.diagonal()
+    scored = (support > 0) | (predicted > 0)
+    precision = np.divide(hits, predicted, out=np.zeros(total), where=predicted > 0)
+    recall = np.divide(hits, support, out=np.zeros(total), where=support > 0)
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros(total), where=both > 0.0)
     per_column: list[Optional[float]] = []
-    for c, size in enumerate(sizes):
-        column_f1 = []
-        for code in range(size):
-            k = int(offsets[c]) + code
-            if not gold_count[k] and not pred_count[k]:
-                continue
-            precision = hits[k] / pred_count[k] if pred_count[k] else 0.0
-            recall = hits[k] / gold_count[k] if gold_count[k] else 0.0
-            f1 = (
-                2.0 * precision * recall / (precision + recall)
-                if precision + recall > 0.0
-                else 0.0
-            )
-            scores[(c, code)] = LabelScore(precision, recall, f1, gold_count[k])
-            column_f1.append(f1)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        column_f1 = f1[lo:hi][scored[lo:hi]].tolist()
         per_column.append(math.fsum(column_f1) / len(column_f1) if column_f1 else None)
-    pooled = math.fsum(score.f1 for score in scores.values()) / len(scores)
-    return scores, per_column, pooled
+    pooled = math.fsum(f1[scored].tolist()) / int(scored.sum())
+    return f1, support, scored, per_column, pooled
 
 
 def _hashable_codes(
@@ -109,7 +93,7 @@ def _hashable_codes(
 def macro_f1(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:
     """Unweighted mean of per-label F1 over the evaluation's label universe."""
     labels, gold_codes, pred_codes = _hashable_codes(gold, pred)
-    return _f1_count(gold_codes, pred_codes, [len(labels)])[2]
+    return _f1_count(gold_codes, pred_codes, [len(labels)])[-1]
 
 
 def pooled_overall_f1(
@@ -127,7 +111,7 @@ def pooled_overall_f1(
         label_codes(gold_sets)[:, columns],
         label_codes(pred_sets)[:, columns],
         [_LABEL_SIZES[c] for c in columns],
-    )[2]
+    )[-1]
 
 
 @dataclass(frozen=True)
@@ -142,12 +126,13 @@ class MetricsReport:
 
 def evaluate_labelsets(gold: np.ndarray, pred: np.ndarray) -> MetricsReport:
     """Full report for (N, 7) predicted label codes against gold ones."""
-    scores, per_column, pooled = _f1_count(gold, pred, _LABEL_SIZES)
+    f1, support, scored, per_column, pooled = _f1_count(gold, pred, _LABEL_SIZES)
+    keys = [key for key, seen in zip(_LABEL_KEYS, scored) if seen]
     return MetricsReport(
-        per_label_f1={_LABEL_KEYS[c][code]: s.f1 for (c, code), s in scores.items()},
+        per_label_f1=dict(zip(keys, f1[scored].tolist())),
         per_category_macro_f1=dict(zip(DIMENSIONS, per_column)),
         overall_macro_f1=pooled,
-        support={_LABEL_KEYS[c][code]: s.support for (c, code), s in scores.items()},
+        support=dict(zip(keys, support[scored].tolist())),
     )
 
 
@@ -223,34 +208,24 @@ def format_mean_std(stat: MeanStd) -> str:
     return f"{100.0 * stat.mean:.1f}±{100.0 * stat.std:.1f}"
 
 
-DIMENSION_TITLES = {
-    Dimension.MAIN_CATEGORY: "Main Category",
-    Dimension.TIME: "Time",
-    Dimension.REFERENT: "Referent",
-    Dimension.DURATION: "Duration",
-    Dimension.VALIDITY: "Validity",
-    Dimension.INVALIDITY_REASON: "Invalidity Reason",
-    Dimension.FOLLOWUP: "Followup",
-}
-
-
 def render_aggregate(agg: SeedAggregate) -> str:
     """Human-readable tables, a ``note:`` line per dropped label, then key=value lines."""
     lines = ["category-level macro F1 (mean±std over seeds, %)", ""]
-    width = max(len(t) for t in DIMENSION_TITLES.values()) + 2
+    titles = {dim: dim.value.replace("_", " ").title() for dim in DIMENSIONS}
+    width = max(map(len, titles.values())) + 2
     for dim in DIMENSIONS:
-        lines.append(f"{DIMENSION_TITLES[dim]:<{width}}{format_mean_std(agg.per_category[dim])}")
+        lines.append(f"{titles[dim]:<{width}}{format_mean_std(agg.per_category[dim])}")
     lines.append(f"{'Overall':<{width}}{format_mean_std(agg.overall)}")
     lines += ["", "per-label F1 (mean±std over seeds, %)", ""]
     for dim, label in sorted(agg.per_label, key=_by_name):
-        title = f"{DIMENSION_TITLES[dim]} / {label}"
+        title = f"{titles[dim]} / {label}"
         stat, support = agg.per_label[dim, label], agg.mean_support[dim, label]
         lines.append(f"{title:<36}{format_mean_std(stat):>12}  support={support:.1f}")
     if agg.dropped:
         lines.append("")
         for dim, label in agg.dropped:
             lines.append(
-                f"note: {DIMENSION_TITLES[dim]} / {label} missing from some seeds; "
+                f"note: {titles[dim]} / {label} missing from some seeds; "
                 "omitted from per-label aggregation"
             )
     lines += ["", f"n_seeds={agg.n_seeds}", f"degenerate={str(agg.degenerate).lower()}"]

@@ -75,6 +75,7 @@ CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 1 << 16  # elements per adamw_step block; its two scratch blocks are 512 KB each
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator floor
 PREDICT_BLOCK = 2048  # rows per eval-mode forward block; float64 activations stay ~16 MB at hidden=1024
+LOAD_BLOCK = 1 << 17  # parameters load_model reads and checks at once: 1 MiB of float64
 
 
 @dataclass
@@ -493,7 +494,7 @@ def pooled_f1_indices(gold: np.ndarray, pred: np.ndarray) -> float:
     gold = np.asarray(gold)
     pred = np.asarray(pred)
     sizes = (np.maximum(gold.max(axis=0), pred.max(axis=0)) + 1).tolist()
-    return metrics._f1_count(gold, pred, sizes)[2]
+    return metrics._f1_count(gold, pred, sizes)[-1]
 
 
 def predict_batch(model: MultiHeadModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -705,9 +706,10 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         if extra > 0:
             raise TruncatedFile(f"{path}: {extra} trailing bytes")
         theta = np.empty(size, dtype="<f8")
-        if handle.readinto(theta) != theta.nbytes:
-            raise TruncatedFile(f"{path}: parameter block is short")
-    # min and max both propagate NaN, and neither allocates a temporary the size of theta
-    if not np.isfinite((theta.min(initial=0.0), theta.max(initial=0.0))).all():
-        raise BadMagic(f"{path}: non-finite parameters")
+        # each block is checked while it is in cache; min and max both propagate NaN
+        for block in np.split(theta, range(LOAD_BLOCK, size, LOAD_BLOCK)):
+            if handle.readinto(block) != block.nbytes:
+                raise TruncatedFile(f"{path}: parameter block is short")
+            if not np.isfinite((block.min(initial=0.0), block.max(initial=0.0))).all():
+                raise BadMagic(f"{path}: non-finite parameters")
     return MultiHeadModel(theta=theta, **fields)

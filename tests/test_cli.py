@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +15,22 @@ import pytest
 
 import factkit
 from factkit import cli
-from factkit.cli import DEFAULT_CONFIG, load_config, main
-from factkit.dataio import read_facts, read_split, write_facts
-from factkit.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from factkit.baseline import logreg_train, train_baseline
+from factkit.cli import DEFAULT_CONFIG, SETTINGS, load_config, main
+from factkit.dataio import SplitSpec, read_facts, read_split, write_facts
+from factkit.embeddings import (
+    FORMAT_VERSION,
+    MAGIC,
+    EmbeddingMatrix,
+    fetch_embeddings,
+    load_embeddings,
+    save_embeddings,
+)
 from factkit.metrics import evaluate_labelsets
 from factkit.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    TrainConfig,
     canonical_label_space,
     load_model,
     new_model,
@@ -26,6 +38,7 @@ from factkit.model import (
     save_model,
     targets_from_facts,
 )
+from factkit.sampling import DEFAULT_CAP, cluster_sample
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
 from embed_server import MockEmbedServer, raw_reply
@@ -284,6 +297,36 @@ def test_load_config_never_aliases_defaults(tmp_path):
     assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
 
 
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+_TRAIN_FIELDS = {field.name: field.default for field in dataclasses.fields(TrainConfig)}
+_SPLIT_FIELDS = {field.name: field.default for field in dataclasses.fields(SplitSpec)}
+
+
+@pytest.mark.parametrize(
+    "name, library",
+    [
+        *[(f"train.{key}", _TRAIN_FIELDS[key])
+          for key in ("learning_rate", "batch_size", "max_epochs", "patience", "weight_decay")],
+        ("train.hidden", _default(new_model, "hidden")),
+        ("train.dropout", _default(new_model, "dropout_rate")),
+        *[(f"split.{key}", _SPLIT_FIELDS[f"{key}_frac"]) for key in ("train", "val", "test")],
+        ("sampling.cap", DEFAULT_CAP),
+        ("sampling.cap", _default(cluster_sample, "cap")),
+        ("baseline.l2", _default(logreg_train, "l2")),
+        ("baseline.l2", _default(train_baseline, "l2")),
+        ("embedding.timeout", _default(fetch_embeddings, "timeout")),
+        ("embedding.retries", _default(fetch_embeddings, "retries")),
+    ],
+)
+def test_settings_defaults_match_library_defaults(name, library):
+    # each recipe default is written twice, so the CLI and the library cannot drift apart
+    default, kind, _ = SETTINGS[name]
+    assert (Fraction(default) if kind is Fraction else default) == library
+
+
 def test_split_command(workspace):
     tmp_path, facts_path, _, config_path = workspace
     out = tmp_path / "split.txt"
@@ -382,6 +425,21 @@ def test_embed_fetch_error_is_one_line(workspace, capsys, reply, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1 and "\r" not in err
+
+
+def test_train_on_zero_width_embeddings_exit_code(workspace, capsys):
+    tmp_path, facts_path, _, config_path = workspace
+    ids = [fact.id.encode() for fact in read_facts(facts_path)]
+    bad = tmp_path / "zero.emb"
+    bad.write_bytes(struct.pack("<4I", MAGIC, FORMAT_VERSION, len(ids), 0)
+                    + b"".join(struct.pack("<I", len(i)) + i for i in ids))
+    out_dir = tmp_path / "run"
+    code = run("--config", config_path, "train", "--facts", facts_path, "--embeddings", bad,
+               "--out-dir", out_dir)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("**/*.ckpt"))
 
 
 def test_embed_fetch_empty_facts_exit_code(tmp_path, capsys):
@@ -734,23 +792,25 @@ def test_missing_embedding_file_exit_code(workspace):
         ("payload", [["x", 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: "),
         ("payload", [[1.0, 2.0], [3.0]], "embeddings are not a numeric matrix: "),
         ("body", [[0.5, 1.0]], "reply is not a JSON object: [[0.5, 1.0]]"),
+        ("body", {"dim": 0, "embeddings": [[], []]}, "embeddings have no columns"),
     ],
-    ids=["nan", "string", "ragged", "not-object"],
+    ids=["nan", "string", "ragged", "not-object", "zero-width"],
 )
 def test_embed_fetch_bad_reply_is_protocol_error(workspace, capsys, mode, payload, message):
     tmp_path, facts_path, _, _ = workspace
+    out = tmp_path / "fetched.emb"
     with MockEmbedServer(mode=mode, dim=2, payload=payload) as server:
         code = run(
             "embed-fetch",
             "--facts", facts_path,
             "--endpoint", server.url,
-            "--out", tmp_path / "fetched.emb",
+            "--out", out,
             "--batch-size", "2",
         )
     assert code == 6
-    assert capsys.readouterr().err.startswith(
-        f"error: ProtocolError: endpoint returned status 200: {message}"
-    )
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ProtocolError: endpoint returned status 200: {message}")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):
@@ -936,6 +996,26 @@ def test_eval_bad_split_header_exit_code(workspace, capsys, header, repeat, mess
     )
     assert code == 4
     assert capsys.readouterr().err.startswith(f"error: ParseError: {message.format(ids[-1])}")
+
+
+def test_eval_split_with_a_fifth_line_exit_code(workspace, capsys):
+    tmp_path, facts_path, emb_path, _ = workspace
+    ids = [fact.id for fact in read_facts(facts_path) if not fact.excluded]
+    # a line break inside the train line: read as four id lines, its val ids would land in test
+    split_path = tmp_path / "split.txt"
+    split_path.write_text(
+        f"seed=1 train=7/10 val=1/10 test=1/5\n{','.join(ids[:50])}\n{','.join(ids[50:-10])}\n"
+        f"\n{','.join(ids[-10:])}\n"
+    )
+    model_path = tmp_path / "model.ckpt"
+    save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
+    out = tmp_path / "eval.txt"
+    code = run("eval", "--model", model_path, "--facts", facts_path, "--embeddings", emb_path,
+               "--split", split_path, "--out", out)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: line 5: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

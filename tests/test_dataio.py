@@ -310,6 +310,16 @@ def test_read_split_rejects_repeated_ids(tmp_path, id_lines, line_no):
     assert excinfo.value.line_no == line_no
 
 
+@pytest.mark.parametrize("id_lines", ["a,b\nc,d\ne\nf", "a,b\nc,d\ne\n"], ids=["ids", "empty"])
+def test_read_split_rejects_a_line_after_the_test_ids(tmp_path, id_lines):
+    # a line break inside the train line would otherwise shift the val ids into test
+    path = tmp_path / "split.txt"
+    path.write_text(f"seed=1 train=7/10 val=1/10 test=1/5\n{id_lines}\n")
+    with pytest.raises(ParseError, match="after its three id lines") as excinfo:
+        read_split(path)
+    assert excinfo.value.line_no == 5
+
+
 def test_read_split_rejects_malformed(tmp_path):
     path = tmp_path / "split.txt"
     path.write_text("seed=1\n")

@@ -1,10 +1,13 @@
 import json
 import socket
+import struct
 
 import numpy as np
 import pytest
 
 from factkit.embeddings import (
+    FORMAT_VERSION,
+    MAGIC,
     EmbeddingMatrix,
     fetch_embeddings,
     l2_normalize,
@@ -42,6 +45,12 @@ def test_matrix_rejects_misaligned_ids():
 def test_matrix_rejects_duplicate_ids():
     with pytest.raises(DimensionMismatch):
         EmbeddingMatrix(rows=np.zeros((2, 3)), row_ids=("a", "a"))
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 0)])
+def test_matrix_rejects_rows_without_columns(shape):
+    with pytest.raises(DimensionMismatch, match="with columns"):
+        EmbeddingMatrix(rows=np.zeros(shape), row_ids=tuple("ab"[: shape[0]]))
 
 
 def test_matrix_rejects_non_finite():
@@ -112,6 +121,14 @@ def test_load_bad_magic(tmp_path):
     path = tmp_path / "v.emb"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(BadMagic):
+        load_embeddings(path)
+
+
+def test_load_zero_width_file_is_dimension_mismatch(tmp_path):
+    path = tmp_path / "v.emb"  # two rows, ids "a" and "b", no columns
+    ids = struct.pack("<I", 1) + b"a" + struct.pack("<I", 1) + b"b"
+    path.write_bytes(struct.pack("<4I", MAGIC, FORMAT_VERSION, 2, 0) + ids)
+    with pytest.raises(DimensionMismatch):
         load_embeddings(path)
 
 
@@ -220,8 +237,9 @@ def test_fetch_rejects_negative_retries():
         (raw_reply("503 Service Unavailable", b"busy"), 2, ProtocolError, 3),
         (raw_reply("200 OK", b"<html>not json</html>"), 2, ProtocolError, 1),
         (b"garbage\r\n", 1, TransportError, 2),
+        (raw_reply("200 OK", b'{"dim": 0, "embeddings": [[]]}'), 2, ProtocolError, 1),
     ],
-    ids=["404-at-once", "503-retried", "non-json-200", "bad-status-line-retried"],
+    ids=["404-at-once", "503-retried", "non-json-200", "bad-status-line-retried", "zero-width"],
 )
 def test_fetch_reply_mapping(reply, retries, error, requests_seen):
     with MockEmbedServer(mode="raw", payload=reply) as server:

@@ -19,6 +19,7 @@ from factkit.metrics import (
     pooled_overall_f1,
     render_aggregate,
 )
+from factkit.model import MASK, pooled_f1_indices
 from factkit.taxonomy import DIMENSIONS, Dimension, LabelSet, label_codes
 
 
@@ -232,6 +233,70 @@ def test_evaluate_codes_matches_oracle_random():
         assert report.overall_macro_f1 == pytest.approx(
             sum(oracle.values()) / len(oracle), abs=1e-12
         )
+
+
+def loop_f1_count(gold, pred, sizes):
+    """The per-label loop the F1 arrays replaced, kept as a bitwise reference.
+
+    Returns {(column, code): (f1, support)}, per-column macro F1 and pooled macro F1.
+    """
+    offsets = np.cumsum([0, *sizes[:-1]])
+    keep = gold >= 0
+    total = int(sum(sizes))
+    flat = ((gold + offsets) * total + pred + offsets)[keep]
+    confusion = np.bincount(flat, minlength=total * total).reshape(total, total)
+    gold_count = confusion.sum(axis=1).tolist()
+    pred_count = confusion.sum(axis=0).tolist()
+    hits = confusion.diagonal().tolist()
+    scores, per_column = {}, []
+    for c, size in enumerate(sizes):
+        column_f1 = []
+        for code in range(size):
+            k = int(offsets[c]) + code
+            if not gold_count[k] and not pred_count[k]:
+                continue
+            precision = hits[k] / pred_count[k] if pred_count[k] else 0.0
+            recall = hits[k] / gold_count[k] if gold_count[k] else 0.0
+            f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0.0 else 0.0
+            scores[(c, code)] = (f1, gold_count[k])
+            column_f1.append(f1)
+        per_column.append(math.fsum(column_f1) / len(column_f1) if column_f1 else None)
+    return scores, per_column, math.fsum(f1 for f1, _ in scores.values()) / len(scores)
+
+
+def test_f1_arrays_match_the_per_label_loop_bitwise():
+    # repr of a float round-trips, so equal reprs mean equal bits, and equal types too
+    rng = np.random.default_rng(17)
+    sizes = [len(factkit.LABEL_SPACE[d]) for d in DIMENSIONS]
+    keys = [(dim, label) for dim in DIMENSIONS for label in factkit.LABEL_SPACE[dim]]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        # gold draws from a prefix of each label space: some labels are seen only in predictions
+        gold = rng.integers(0, [max(1, int(s * rng.uniform(0.3, 1.0))) for s in sizes], size=(n, 7))
+        pred = rng.integers(0, sizes, size=(n, 7))
+        gold[rng.random((n, 7)) < 0.2] = MASK
+        gold[:, rng.random(7) < 0.15] = MASK  # columns with no scored label
+        if np.all(gold == MASK):
+            gold[0, 0] = 0
+        scores, per_column, pooled = loop_f1_count(gold, pred, sizes)
+        report = evaluate_labelsets(gold, pred)
+        expected = [(keys[offsets[c] + code], score) for (c, code), score in scores.items()]
+        assert repr(list(report.per_label_f1.items())) == repr([(k, f1) for k, (f1, _) in expected])
+        assert repr(list(report.support.items())) == repr([(k, n) for k, (_, n) in expected])
+        assert repr(list(report.per_category_macro_f1.items())) == repr(
+            list(zip(DIMENSIONS, per_column))
+        )
+        assert repr(report.overall_macro_f1) == repr(pooled)
+        seen_sizes = (np.maximum(gold.max(axis=0), pred.max(axis=0)) + 1).tolist()
+        assert repr(pooled_f1_indices(gold, pred)) == repr(loop_f1_count(gold, pred, seen_sizes)[2])
+        # hashable labels are coded in first-seen order, gold first
+        gold_names = [f"g{v % 5}" for v in gold[:, 0]]
+        pred_names = [f"g{v % 4}" for v in pred[:, 0]]
+        code_of = {}
+        codes = np.array([code_of.setdefault(v, len(code_of)) for v in gold_names + pred_names])
+        reference = loop_f1_count(codes[:n, None], codes[n:, None], [len(code_of)])[2]
+        assert repr(macro_f1(gold_names, pred_names)) == repr(reference)
 
 
 def test_evaluate_rejects_bad_code_arrays():

@@ -23,6 +23,7 @@ from factkit.model import (
     ADAM_BLOCK,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    LOAD_BLOCK,
     MASK,
     PREDICT_BLOCK,
     AdamState,
@@ -679,6 +680,35 @@ def test_checkpoint_with_non_finite_parameters_is_bad_magic(tmp_path, value, at)
     path = tmp_path / "model.ckpt"
     save_model(path, model)
     with pytest.raises(BadMagic, match="non-finite parameters"):
+        load_model(path)
+
+
+def _multi_block_model():
+    model = new_model(1000, canonical_label_space(), hidden=64, seed=3)
+    assert 3 * LOAD_BLOCK < model.theta.size < 4 * LOAD_BLOCK  # the last of four blocks is partial
+    return model
+
+
+@pytest.mark.parametrize("block", ["first", "middle", "last"])
+def test_non_finite_parameter_in_any_load_block_is_bad_magic(tmp_path, block):
+    model = _multi_block_model()
+    at = {"first": 0, "middle": LOAD_BLOCK + LOAD_BLOCK // 2, "last": model.theta.size - 1}[block]
+    model.theta[at] = np.nan
+    path = tmp_path / "model.ckpt"
+    save_model(path, model)
+    with pytest.raises(BadMagic, match="non-finite parameters"):
+        load_model(path)
+
+
+def test_multi_block_checkpoint_loads_bitwise_and_refuses_a_mid_block_end(tmp_path):
+    model = _multi_block_model()
+    path = tmp_path / "model.ckpt"
+    save_model(path, model)
+    assert np.array_equal(load_model(path).theta, model.theta)
+    data = path.read_bytes()
+    # the file now ends half-way through the second block
+    path.write_bytes(data[: len(data) - 8 * (model.theta.size - LOAD_BLOCK - LOAD_BLOCK // 2)])
+    with pytest.raises(TruncatedFile, match="parameter block is short"):
         load_model(path)
 
 
