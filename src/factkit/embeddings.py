@@ -16,6 +16,7 @@ HTTPS verifies against the system CA store, and no redirect is followed.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import os
 import struct
@@ -191,9 +192,10 @@ def fetch_embeddings(
     Transport failures (:class:`TransportError`) and 5xx answers are retried
     up to ``retries`` times with exponential backoff; other statuses and
     non-JSON bodies raise :class:`ProtocolError` immediately, as does a reply
-    whose rows are not a finite numeric matrix with at least one column. A
-    change of dimension between batches raises :class:`DimensionDrift`; no
-    texts raise :class:`EmptyInput`.
+    whose ``dim`` is not a JSON integer or whose rows are not a finite matrix
+    of JSON numbers (booleans and strings are refused) with at least one
+    column. A change of dimension between batches raises
+    :class:`DimensionDrift`; no texts raise :class:`EmptyInput`.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -221,15 +223,22 @@ def fetch_embeddings(
             array = np.asarray(vectors, dtype="<f4")
         except (TypeError, ValueError) as exc:
             raise ProtocolError(200, f"embeddings are not a numeric matrix: {exc}") from exc
+        if type(dim) is not int:  # a JSON true or 1.0 would compare equal to 1
+            raise ProtocolError(200, f"declared dim {dim!r} is not a JSON integer")
         if array.ndim != 2 or dim != array.shape[1]:
             raise ProtocolError(200, f"declared dim {dim!r} does not match payload")
+        # numpy reads true as 1.0 and "0.5" as 0.5; only JSON numbers are embeddings
+        kinds = set(map(type, itertools.chain.from_iterable(vectors))) - {int, float}
+        if kinds:
+            names = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise ProtocolError(200, f"embeddings are not a numeric matrix: rows hold {names}")
         if dim == 0:
             raise ProtocolError(200, "embeddings have no columns")
         if not np.all(np.isfinite(array)):
             raise ProtocolError(200, "embeddings contain non-finite values")
         if declared_dim is None:
-            declared_dim = int(dim)
-        elif int(dim) != declared_dim:
+            declared_dim = dim
+        elif dim != declared_dim:
             raise DimensionDrift(
                 f"endpoint returned dim {dim} after declaring {declared_dim}"
             )

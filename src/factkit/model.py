@@ -29,12 +29,16 @@ gradient.
 
 Every parameter lives in one float64 vector, ``MultiHeadModel.theta``: each
 head's W1, b1, W2, b2, row-major, in category order. The heads are views into
-it, so an in-place update of a head's array is an update of ``theta``. The
-gradient and both AdamW moments are vectors laid out like ``theta``, and the
-AdamW step updates them in place, one fixed-size block at a time. Training
-holds five such vectors and allocates none of them per batch or per epoch:
-the parameters (the caller's ``theta``, updated in place), one gradient
-buffer refilled by every batch, the two moments, and one best-epoch snapshot.
+it, so an in-place update of a head's array is an update of ``theta``. Both
+AdamW moments are laid out like ``theta``, and the AdamW step updates them in
+place, one fixed-size block at a time. Training holds four parameter-sized
+vectors and allocates none of them per batch or per epoch: the parameters
+(the caller's ``theta``, updated in place), the two moments, and one
+best-epoch snapshot. The whole gradient is never held: each head's gradient
+is written into one buffer sized to one head, and AdamW steps that head's
+slice of ``theta`` as soon as it is written, before the next head's forward
+step. Heads share no parameters, so this gives the bits of one step over the
+whole gradient.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -43,6 +47,7 @@ label lists, weights) followed by ``theta`` as little-endian float64.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -50,7 +55,7 @@ import struct
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -89,6 +94,19 @@ class HeadParams:
 
     def arrays(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
+
+
+def _head_views(flat: np.ndarray, like: HeadParams) -> HeadParams:
+    """``like``'s four shapes laid over ``flat``, which holds exactly their values."""
+    arrays = like.arrays()
+    parts = np.split(flat, list(itertools.accumulate(a.size for a in arrays))[:-1])
+    return HeadParams(*(part.reshape(a.shape) for part, a in zip(parts, arrays)))
+
+
+def _head_spans(heads: Sequence[HeadParams]) -> list[slice]:
+    """Each head's slice of ``theta``."""
+    ends = list(itertools.accumulate(sum(a.size for a in head.arrays()) for head in heads))
+    return [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def _layout(dim: int, hidden: int, label_space) -> tuple[list[tuple[int, ...]], int]:
@@ -342,12 +360,17 @@ def _loss_and_grads(
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
     out: Optional[np.ndarray] = None,
-) -> tuple[float, np.ndarray]:
+    apply: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> tuple[float, Optional[np.ndarray]]:
     """Mean per-example loss over the batch and its gradient, laid out like ``theta``.
 
     One pass, head by head: the head's forward step (its dropout masks drawn
     then), its cross-entropy and its gradient. The gradient is written into
     ``out``, whatever it held, and returned; ``None`` means a fresh vector.
+
+    With ``apply``, no gradient vector is built or returned: each head's W1,
+    b1, W2, b2 gradient is written, flat, into one buffer sized to one head and
+    passed as ``apply(c, grad)`` before head c + 1's forward step.
     """
     targets = _check_targets(model, targets)
     _check_inputs(model, X)
@@ -355,8 +378,15 @@ def _loss_and_grads(
     counts = _unmasked_counts(targets)
     scale_rows = 1.0 / counts / X.shape[0]
     contrib = np.zeros(X.shape[0])
-    grad = np.zeros_like(model.theta) if out is None else out
-    for c, (head, slots) in enumerate(zip(model.heads, replace(model, theta=grad).heads)):
+    spans = _head_spans(model.heads)
+    if apply is None:
+        grad = np.zeros_like(model.theta) if out is None else out
+        flats = [grad[span] for span in spans]
+    else:
+        grad = np.empty(max(span.stop - span.start for span in spans))
+        flats = [grad[: span.stop - span.start] for span in spans]
+    for c, (head, flat) in enumerate(zip(model.heads, flats)):
+        slots = _head_views(flat, head)
         logits, (z, t, u, m2) = _head_forward(head, X, rate, rng)
         rows, log_probs, scale = _add_head_ce(model, logits, targets, c, contrib)
         # a fully masked head has no rows, and its empty products write zeros
@@ -371,7 +401,10 @@ def _loss_and_grads(
         dA = dU * (1.0 - t[rows] ** 2)
         np.matmul(dA.T, z[rows], out=slots.W1)
         np.sum(dA, axis=0, out=slots.b1)
-    return float((contrib / counts).mean()), grad
+        if apply is not None:
+            del logits, log_probs, z, t, u, m2, G, dU, dA  # apply runs beside no activations
+            apply(c, flat)
+    return float((contrib / counts).mean()), (grad if apply is None else None)
 
 
 def backward(
@@ -535,10 +568,20 @@ def train(
 
     ``targets`` aligns row-for-row with ``embeddings``. Each epoch shuffles
     the training rows with a generator seeded from ``config.seed``, then
-    takes AdamW steps per batch; after each epoch the validation pooled
+    takes one AdamW step per batch; after each epoch the validation pooled
     macro F1 decides whether this epoch's parameters become the kept
     snapshot. Training stops after ``patience`` consecutive epochs without
     improvement or at ``max_epochs``.
+
+    A batch's step is taken head by head: ``_loss_and_grads`` writes each
+    head's gradient into a buffer sized to one head, and ``adamw_step`` updates
+    that head's slice of ``theta`` and its own moments at once. Every head is
+    stepped on every batch, so the heads' step counts move together, and the
+    bits are those of one step over the whole gradient. Memory is four
+    parameter-sized vectors (parameters, two moments, best snapshot) plus the
+    one-head buffer. The batch loss is checked after the heads are stepped, so
+    when ``NonFiniteLoss`` is raised the failing batch's update is already in
+    ``model.theta``.
 
     Training runs in place: ``model.theta`` holds the last step's parameters
     afterwards (pass ``model.copy()`` to keep the initial ones). The returned
@@ -562,9 +605,13 @@ def train(
     X_val = embeddings.rows[val_rows].astype(np.float64)
     T_val = targets[val_rows]
 
-    state = AdamState.zeros_like(model.theta)
-    grad = np.empty_like(model.theta)
+    spans = _head_spans(model.heads)
+    states = [AdamState.zeros_like(model.theta[span]) for span in spans]
     best_theta = np.empty_like(model.theta)
+
+    def step(c: int, grad: np.ndarray) -> None:
+        adamw_step(states[c], model.theta[spans[c]], grad, config)
+
     rng = np.random.default_rng(config.seed)
 
     best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always fills ``best_theta``
@@ -579,11 +626,10 @@ def train(
             batch = order[start : start + config.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
                 batch_loss, _ = _loss_and_grads(
-                    model, X_train[batch], T_train[batch], train_mode=True, rng=rng, out=grad
+                    model, X_train[batch], T_train[batch], train_mode=True, rng=rng, apply=step
                 )
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")
-            adamw_step(state, model.theta, grad, config)
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
 

@@ -559,6 +559,25 @@ def test_train_memory_holds_five_parameter_vectors(tmp_path):
 
 
 @pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
+def test_train_memory_holds_four_parameter_vectors_and_one_head(tmp_path):
+    # as above, but AdamW steps each head as soon as its gradient is written, so
+    # a one-head buffer (1/7 of theta) stands in for the whole gradient vector
+    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
+    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 1024 - emb.dim))
+    write_facts(tmp_path / "facts.jsonl", facts)
+    save_embeddings(tmp_path / "facts.emb", EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids))
+    config = dict(FAST_CONFIG, seeds=[1], train=dict(FAST_CONFIG["train"], max_epochs=3))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, growth_bytes = run_probed(
+        "--config", tmp_path / "config.json", "train", "--facts", tmp_path / "facts.jsonl",
+        "--embeddings", tmp_path / "facts.emb", "--out-dir", tmp_path / "out",
+    )
+    assert code == 0
+    theta_bytes = load_model(tmp_path / "out" / "model-seed1.ckpt").theta.nbytes
+    assert growth_bytes < 4.75 * theta_bytes, f"peak growth {growth_bytes / theta_bytes:.2f} x theta"
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
 def test_sample_memory_frees_the_loaded_rows_before_kmeans(tmp_path):
     # 16,000 rows of d = 1024 in ten planted clusters, so Lloyd converges in a few
     # iterations. K-Means holds a float64 copy of the normalized rows (two float32
@@ -793,8 +812,15 @@ def test_missing_embedding_file_exit_code(workspace):
         ("payload", [[1.0, 2.0], [3.0]], "embeddings are not a numeric matrix: "),
         ("body", [[0.5, 1.0]], "reply is not a JSON object: [[0.5, 1.0]]"),
         ("body", {"dim": 0, "embeddings": [[], []]}, "embeddings have no columns"),
+        ("body", {"dim": True, "embeddings": [[0.5], [1.0]]}, "declared dim True is not a JSON integer"),
+        ("body", {"dim": 1.0, "embeddings": [[0.5], [1.0]]}, "declared dim 1.0 is not a JSON integer"),
+        ("payload", [[True, 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: rows hold bool"),
+        ("payload", [["0.5", 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: rows hold str"),
     ],
-    ids=["nan", "string", "ragged", "not-object", "zero-width"],
+    ids=[
+        "nan", "string", "ragged", "not-object", "zero-width",
+        "dim-true", "dim-float", "boolean-row", "numeric-string-row",
+    ],
 )
 def test_embed_fetch_bad_reply_is_protocol_error(workspace, capsys, mode, payload, message):
     tmp_path, facts_path, _, _ = workspace

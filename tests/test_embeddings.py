@@ -238,8 +238,15 @@ def test_fetch_rejects_negative_retries():
         (raw_reply("200 OK", b"<html>not json</html>"), 2, ProtocolError, 1),
         (b"garbage\r\n", 1, TransportError, 2),
         (raw_reply("200 OK", b'{"dim": 0, "embeddings": [[]]}'), 2, ProtocolError, 1),
+        (raw_reply("200 OK", b'{"dim": true, "embeddings": [[0.5]]}'), 2, ProtocolError, 1),
+        (raw_reply("200 OK", b'{"dim": 1.0, "embeddings": [[0.5]]}'), 2, ProtocolError, 1),
+        (raw_reply("200 OK", b'{"dim": 1, "embeddings": [[true]]}'), 2, ProtocolError, 1),
+        (raw_reply("200 OK", b'{"dim": 1, "embeddings": [["0.5"]]}'), 2, ProtocolError, 1),
     ],
-    ids=["404-at-once", "503-retried", "non-json-200", "bad-status-line-retried", "zero-width"],
+    ids=[
+        "404-at-once", "503-retried", "non-json-200", "bad-status-line-retried", "zero-width",
+        "dim-true", "dim-float", "boolean-row", "numeric-string-row",
+    ],
 )
 def test_fetch_reply_mapping(reply, retries, error, requests_seen):
     with MockEmbedServer(mode="raw", payload=reply) as server:

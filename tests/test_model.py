@@ -27,11 +27,13 @@ from factkit.model import (
     MASK,
     PREDICT_BLOCK,
     AdamState,
+    EpochStats,
     TrainConfig,
     adamw_step,
     backward,
     canonical_label_space,
     forward,
+    inverse_frequency_label_weights,
     load_model,
     loss,
     new_model,
@@ -566,6 +568,111 @@ def test_train_golden_digest_across_adamw_blocks():
     assert hashlib.sha256(result.model.theta.tobytes()).hexdigest() == (
         "86f2d090c288487719e5f77da3398a45aa736c7092daf428fdf7f3d06dbc7737"
     )
+
+
+def whole_gradient_train(model, embeddings, targets, split, config):
+    """``train`` with a whole-model gradient vector and one ``adamw_step`` per batch.
+
+    Returns the best snapshot, the history and the best epoch; ``model.theta``
+    holds the last step's parameters afterwards, as with ``train``.
+    """
+    row_of = embeddings.index_of()
+    train_rows = [row_of[i] for i in split.train]
+    val_rows = [row_of[i] for i in split.val]
+    X_train, T_train = embeddings.rows[train_rows].astype(np.float64), targets[train_rows]
+    X_val, T_val = embeddings.rows[val_rows].astype(np.float64), targets[val_rows]
+    state = AdamState.zeros_like(model.theta)
+    grad = np.empty_like(model.theta)
+    best_theta = np.empty_like(model.theta)
+    rng = np.random.default_rng(config.seed)
+    best_f1, best_epoch, since_best, history = -np.inf, 0, 0, []
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(train_rows))
+        seen, loss_sum = 0, 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            batch_loss, _ = _loss_and_grads(
+                model, X_train[batch], T_train[batch], train_mode=True, rng=rng, out=grad
+            )
+            adamw_step(state, model.theta, grad, config)
+            loss_sum += batch_loss * len(batch)
+            seen += len(batch)
+        val_f1 = pooled_f1_indices(T_val, predict_batch(model, X_val)[0])
+        history.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen, val_f1=val_f1))
+        if val_f1 > best_f1:
+            np.copyto(best_theta, model.theta)
+            best_f1, best_epoch, since_best = val_f1, epoch, 0
+        else:
+            since_best += 1
+            if since_best >= max(config.patience, 1):
+                break
+    return best_theta, history, best_epoch
+
+
+@pytest.mark.parametrize(
+    "dropout, weight_decay, batch_size, patience",
+    [(0.2, 0.01, 7, 5), (0.0, 0.0, 16, 0), (0.3, 0.05, 1, 2)],
+)
+def test_per_head_steps_match_one_step_over_the_whole_gradient_bitwise(
+    dropout, weight_decay, batch_size, patience
+):
+    # seven heads at d = 128, hidden = 96: theta crosses one ADAM_BLOCK boundary
+    # inside a head, so the per-head blocks start where the whole-vector ones do not
+    rng = np.random.default_rng([batch_size, patience])
+    space = canonical_label_space()
+    ids = tuple(f"b{i:02d}" for i in range(60))
+    rows = rng.normal(size=(60, 128))
+    targets = np.column_stack(
+        [rows[:, c : c + len(labels)].argmax(axis=1) for c, (_, labels) in enumerate(space)]
+    )
+    targets[rng.random(60) < 0.3, 1] = MASK
+    targets[rng.random(60) < 0.9, 4] = MASK  # some batches give this head no row
+    targets[:, 6] = MASK  # and every batch gives this one none
+    # batch sizes 7 and 16 leave a short last batch of the 45 training rows
+    split = SplitAssignment(train=ids[:45], val=ids[45:55], test=ids[55:])
+    label_weights = inverse_frequency_label_weights(targets[:45], space)
+
+    def fresh():
+        return new_model(128, space, hidden=96, dropout_rate=dropout,
+                         label_weights=label_weights, seed=3)
+
+    model = fresh()
+    assert ADAM_BLOCK < model.theta.size < 2 * ADAM_BLOCK
+    config = TrainConfig(learning_rate=0.02, batch_size=batch_size, max_epochs=6,
+                         patience=patience, seed=4, weight_decay=weight_decay)
+    emb = EmbeddingMatrix(rows=rows, row_ids=ids)
+    result = train(model, emb, targets, split, config)
+    reference = fresh()
+    best_theta, history, best_epoch = whole_gradient_train(reference, emb, targets, split, config)
+    assert result.history == history
+    assert result.best_epoch == best_epoch
+    assert result.model.theta.tobytes() == best_theta.tobytes()
+    assert model.theta.tobytes() == reference.theta.tobytes()
+
+
+def test_train_memory_holds_four_parameter_vectors_and_one_head():
+    # seven heads at d = hidden = 256; beside theta, training keeps two AdamW
+    # moments and one best-epoch snapshot (3 x theta), a one-head gradient
+    # buffer (1/7 of theta), AdamW's two 512 KB scratch blocks and the batch's
+    # activations
+    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
+    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 256 - emb.dim))
+    emb = EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids)
+    space = canonical_label_space()
+    targets = targets_from_facts(facts, space)
+    ids = emb.row_ids
+    split = SplitAssignment(train=ids[:90], val=ids[90:110], test=ids[110:])
+    model = new_model(256, space, dropout_rate=0.1, seed=1)
+    config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=2, patience=2, seed=1)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        train(model, emb, targets, split, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = (peak - start) / model.theta.nbytes
+    assert ratio < 3.75, f"peak {ratio:.2f} x theta"
 
 
 def test_train_empty_split():
