@@ -149,7 +149,7 @@ def load_config(path: Optional[str], flags: Optional[dict] = None) -> dict:
         try:
             with open(path, encoding="utf-8") as handle:
                 overlay = json.load(handle)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(overlay, dict):
             raise ConfigError("config root must be a JSON object")
@@ -162,7 +162,7 @@ def load_config(path: Optional[str], flags: Optional[dict] = None) -> dict:
         raw = given.get(key, default) if (flags or {}).get(name) is None else flags[name]
         try:
             value = _checked(raw, default, kind, allowed)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{name} = {raw!r}: {exc}") from exc
         (config.setdefault(section, {}) if section else config)[key] = value
     if sum(map(Fraction, config["split"].values())) != 1:

@@ -106,8 +106,8 @@ def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, object]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
+            raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
         yield line_no, obj
 
 

@@ -221,7 +221,7 @@ def fetch_embeddings(
             raise ProtocolError(200, f"expected {len(batch)} embeddings, got {vectors!r}")
         try:
             array = np.asarray(vectors, dtype="<f4")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(200, f"embeddings are not a numeric matrix: {exc}") from exc
         if type(dim) is not int:  # a JSON true or 1.0 would compare equal to 1
             raise ProtocolError(200, f"declared dim {dim!r} is not a JSON integer")
@@ -281,6 +281,6 @@ def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
             continue
         try:
             return json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(200, f"non-JSON body: {exc}") from exc
     raise last_error

@@ -28,17 +28,19 @@ weighted cross-entropy to the per-example sums, and writes the head's
 gradient.
 
 Every parameter lives in one float64 vector, ``MultiHeadModel.theta``: each
-head's W1, b1, W2, b2, row-major, in category order. The heads are views into
-it, so an in-place update of a head's array is an update of ``theta``. Both
-AdamW moments are laid out like ``theta``, and the AdamW step updates them in
-place, one fixed-size block at a time. Training holds four parameter-sized
-vectors and allocates none of them per batch or per epoch: the parameters
-(the caller's ``theta``, updated in place), the two moments, and one
-best-epoch snapshot. The whole gradient is never held: each head's gradient
-is written into one buffer sized to one head, and AdamW steps that head's
-slice of ``theta`` as soon as it is written, before the next head's forward
-step. Heads share no parameters, so this gives the bits of one step over the
-whole gradient.
+head's W1, b1, W2, b2, row-major, in category order. Each head's contiguous
+slice of ``theta`` is its ``flat`` view, and ``_lay_head`` lays the four
+arrays over it; the same helper lays a head's gradient over the one-head
+gradient buffer. An in-place update of a head's array is an update of
+``theta``. Each head's AdamW moments are laid out like its ``flat`` slice,
+and the AdamW step updates them in place, one fixed-size block at a time.
+Training holds four parameter-sized vectors and allocates none of them per
+batch or per epoch: the parameters (the caller's ``theta``, updated in
+place), the two moments, and one best-epoch snapshot. The whole gradient is
+never held: each head's gradient is written into one buffer sized to one
+head, and AdamW steps that head's ``flat`` slice as soon as it is written,
+before the next head's forward step. Heads share no parameters and AdamW is
+elementwise, so this gives the bits of one step over the whole gradient.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -47,7 +49,6 @@ label lists, weights) followed by ``theta`` as little-endian float64.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -85,40 +86,31 @@ LOAD_BLOCK = 1 << 17  # parameters load_model reads and checks at once: 1 MiB of
 
 @dataclass
 class HeadParams:
-    """Two affine maps of one classification head."""
+    """Two affine maps of one classification head, laid over ``flat``."""
 
     W1: np.ndarray  # (hidden, dim)
     b1: np.ndarray  # (hidden,)
     W2: np.ndarray  # (n_labels, hidden)
     b2: np.ndarray  # (n_labels,)
+    flat: np.ndarray  # W1, b1, W2, b2, row-major, back to back: the head's slice of ``theta``
 
     def arrays(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
 
 
-def _head_views(flat: np.ndarray, like: HeadParams) -> HeadParams:
-    """``like``'s four shapes laid over ``flat``, which holds exactly their values."""
-    arrays = like.arrays()
-    parts = np.split(flat, list(itertools.accumulate(a.size for a in arrays))[:-1])
-    return HeadParams(*(part.reshape(a.shape) for part, a in zip(parts, arrays)))
+def _lay_head(flat: np.ndarray, dim: int, hidden: int, n_labels: int) -> HeadParams:
+    """A head's W1, b1, W2, b2 laid over ``flat``, which holds exactly their values."""
+    W1, b1, W2, b2 = np.split(flat, np.cumsum([hidden * dim, hidden, n_labels * hidden]))
+    return HeadParams(W1.reshape(hidden, dim), b1, W2.reshape(n_labels, hidden), b2, flat)
 
 
-def _head_spans(heads: Sequence[HeadParams]) -> list[slice]:
-    """Each head's slice of ``theta``."""
-    ends = list(itertools.accumulate(sum(a.size for a in head.arrays()) for head in heads))
-    return [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-
-
-def _layout(dim: int, hidden: int, label_space) -> tuple[list[tuple[int, ...]], int]:
-    """Shapes of the heads' W1, b1, W2, b2 in ``theta`` order, and ``theta``'s size."""
+def _layout(dim: int, hidden: int, label_space) -> list[int]:
+    """Each head's share of ``theta``, in category order; ``theta`` holds their sum."""
     if not (type(dim) is int and type(hidden) is int and dim >= 1 and hidden >= 1):
         raise ValueError(f"dim and hidden must be >= 1 and integers, got {dim!r}, {hidden!r}")
     if any(len(labels) < 2 for labels in label_space):
         raise ValueError("every category needs at least two labels")
-    shapes = [
-        s for n in map(len, label_space) for s in ((hidden, dim), (hidden,), (n, hidden), (n,))
-    ]
-    return shapes, sum(map(math.prod, shapes))
+    return [(hidden + 1) * n + hidden * (dim + 1) for n in map(len, label_space)]
 
 
 def _nonnegative(weights: np.ndarray, n: int) -> bool:
@@ -148,7 +140,7 @@ class MultiHeadModel:
     heads: list[HeadParams] = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes, size = _layout(self.dim, self.hidden, self.label_space)
+        sizes = _layout(self.dim, self.hidden, self.label_space)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
         if not _nonnegative(self.category_weights, len(self.label_space)):
@@ -158,11 +150,15 @@ class MultiHeadModel:
             and all(map(_nonnegative, self.label_weights, map(len, self.label_space)))
         ):
             raise ValueError("label_weights must give one nonnegative value per label")
-        if self.theta.shape != (size,):
-            raise DimensionMismatch(f"theta must hold {size} values, got shape {self.theta.shape}")
-        parts = np.split(self.theta, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-        self.heads = [HeadParams(*views[i : i + 4]) for i in range(0, len(views), 4)]
+        if self.theta.shape != (sum(sizes),):
+            raise DimensionMismatch(
+                f"theta must hold {sum(sizes)} values, got shape {self.theta.shape}"
+            )
+        flats = np.split(self.theta, np.cumsum(sizes)[:-1])
+        self.heads = [
+            _lay_head(flat, self.dim, self.hidden, len(labels))
+            for flat, labels in zip(flats, self.label_space)
+        ]
 
     @property
     def n_categories(self) -> int:
@@ -214,7 +210,7 @@ def new_model(
         category_names=tuple(name for name, _ in label_space),
         label_space=spaces,
         category_weights=np.array(category_weights, dtype=np.float64),
-        theta=np.zeros(_layout(dim, hidden, spaces)[1]),
+        theta=np.zeros(sum(_layout(dim, hidden, spaces))),
         label_weights=label_weights,
     )
     rng = np.random.default_rng(seed)
@@ -359,18 +355,16 @@ def _loss_and_grads(
     targets: np.ndarray,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
-    out: Optional[np.ndarray] = None,
     apply: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> tuple[float, Optional[np.ndarray]]:
-    """Mean per-example loss over the batch and its gradient, laid out like ``theta``.
+    """Mean per-example loss over the batch, and its gradient unless ``apply`` takes it.
 
     One pass, head by head: the head's forward step (its dropout masks drawn
-    then), its cross-entropy and its gradient. The gradient is written into
-    ``out``, whatever it held, and returned; ``None`` means a fresh vector.
-
-    With ``apply``, no gradient vector is built or returned: each head's W1,
-    b1, W2, b2 gradient is written, flat, into one buffer sized to one head and
-    passed as ``apply(c, grad)`` before head c + 1's forward step.
+    then), its cross-entropy and its gradient. Each head's W1, b1, W2, b2
+    gradient is written, flat, into one buffer sized to one head and passed
+    as ``apply(c, grad)`` before head c + 1's forward step. Without ``apply``,
+    each head's gradient is copied into a fresh vector laid out like
+    ``theta``, which is returned in place of ``None``.
     """
     targets = _check_targets(model, targets)
     _check_inputs(model, X)
@@ -378,15 +372,14 @@ def _loss_and_grads(
     counts = _unmasked_counts(targets)
     scale_rows = 1.0 / counts / X.shape[0]
     contrib = np.zeros(X.shape[0])
-    spans = _head_spans(model.heads)
+    grad = None
     if apply is None:
-        grad = np.zeros_like(model.theta) if out is None else out
-        flats = [grad[span] for span in spans]
-    else:
-        grad = np.empty(max(span.stop - span.start for span in spans))
-        flats = [grad[: span.stop - span.start] for span in spans]
-    for c, (head, flat) in enumerate(zip(model.heads, flats)):
-        slots = _head_views(flat, head)
+        grad = np.empty_like(model.theta)
+        grad_heads = replace(model, theta=grad).heads
+        apply = lambda c, head_grad: np.copyto(grad_heads[c].flat, head_grad)
+    buffer = np.empty(max(head.flat.size for head in model.heads))
+    for c, head in enumerate(model.heads):
+        slots = _lay_head(buffer[: head.flat.size], model.dim, model.hidden, len(head.b2))
         logits, (z, t, u, m2) = _head_forward(head, X, rate, rng)
         rows, log_probs, scale = _add_head_ce(model, logits, targets, c, contrib)
         # a fully masked head has no rows, and its empty products write zeros
@@ -401,10 +394,9 @@ def _loss_and_grads(
         dA = dU * (1.0 - t[rows] ** 2)
         np.matmul(dA.T, z[rows], out=slots.W1)
         np.sum(dA, axis=0, out=slots.b1)
-        if apply is not None:
-            del logits, log_probs, z, t, u, m2, G, dU, dA  # apply runs beside no activations
-            apply(c, flat)
-    return float((contrib / counts).mean()), (grad if apply is None else None)
+        del logits, log_probs, z, t, u, m2, G, dU, dA  # apply runs beside no activations
+        apply(c, slots.flat)
+    return float((contrib / counts).mean()), grad
 
 
 def backward(
@@ -574,14 +566,14 @@ def train(
     improvement or at ``max_epochs``.
 
     A batch's step is taken head by head: ``_loss_and_grads`` writes each
-    head's gradient into a buffer sized to one head, and ``adamw_step`` updates
-    that head's slice of ``theta`` and its own moments at once. Every head is
-    stepped on every batch, so the heads' step counts move together, and the
-    bits are those of one step over the whole gradient. Memory is four
-    parameter-sized vectors (parameters, two moments, best snapshot) plus the
-    one-head buffer. The batch loss is checked after the heads are stepped, so
-    when ``NonFiniteLoss`` is raised the failing batch's update is already in
-    ``model.theta``.
+    head's gradient into a buffer sized to one head and hands it to a step
+    that runs ``adamw_step`` on ``model.heads[c].flat`` and that head's own
+    moments. Every head is stepped on every batch, so the heads' step counts
+    move together, and the bits are those of one step over the whole
+    gradient. Memory is four parameter-sized vectors (parameters, two
+    moments, best snapshot) plus the one-head buffer. The batch loss is
+    checked after the heads are stepped, so when ``NonFiniteLoss`` is raised
+    the failing batch's update is already in ``model.theta``.
 
     Training runs in place: ``model.theta`` holds the last step's parameters
     afterwards (pass ``model.copy()`` to keep the initial ones). The returned
@@ -605,12 +597,11 @@ def train(
     X_val = embeddings.rows[val_rows].astype(np.float64)
     T_val = targets[val_rows]
 
-    spans = _head_spans(model.heads)
-    states = [AdamState.zeros_like(model.theta[span]) for span in spans]
+    states = [AdamState.zeros_like(head.flat) for head in model.heads]
     best_theta = np.empty_like(model.theta)
 
     def step(c: int, grad: np.ndarray) -> None:
-        adamw_step(states[c], model.theta[spans[c]], grad, config)
+        adamw_step(states[c], model.heads[c].flat, grad, config)
 
     rng = np.random.default_rng(config.seed)
 
@@ -741,10 +732,10 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         blob = handle.read(blob_len)
         try:
             fields = _header_fields(json.loads(blob.decode("utf-8")))
-            size = _layout(fields["dim"], fields["hidden"], fields["label_space"])[1]
+            size = sum(_layout(fields["dim"], fields["hidden"], fields["label_space"]))
             # checked over a zero-stride stand-in for theta, which allocates nothing
             MultiHeadModel(theta=np.broadcast_to(0.0, size), **fields)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise BadMagic(f"{path}: malformed checkpoint header: {exc!r}") from exc
         extra = os.fstat(handle.fileno()).st_size - handle.tell() - 8 * size
         if extra < 0:

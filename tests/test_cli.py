@@ -215,11 +215,17 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
          + "\n", "error: ParseError: line 2: unknown value 'Sports' for field 'main_category'\n"),
         (json.dumps({"id": "r1", "text": "x", "excluded": 1, "annotation": {}}) + "\n",
          "error: ParseError: line 1: 'excluded' must be true or false, not 1"),
+        (good + "\n" + "[" * 100_000 + "\n",
+         "error: ParseError: line 2: invalid JSON: maximum recursion depth exceeded"),
+        ('{"id": "r1", "text": ' + "1" * 5000 + "}\n",
+         "error: ParseError: line 1: invalid JSON: Exceeds the limit (4300 digits)"),
     ]
     for content, message in cases:
         raw_path.write_text(content)
         assert run("canon", "--raw", raw_path, "--out", tmp_path / "facts.jsonl") == 4
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "facts.jsonl").exists()
     facts_path = tmp_path / "typed.jsonl"
     labels = LabelSet.invalid("No Fact").as_dict()
     fact_cases = [
@@ -232,11 +238,16 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
          "error: ParseError: line 1: fact 'a' exclusion_reason must be a string or null"),
         ({"id": "a,b", "text": "x", "labels": labels},
          "error: ParseError: line 1: fact id 'a,b' contains a comma or line break"),
+        ("[" * 100_000, "error: ParseError: line 1: invalid JSON: maximum recursion depth exceeded"),
+        ('{"id": "a", "text": ' + "1" * 5000 + "}",
+         "error: ParseError: line 1: invalid JSON: Exceeds the limit (4300 digits)"),
     ]
     for record, message in fact_cases:
-        facts_path.write_text(json.dumps(record) + "\n")
+        facts_path.write_text((record if isinstance(record, str) else json.dumps(record)) + "\n")
         assert run("split", "--facts", facts_path, "--out", tmp_path / "split.txt") == 4
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "split.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["split", "canon", "agree", "eval"])
@@ -816,10 +827,15 @@ def test_missing_embedding_file_exit_code(workspace):
         ("body", {"dim": 1.0, "embeddings": [[0.5], [1.0]]}, "declared dim 1.0 is not a JSON integer"),
         ("payload", [[True, 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: rows hold bool"),
         ("payload", [["0.5", 1.0], [0.0, 1.0]], "embeddings are not a numeric matrix: rows hold str"),
+        ("payload", [[10**400, 1.0], [0.0, 1.0]],
+         "embeddings are not a numeric matrix: int too large to convert to float"),
+        ("raw", raw_reply("200 OK", b"[" * 100_000),
+         "non-JSON body: maximum recursion depth exceeded"),
     ],
     ids=[
         "nan", "string", "ragged", "not-object", "zero-width",
-        "dim-true", "dim-float", "boolean-row", "numeric-string-row",
+        "dim-true", "dim-float", "boolean-row", "numeric-string-row", "huge-int-row",
+        "deep-nesting",
     ],
 )
 def test_embed_fetch_bad_reply_is_protocol_error(workspace, capsys, mode, payload, message):
@@ -1084,6 +1100,10 @@ def test_eval_split_with_a_fifth_line_exit_code(workspace, capsys):
         pytest.param(
             '{"split": {"train": "1/2", "val": "1/4", "test": "1/5"}}', "split", id="split-sum"
         ),
+        pytest.param("[" * 100_000, "split", id="deep-nesting"),
+        pytest.param(
+            '{"train": {"learning_rate": 1%s}}' % ("0" * 400), "train", id="learning-rate-huge-int"
+        ),
     ],
 )
 def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
@@ -1102,6 +1122,7 @@ def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+    assert not any(path.exists() for path in rest if isinstance(path, Path) and path != emb_path)
 
 
 @pytest.mark.parametrize(

@@ -242,10 +242,14 @@ def test_fetch_rejects_negative_retries():
         (raw_reply("200 OK", b'{"dim": 1.0, "embeddings": [[0.5]]}'), 2, ProtocolError, 1),
         (raw_reply("200 OK", b'{"dim": 1, "embeddings": [[true]]}'), 2, ProtocolError, 1),
         (raw_reply("200 OK", b'{"dim": 1, "embeddings": [["0.5"]]}'), 2, ProtocolError, 1),
+        (raw_reply("200 OK", b'{"dim": 1, "embeddings": [[1%s]]}' % (b"0" * 400)), 2,
+         ProtocolError, 1),
+        (raw_reply("200 OK", b"[" * 100_000), 2, ProtocolError, 1),
     ],
     ids=[
         "404-at-once", "503-retried", "non-json-200", "bad-status-line-retried", "zero-width",
-        "dim-true", "dim-float", "boolean-row", "numeric-string-row",
+        "dim-true", "dim-float", "boolean-row", "numeric-string-row", "huge-int-row",
+        "deep-nesting",
     ],
 )
 def test_fetch_reply_mapping(reply, retries, error, requests_seen):

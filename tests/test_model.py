@@ -226,17 +226,21 @@ def test_masked_category_gradient_exactly_zero():
 
 
 def test_gradient_into_a_dirty_buffer_is_bitwise_the_fresh_one():
-    # no row leaves the first head unmasked, so its slots must be zeroed, not skipped
+    # the one-head buffer still holds head 0's gradient when head 1 is written;
+    # no row leaves head 1 unmasked, so its slots must be zeroed, not skipped
     model = small_model(dim=4, hidden=3, seed=5, dropout=0.2)
+    assert model.heads[1].flat.size < model.heads[0].flat.size
     X = np.random.default_rng(2).normal(size=(6, 4))
-    targets = np.column_stack([np.full(6, MASK), [0, 1, 1, 0, 1, 0]])
-    loss, fresh = _loss_and_grads(model, X, targets, True, np.random.default_rng(3))
-    buffer = np.full_like(model.theta, np.nan)
-    loss_again, grad = _loss_and_grads(model, X, targets, True, np.random.default_rng(3), out=buffer)
-    assert grad is buffer
+    targets = np.column_stack([[0, 1, 2, 0, 1, 2], np.full(6, MASK)])
+    seen = []
+    loss, none = _loss_and_grads(model, X, targets, True, np.random.default_rng(3),
+                                 apply=lambda c, grad: seen.append((c, grad.copy())))
+    assert none is None and [c for c, _ in seen] == [0, 1]
+    assert np.all(seen[0][1][: model.heads[1].flat.size] != 0.0)
+    assert seen[1][1].size == model.heads[1].flat.size and not np.any(seen[1][1])
+    loss_again, fresh = _loss_and_grads(model, X, targets, True, np.random.default_rng(3))
     assert loss_again == loss
-    assert np.array_equal(buffer, fresh)  # bitwise, and no NaN left
-    assert not np.any(fresh[: sum(a.size for a in model.heads[0].arrays())])
+    assert fresh.tobytes() == np.concatenate([grad for _, grad in seen]).tobytes()
 
 
 def two_pass_loss_and_grads(model, X, targets, rng):
@@ -300,8 +304,7 @@ def test_one_pass_loss_and_grads_match_the_two_pass_reference_bitwise(batch, see
     targets = np.column_stack([rng.integers(MASK, len(labels), size=batch) for _, labels in space])
     targets[:, 2] = MASK  # one head fully masked: its masks are still drawn
     expected = two_pass_loss_and_grads(model, X, targets, np.random.default_rng(seed))
-    buffer = np.full_like(model.theta, np.nan)
-    got = _loss_and_grads(model, X, targets, True, np.random.default_rng(seed), out=buffer)
+    got = _loss_and_grads(model, X, targets, True, np.random.default_rng(seed))
     assert got[0] == expected[0]
     assert got[1].tobytes() == expected[1].tobytes()
 
@@ -582,7 +585,6 @@ def whole_gradient_train(model, embeddings, targets, split, config):
     X_train, T_train = embeddings.rows[train_rows].astype(np.float64), targets[train_rows]
     X_val, T_val = embeddings.rows[val_rows].astype(np.float64), targets[val_rows]
     state = AdamState.zeros_like(model.theta)
-    grad = np.empty_like(model.theta)
     best_theta = np.empty_like(model.theta)
     rng = np.random.default_rng(config.seed)
     best_f1, best_epoch, since_best, history = -np.inf, 0, 0, []
@@ -591,8 +593,8 @@ def whole_gradient_train(model, embeddings, targets, split, config):
         seen, loss_sum = 0, 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_loss, _ = _loss_and_grads(
-                model, X_train[batch], T_train[batch], train_mode=True, rng=rng, out=grad
+            batch_loss, grad = _loss_and_grads(
+                model, X_train[batch], T_train[batch], train_mode=True, rng=rng
             )
             adamw_step(state, model.theta, grad, config)
             loss_sum += batch_loss * len(batch)
@@ -857,6 +859,11 @@ def _category(**changes):
         pytest.param(_header(categories=_category(weight=[1.0])), id="weight-list"),
         pytest.param(_header(categories=_category(label_weights=[1.0])), id="label-weights-short"),
         pytest.param(_header(categories=_category(label_weights="ab")), id="label-weights-string"),
+        pytest.param(b"[" * 100_000, id="deep-header"),
+        pytest.param(_header(categories=_category(weight=10**400)), id="huge-weight"),
+        pytest.param(
+            _header(categories=_category(label_weights=[1.0, 10**400])), id="huge-label-weight"
+        ),
         pytest.param(_header(categories=["alpha"]), id="category-not-object"),
         pytest.param(_header(dropout_rate="x"), id="dropout-string"),
         pytest.param(_header(dropout_rate=5.0), id="dropout-above-one"),
