@@ -44,18 +44,12 @@ def predict_corpus(
 
     ``models`` is consumed lazily and each model is dropped once it has
     predicted, so a generator that loads checkpoints keeps one model alive
-    at a time. A model whose input dimension differs from the first raises
-    :class:`SchemaMismatch` when it arrives, after the earlier ones have
-    predicted; no models at all raise :class:`EmptyTables`.
+    at a time. :func:`model.predict` refuses a model whose input dimension
+    differs from the corpus's with :class:`DimensionMismatch`, wherever that
+    model stands; no models at all raise :class:`EmptyTables`.
     """
     tables: list[PredictionTable] = []
-    dim = None
     for model in models:
-        # predict() holds every model to the canonical label space; only dim can differ
-        if dim is None:
-            dim = model.dim
-        elif model.dim != dim:
-            raise SchemaMismatch("seed models disagree on input dimension")
         tables.append(predict(model, embeddings))
         del model  # else it stays bound while the iterator loads the next one
     if not tables:

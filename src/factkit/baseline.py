@@ -29,7 +29,6 @@ import numpy as np
 from . import metrics
 from .errors import DimensionMismatch, EmptyInput, EmptyVocabulary
 from .model import _log_softmax
-from .taxonomy import DIMENSIONS, Dimension
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -149,7 +148,9 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
     One ``scipy.optimize.minimize(method="L-BFGS-B")`` call with scipy's
     default tolerances, from zero weights. ``loss_history`` holds the
     objective at the start and after each iteration. A single-class ``y``
-    yields a constant predictor and a warning rather than an error.
+    warns and takes the same path: its objective is 0 with a zero gradient
+    at the start, so L-BFGS stops there and returns the zero, constant
+    predictor with ``loss_history == (0.0,)``.
     """
     if not 0.0 <= l2 < math.inf:
         raise ValueError("l2 must be finite and nonnegative")
@@ -165,12 +166,6 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
     labels = tuple(labels.tolist())
     if len(labels) == 1:
         warnings.warn(f"single-class input ({labels[0]!r}); returning constant predictor")
-        return LinearModel(
-            weights=np.zeros((1, n_features)),
-            bias=np.zeros(1),
-            labels=labels,
-            single_class=True,
-        )
     # N / (n_classes * count(y)) up to a constant factor, which the weighted mean cancels
     sample_w = 1.0 / np.bincount(y_idx)[y_idx] if class_balanced else np.ones(n)
     args = (X, y_idx, sample_w / sample_w.sum(), l2)
@@ -190,6 +185,7 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
         weights=params[:, :-1],
         bias=params[:, -1],
         labels=labels,
+        single_class=len(labels) == 1,
         loss_history=tuple(history),
     )
 
@@ -201,17 +197,15 @@ def logreg_predict(model: LinearModel, X) -> list:
 
 
 def baseline_eval(
-    models: dict[Dimension, LinearModel],
-    X,
-    gold_codes: np.ndarray,
+    models: Sequence[LinearModel], X, gold_codes: np.ndarray
 ) -> metrics.MetricsReport:
-    """Predict every dimension and score against gold (N, 7) label codes."""
-    missing = [d for d in DIMENSIONS if d not in models]
-    if missing:
-        raise DimensionMismatch(f"no model for dimensions {[d.value for d in missing]}")
-    pred = np.empty((X.shape[0], len(DIMENSIONS)), dtype=np.int64)
-    for c, dim in enumerate(DIMENSIONS):
-        pred[:, c] = logreg_predict(models[dim], X)
+    """Score each model's predictions, as one column, against gold (N, 7) label codes.
+
+    ``models`` are in column (``DIMENSIONS``) order, as :func:`train_baseline`
+    returns them; :func:`metrics.evaluate_labelsets` refuses any other count
+    of columns, none included, with :class:`LengthMismatch`.
+    """
+    pred = np.transpose([logreg_predict(model, X) for model in models])
     return metrics.evaluate_labelsets(gold_codes, pred)
 
 
@@ -220,16 +214,14 @@ def train_baseline(
     train_codes: np.ndarray,
     tfidf_config: TfidfConfig = TfidfConfig(),
     l2: float = 1e-4,
-) -> tuple[TfidfVocab, dict[Dimension, LinearModel]]:
-    """Fit the vectorizer on training texts and one model per dimension.
+) -> tuple[TfidfVocab, list[LinearModel]]:
+    """Fit the vectorizer on training texts and one model per column of ``train_codes``.
 
-    ``train_codes`` is the (N, 7) code array of the texts' labels, so each
-    model's ``labels`` are codes into its dimension's ``LABEL_SPACE``.
+    ``train_codes`` is the (N, 7) code array of the texts' labels, so the
+    seven models come back in column (``DIMENSIONS``) order and each model's
+    ``labels`` are codes into its dimension's ``LABEL_SPACE``.
     """
     vocab = tfidf_fit(train_texts, tfidf_config)
     X = tfidf_transform(vocab, train_texts)
-    models = {
-        dim: logreg_train(X, train_codes[:, c], class_balanced=True, l2=l2)
-        for c, dim in enumerate(DIMENSIONS)
-    }
+    models = [logreg_train(X, column, class_balanced=True, l2=l2) for column in train_codes.T]
     return vocab, models

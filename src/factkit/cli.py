@@ -48,6 +48,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__, errors
 from . import agreement as agreement_mod
 from . import analyze as analyze_mod
@@ -88,7 +90,7 @@ from .taxonomy import (
 # Ranges are intervals, open at infinity, so NaN and Infinity fail each one,
 # or tuples of choices. Flags whose argparse dest is a name here override it.
 SETTINGS = {
-    "seeds": ([42, 123, 456, 789, 1024], int, "[0, inf)"),
+    "seeds": ([42, 123, 456, 789, 1024], int, "[0, 18446744073709551616)"),  # [0, 2**64)
     "split.train": ("7/10", Fraction, "[0, 1]"),
     "split.val": ("1/10", Fraction, "[0, 1]"),
     "split.test": ("1/5", Fraction, "[0, 1]"),
@@ -103,7 +105,7 @@ SETTINGS = {
     "sampling.k": (1000, int, "[1, inf)"),
     "sampling.cap": (3, int, "[1, inf)"),
     "embedding.batch_size": (32, int, "[1, inf)"),
-    "embedding.timeout": (30.0, float, "(0, inf)"),
+    "embedding.timeout": (30.0, float, "(0, 86400]"),  # a day; sockets refuse past ~9.2e9 s
     "embedding.retries": (2, int, "[0, inf)"),
     "baseline.l2": (1e-4, float, "[0, inf)"),
 }
@@ -372,6 +374,12 @@ def cmd_train(args, config):
     matrix = load_embeddings(args.embeddings).select([f.id for f in facts])
     settings = config["train"]
     out_dir = Path(args.out_dir)
+    spaces = [labels for _, labels in model_mod.canonical_label_space()]
+    size = sum(model_mod._layout(matrix.dim, settings["hidden"] or matrix.dim, spaces))
+    try:  # numpy refuses a size it cannot allocate at once; find that before any output
+        np.zeros(size)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"train.hidden = {settings['hidden']!r}: {exc}") from exc
 
     def fit(seed, assignment, targets, train_rows, test_rows):
         label_weights = None

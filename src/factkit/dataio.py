@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateId, EmptyInput, ParseError, UnknownEnumValue
-from .prng import Xoshiro256StarStar
+from .prng import _MASK64, Xoshiro256StarStar
 from .taxonomy import FactRecord, LabelSet
 
 FractionLike = Union[Fraction, float, int, str]
@@ -64,8 +64,8 @@ class SplitSpec:
             raise ValueError("split fractions must lie in [0, 1]")
         if self.train_frac + self.val_frac + self.test_frac != 1:
             raise ValueError("split fractions must sum to exactly 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed {self.seed} is not in [0, 2**64)")
 
     @property
     def fractions(self) -> tuple[Fraction, Fraction, Fraction]:

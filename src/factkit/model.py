@@ -624,7 +624,8 @@ def train(
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
 
-        val_pred, _ = predict_batch(model, X_val)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the batch pass above
+            val_pred, _ = predict_batch(model, X_val)
         val_f1 = pooled_f1_indices(T_val, val_pred)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen, val_f1=val_f1))
 

@@ -3,7 +3,8 @@
 Split assignment and per-cluster sampling must reproduce bit-for-bit across
 implementations, so they use this fixed, documented generator instead of a
 platform RNG. The algorithm is xoshiro256** 1.0 (Blackman and Vigna) with the
-four 64-bit state words derived from the integer seed via splitmix64.
+four 64-bit state words derived from the integer seed, in [0, 2**64), via
+splitmix64.
 
 Bounded draws use plain modulo reduction (``next_u64() % n``); the resulting
 bias is negligible for the list sizes involved and keeps the recipe trivial
@@ -18,7 +19,7 @@ _MASK64 = (1 << 64) - 1
 
 def _splitmix64(seed: int):
     """Yield an endless splitmix64 stream starting from ``seed``."""
-    state = seed & _MASK64
+    state = seed
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state
@@ -35,8 +36,8 @@ class Xoshiro256StarStar:
     """xoshiro256** seeded through splitmix64."""
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 0 <= seed <= _MASK64:  # a wider seed would be masked into another's stream
+            raise ValueError(f"seed {seed} is not in [0, 2**64)")
         stream = _splitmix64(seed)
         self._s = [next(stream) for _ in range(4)]
 

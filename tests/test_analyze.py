@@ -11,7 +11,7 @@ from factkit.analyze import (
 )
 from factkit.dataio import write_facts
 from factkit.embeddings import EmbeddingMatrix, save_embeddings
-from factkit.errors import EmptyTables, SchemaMismatch
+from factkit.errors import DimensionMismatch, EmptyTables, SchemaMismatch
 from factkit.metrics import _mean_std
 from factkit.model import canonical_label_space, new_model, save_model
 from factkit.taxonomy import (
@@ -62,9 +62,10 @@ def test_predict_corpus_schema_mismatch():
     a = new_model(4, canonical_label_space(), seed=0)
     b = new_model(5, canonical_label_space(), seed=0)
     emb = EmbeddingMatrix(rows=np.zeros((1, 4)), row_ids=("x",))
-    for models in ([a, b], iter([a, b])):
-        with pytest.raises(SchemaMismatch):
-            predict_corpus(models, emb)
+    for order in ([a, b], [b, a]):
+        for models in (order, iter(order)):
+            with pytest.raises(DimensionMismatch):
+                predict_corpus(models, emb)
 
 
 def test_aggregate_tables_of_different_lengths():

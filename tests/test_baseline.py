@@ -17,7 +17,7 @@ from factkit.baseline import (
     tokenize,
     train_baseline,
 )
-from factkit.errors import DimensionMismatch, EmptyInput, EmptyVocabulary
+from factkit.errors import DimensionMismatch, EmptyInput, EmptyVocabulary, LengthMismatch
 from factkit.metrics import macro_f1
 from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, label_codes
 
@@ -230,6 +230,15 @@ def test_logreg_single_class_constant_predictor():
     assert logreg_predict(model, X) == ["only"] * 5
 
 
+def test_logreg_single_class_goes_through_lbfgs():
+    X = sp.csr_matrix(np.ones((5, 2)))
+    with pytest.warns(UserWarning, match="single-class"):
+        model = logreg_train(X, [3] * 5)
+    # zero weights have a zero gradient, so L-BFGS stops where it starts
+    assert model.loss_history == (0.0,)
+    assert model.labels == (3,) and not model.weights.any() and not model.bias.any()
+
+
 @pytest.mark.parametrize("l2", [math.nan, math.inf, -1.0])
 def test_logreg_rejects_bad_l2(l2):
     X, y = separable_set()
@@ -259,16 +268,15 @@ def test_logreg_deterministic():
 def perfect_models_for(labelsets):
     """Linear models that read the one-hot block for their dimension; labels are codes."""
     dim_total = sum(len(LABEL_SPACE[d]) for d in DIMENSIONS)
-    models = {}
+    models = []
     offset = 0
     for d in DIMENSIONS:
         space = LABEL_SPACE[d]
         weights = np.zeros((len(space), dim_total))
         for i in range(len(space)):
             weights[i, offset + i] = 1.0
-        models[d] = LinearModel(
-            weights=weights, bias=np.zeros(len(space)), labels=tuple(range(len(space)))
-        )
+        labels = tuple(range(len(space)))
+        models.append(LinearModel(weights=weights, bias=np.zeros(len(space)), labels=labels))
         offset += len(space)
     return models
 
@@ -285,9 +293,9 @@ def test_baseline_eval_missing_dimension():
     labelsets = synthetic_labels(n_facts=60, invalid_count=20)
     X = sp.csr_matrix(embed_labels(labelsets, noise=0.0))
     models = perfect_models_for(labelsets)
-    del models[DIMENSIONS[-1]]
-    with pytest.raises(DimensionMismatch, match=DIMENSIONS[-1].value):
-        baseline_eval(models, X, label_codes(labelsets))
+    for given in (models[:-1], []):
+        with pytest.raises(LengthMismatch):
+            baseline_eval(given, X, label_codes(labelsets))
 
 
 def test_random_guess_macro_f1_near_half():

@@ -238,6 +238,8 @@ def test_canon_parse_errors_name_the_line(tmp_path, capsys):
          "error: ParseError: line 1: fact 'a' exclusion_reason must be a string or null"),
         ({"id": "a,b", "text": "x", "labels": labels},
          "error: ParseError: line 1: fact id 'a,b' contains a comma or line break"),
+        ("5", "error: ParseError: line 1: record is not a JSON object"),
+        ({"text": "x", "labels": labels}, "error: ParseError: line 1: missing field 'id'"),
         ("[" * 100_000, "error: ParseError: line 1: invalid JSON: maximum recursion depth exceeded"),
         ('{"id": "a", "text": ' + "1" * 5000 + "}",
          "error: ParseError: line 1: invalid JSON: Exceeds the limit (4300 digits)"),
@@ -831,11 +833,14 @@ def test_missing_embedding_file_exit_code(workspace):
          "embeddings are not a numeric matrix: int too large to convert to float"),
         ("raw", raw_reply("200 OK", b"[" * 100_000),
          "non-JSON body: maximum recursion depth exceeded"),
+        ("body", {"dim": 2, "embeddings": [[0.5, 1.0]]}, "expected 2 embeddings, got [[0.5, 1.0]]"),
+        ("body", {"dim": 3, "embeddings": [[0.5, 1.0], [0.0, 1.0]]},
+         "declared dim 3 does not match payload"),
     ],
     ids=[
         "nan", "string", "ragged", "not-object", "zero-width",
         "dim-true", "dim-float", "boolean-row", "numeric-string-row", "huge-int-row",
-        "deep-nesting",
+        "deep-nesting", "fewer-rows", "dim-not-row-width",
     ],
 )
 def test_embed_fetch_bad_reply_is_protocol_error(workspace, capsys, mode, payload, message):
@@ -874,6 +879,36 @@ def test_missing_checkpoint_is_data_error_before_any_output(workspace, capsys):
         f"error: FileNotFoundError: [Errno 2] No such file or directory: '{missing}'"
     )
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["analyze-wide-first", "analyze-wide-second", "agree-no-shared-id", "eval-not-embedded"]
+)
+def test_inputs_that_do_not_line_up_exit_code(workspace, capsys, case):
+    """Files that each read cleanly but do not fit together end in one line."""
+    tmp_path, facts_path, emb_path, _ = workspace
+    matrix = load_embeddings(emb_path)
+    narrow, wide = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_model(narrow, new_model(matrix.dim, canonical_label_space(), hidden=2))
+    save_model(wide, new_model(matrix.dim + 1, canonical_label_space(), hidden=2))
+    facts = read_facts(facts_path)
+    renamed = tmp_path / "renamed.jsonl"  # the same facts under ids the embeddings lack
+    write_facts(renamed, [dataclasses.replace(fact, id=f"x{fact.id}") for fact in facts])
+    out = tmp_path / "out.txt"
+    corpus = ["--corpus", facts_path, "--embeddings", emb_path, "--out", out]
+    too_wide = f"DimensionMismatch: expected (*, {matrix.dim + 1}) inputs, got {matrix.rows.shape}"
+    argv, code, message = {
+        "analyze-wide-first": (["analyze", "--models", wide, narrow, *corpus], 5, too_wide),
+        "analyze-wide-second": (["analyze", "--models", narrow, wide, *corpus], 5, too_wide),
+        "agree-no-shared-id": (["agree", "--labels", facts_path, renamed, "--out", out], 9,
+                               "NoComparableUnits: no fact id is labeled in every file"),
+        "eval-not-embedded": (["eval", "--model", narrow, "--facts", renamed,
+                               "--embeddings", emb_path, "--out", out], 5,
+                              f"DimensionMismatch: id 'x{facts[0].id}' not in embedding matrix"),
+    }[case]
+    assert run(*argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _sha256_of(path) -> str:
@@ -979,19 +1014,30 @@ def test_overflowing_training_exit_code(workspace, capsys):
     assert capsys.readouterr().err == "error: NonFiniteLoss: epoch 1, batch at 32: loss=nan\n"
 
 
-def test_overflowing_training_prints_one_line_in_a_child_process(workspace):
+@pytest.mark.parametrize(
+    "config, code, stderr",
+    [
+        ({**FAST_CONFIG, "train": {**FAST_CONFIG["train"], "learning_rate": 1e308}}, 8,
+         "error: NonFiniteLoss: epoch 1, batch at 32: loss=nan\n"),
+        # one batch an epoch: the validation pass overflows in epochs 1 and 2, the loss in 3
+        ({"train": {"weight_decay": 1e300, "batch_size": 256}}, 8,
+         "error: NonFiniteLoss: epoch 3, batch at 0: loss=nan\n"),
+        ({"train": {"weight_decay": 1e300, "batch_size": 256, "max_epochs": 2}}, 0, ""),
+    ],
+    ids=["learning-rate", "weight-decay", "weight-decay-two-epochs"],
+)
+def test_overflowing_training_prints_one_line_in_a_child_process(workspace, config, code, stderr):
     tmp_path, facts_path, emb_path, _ = workspace
     config_path = tmp_path / "overflow.json"
-    train = {**FAST_CONFIG["train"], "learning_rate": 1e308}
-    config_path.write_text(json.dumps({**FAST_CONFIG, "train": train}))
+    config_path.write_text(json.dumps(config))
     argv = ["--config", config_path, "train", "--facts", facts_path, "--embeddings", emb_path,
             "--out-dir", tmp_path / "run"]
     env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]),
                OPENBLAS_NUM_THREADS="1")
     result = subprocess.run([sys.executable, "-m", "factkit.cli", *map(str, argv)],
                             env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 8
-    assert result.stderr == "error: NonFiniteLoss: epoch 1, batch at 32: loss=nan\n"
+    assert result.returncode == code
+    assert result.stderr == stderr
 
 
 def test_eval_without_split_scores_every_trainable_fact(workspace, capsys):
@@ -1019,8 +1065,12 @@ def test_eval_without_split_scores_every_trainable_fact(workspace, capsys):
         ("seed=1 train=1/0 val=1/10 test=1/5", None, "line 1: bad split header: "),
         ("seed=1 train=7/10 val=1/10 test=1/5", "test", "line 4: split id {!r} is listed twice"),
         ("seed=1 train=7/10 val=1/10 test=1/5", "train", "line 4: split id {!r} is listed twice"),
+        ("seed=1 train:7/10 val=1/10 test=1/5", None, "line 1: malformed header token 'train:7/10'"),
+        ("seed=18446744073709551616 train=7/10 val=1/10 test=1/5", None,
+         "line 1: bad split header: seed 18446744073709551616 is not in [0, 2**64)"),
     ],
-    ids=["fraction-negative", "fraction-zero-denominator", "id-twice-in-test", "id-in-train-and-test"],
+    ids=["fraction-negative", "fraction-zero-denominator", "id-twice-in-test", "id-in-train-and-test",
+         "token-without-equals", "seed-2**64"],
 )
 def test_eval_bad_split_header_exit_code(workspace, capsys, header, repeat, message):
     tmp_path, facts_path, emb_path, _ = workspace
@@ -1037,7 +1087,8 @@ def test_eval_bad_split_header_exit_code(workspace, capsys, header, repeat, mess
         "--split", split_path, "--out", tmp_path / "eval.txt",
     )
     assert code == 4
-    assert capsys.readouterr().err.startswith(f"error: ParseError: {message.format(ids[-1])}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {message.format(ids[-1])}") and err.count("\n") == 1
 
 
 def test_eval_split_with_a_fifth_line_exit_code(workspace, capsys):
@@ -1104,6 +1155,11 @@ def test_eval_split_with_a_fifth_line_exit_code(workspace, capsys):
         pytest.param(
             '{"train": {"learning_rate": 1%s}}' % ("0" * 400), "train", id="learning-rate-huge-int"
         ),
+        pytest.param('{"seeds": [1%s]}' % ("0" * 400), "baseline", id="seed-huge-int"),
+        pytest.param('{"seeds": [18446744073709551616]}', "split", id="seed-2**64"),
+        pytest.param('{"train": {"hidden": 1%s}}' % ("0" * 400), "train", id="hidden-huge-int"),
+        pytest.param('{"train": {"hidden": 1099511627776}}', "train", id="hidden-2**40"),
+        pytest.param('{"embedding": {"timeout": 1e10}}', "embed-fetch", id="timeout-1e10"),
     ],
 )
 def test_config_error_exit_code(workspace, tmp_path, capsys, content, command):

@@ -15,6 +15,7 @@ from factkit.dataio import (
     write_split,
 )
 from factkit.errors import DuplicateId, EmptyInput, ParseError
+from factkit.prng import Xoshiro256StarStar
 from factkit.taxonomy import FactRecord, LabelSet
 
 
@@ -277,6 +278,15 @@ def test_split_spec_fractions_must_sum_to_one():
 def test_split_spec_fractions_must_lie_in_unit_interval():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         SplitSpec(train_frac="11/10", val_frac="-1/5", test_frac="1/10", seed=0)
+
+
+@pytest.mark.parametrize("make", [Xoshiro256StarStar, lambda seed: SplitSpec(seed=seed)],
+                         ids=["xoshiro", "split-spec"])
+def test_seed_outside_64_bits_is_refused(make):
+    make(2**64 - 1)
+    for seed in (-1, 2**64):  # xoshiro256** would otherwise mask 2**64 into seed 0's stream
+        with pytest.raises(ValueError, match=r"not in \[0, 2\*\*64\)"):
+            make(seed)
 
 
 @pytest.mark.parametrize("fractions", ["train=11/10 val=-1/5 test=1/10", "train=1/0 val=1/10 test=1/5"])
