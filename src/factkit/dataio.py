@@ -99,8 +99,29 @@ def _text_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
+def _encodable(obj: object) -> bool:
+    """Whether every string in a parsed JSON value, its keys too, encodes as UTF-8."""
+    pending = [obj]
+    while pending:  # a loop, not recursion: the value may nest as deep as json.loads allows
+        value = pending.pop()
+        if isinstance(value, dict):
+            pending += [*value.keys(), *value.values()]
+        elif isinstance(value, list):
+            pending += value
+        elif isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return False
+    return True
+
+
 def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, object]]:
-    """(line number, parsed value) per non-blank line; bad UTF-8 or JSON raises ParseError."""
+    """(line number, parsed value) per non-blank line.
+
+    Bad UTF-8, bad JSON, or a string holding a lone surrogate, which UTF-8
+    cannot encode, raises ParseError.
+    """
     for line_no, line in _text_lines(path):
         if not line.strip():
             continue
@@ -108,6 +129,9 @@ def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, object]]:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
             raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+        # the line decoded strictly, so only a \u escape can spell a lone surrogate
+        if "\\u" in line and not _encodable(obj):
+            raise ParseError(line_no, "a string holds a lone surrogate, which UTF-8 cannot encode")
         yield line_no, obj
 
 

@@ -9,8 +9,17 @@ from __future__ import annotations
 
 
 class FactkitError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A subclass whose constructor takes arguments of its own passes them on to
+    ``Exception`` unchanged and formats its message from them with
+    ``template``, so ``args`` is what a pickle round trip rebuilds it from.
+    """
     exit_code = 1
+    template: str | None = None
+
+    def __str__(self) -> str:
+        return super().__str__() if self.template is None else self.template.format(*self.args)
 
 
 # --- taxonomy / annotation ---
@@ -18,11 +27,12 @@ class FactkitError(Exception):
 class UnknownEnumValue(FactkitError):
     """A raw field value falls outside the accepted enumeration."""
     exit_code = 4
+    template = "unknown value {1!r} for field {0!r}"
 
     def __init__(self, field: str, value: object):
+        super().__init__(field, value)
         self.field = field
         self.value = value
-        super().__init__(f"unknown value {value!r} for field {field!r}")
 
 
 # --- data files and splitting ---
@@ -30,19 +40,21 @@ class UnknownEnumValue(FactkitError):
 class ParseError(FactkitError):
     """A record line could not be parsed."""
     exit_code = 4
+    template = "line {0}: {1}"
 
     def __init__(self, line_no: int, message: str):
+        super().__init__(line_no, message)
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
 
 
 class DuplicateId(FactkitError):
     """Two records share the same id."""
     exit_code = 4
+    template = "duplicate record id {0!r}"
 
     def __init__(self, record_id: str):
+        super().__init__(record_id)
         self.record_id = record_id
-        super().__init__(f"duplicate record id {record_id!r}")
 
 
 class EmptyInput(FactkitError):
@@ -70,10 +82,11 @@ class DimensionMismatch(FactkitError):
 class ZeroVector(FactkitError):
     """A row with zero norm cannot be normalized."""
     exit_code = 5
+    template = "row {0} has zero norm"
 
     def __init__(self, row: int):
+        super().__init__(row)
         self.row = row
-        super().__init__(f"row {row} has zero norm")
 
 
 class TransportError(FactkitError):
@@ -84,11 +97,12 @@ class TransportError(FactkitError):
 class ProtocolError(FactkitError):
     """The embedding endpoint answered outside its contract."""
     exit_code = 6
+    template = "endpoint returned status {0}: {1:.200}"  # the first 200 characters of the body
 
     def __init__(self, status: int, body: str):
+        super().__init__(status, body)
         self.status = status
         self.body = body
-        super().__init__(f"endpoint returned status {status}: {body[:200]}")
 
 
 class DimensionDrift(FactkitError):

@@ -34,12 +34,16 @@ arrays over it; the same helper lays a head's gradient over the one-head
 gradient buffer. An in-place update of a head's array is an update of
 ``theta``. Each head's AdamW moments are laid out like its ``flat`` slice,
 and the AdamW step updates them in place, one fixed-size block at a time.
-Training holds four parameter-sized vectors and allocates none of them per
+Training holds three parameter-sized vectors and allocates none of them per
 batch or per epoch: the parameters (the caller's ``theta``, updated in
-place), the two moments, and one best-epoch snapshot. The whole gradient is
-never held: each head's gradient is written into one buffer sized to one
-head, and AdamW steps that head's ``flat`` slice as soon as it is written,
-before the next head's forward step. Heads share no parameters and AdamW is
+place) and the two moments. The best epoch's parameters are written to an
+unlinked temporary file under ``TMPDIR`` and read back into the returned
+model's own vector only after the moments are released, so they wait in the
+kernel's page cache, not in the process's resident set (if ``TMPDIR`` is a
+tmpfs, they wait in shared memory instead). The whole gradient is never
+held: each head's gradient is written into one buffer sized to one head,
+and AdamW steps that head's ``flat`` slice as soon as it is written, before
+the next head's forward step. Heads share no parameters and AdamW is
 elementwise, so this gives the bits of one step over the whole gradient.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
@@ -53,6 +57,7 @@ import json
 import math
 import os
 import struct
+import tempfile
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -261,14 +266,19 @@ def _head_forward(
     """One head's logits for a (B, dim) batch, plus the cache backward needs.
 
     Draws the head's two dropout masks from ``rng``, input mask first, unless
-    ``rate`` is 0 (eval mode), which draws nothing.
+    ``rate`` is 0 (eval mode), which draws nothing. Each layer allocates one
+    activation array, and its bias and tanh are applied in place.
     """
     m1 = _dropout_mask(rng, X.shape, rate)
     z = X if m1 is None else X * m1
-    t = np.tanh(z @ head.W1.T + head.b1)
+    t = z @ head.W1.T
+    t += head.b1
+    np.tanh(t, out=t)
     m2 = _dropout_mask(rng, t.shape, rate)
     u = t if m2 is None else t * m2
-    return u @ head.W2.T + head.b2, (z, t, u, m2)
+    logits = u @ head.W2.T
+    logits += head.b2
+    return logits, (z, t, u, m2)
 
 
 def _check_inputs(model: MultiHeadModel, X: np.ndarray) -> None:
@@ -570,15 +580,23 @@ def train(
     that runs ``adamw_step`` on ``model.heads[c].flat`` and that head's own
     moments. Every head is stepped on every batch, so the heads' step counts
     move together, and the bits are those of one step over the whole
-    gradient. Memory is four parameter-sized vectors (parameters, two
-    moments, best snapshot) plus the one-head buffer. The batch loss is
-    checked after the heads are stepped, so when ``NonFiniteLoss`` is raised
-    the failing batch's update is already in ``model.theta``.
+    gradient. Memory is three parameter-sized vectors (parameters and two
+    moments) plus the one-head buffer. The batch loss is checked after the
+    heads are stepped, so when ``NonFiniteLoss`` is raised the failing
+    batch's update is already in ``model.theta``.
+
+    Each improving epoch's ``theta`` is written, from a view, over the start
+    of one unlinked ``tempfile.TemporaryFile`` under ``TMPDIR``. Its pages
+    sit in the kernel's page cache, which is reclaimable and not part of the
+    resident set; if ``TMPDIR`` is a tmpfs they sit in shared memory instead.
+    Every exit closes the file, and a killed process leaves no file behind.
+    A failed write (say ``ENOSPC``) raises ``OSError``, and a short read-back
+    raises ``TruncatedFile``.
 
     Training runs in place: ``model.theta`` holds the last step's parameters
     afterwards (pass ``model.copy()`` to keep the initial ones). The returned
-    ``model`` wraps the best epoch's snapshot, a vector of its own; its other
-    fields are ``model``'s.
+    ``model`` wraps the best epoch's parameters, read back into a vector of
+    its own after the moments are released; its other fields are ``model``'s.
     """
     if not split.train or not split.val:
         raise EmptySplit("train and val splits must both be non-empty")
@@ -598,47 +616,54 @@ def train(
     T_val = targets[val_rows]
 
     states = [AdamState.zeros_like(head.flat) for head in model.heads]
-    best_theta = np.empty_like(model.theta)
 
     def step(c: int, grad: np.ndarray) -> None:
         adamw_step(states[c], model.heads[c].flat, grad, config)
 
     rng = np.random.default_rng(config.seed)
 
-    best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always fills ``best_theta``
+    best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always writes the snapshot
     best_epoch = since_best = 0
     history: list[EpochStats] = []
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(train_rows))
-        seen = 0
-        loss_sum = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-                batch_loss, _ = _loss_and_grads(
-                    model, X_train[batch], T_train[batch], train_mode=True, rng=rng, apply=step
-                )
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")
-            loss_sum += batch_loss * len(batch)
-            seen += len(batch)
+    with tempfile.TemporaryFile() as snapshot:
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(len(train_rows))
+            seen = 0
+            loss_sum = 0.0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+                    batch_loss, _ = _loss_and_grads(
+                        model, X_train[batch], T_train[batch], train_mode=True, rng=rng, apply=step
+                    )
+                if not np.isfinite(batch_loss):
+                    raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")
+                loss_sum += batch_loss * len(batch)
+                seen += len(batch)
 
-        with np.errstate(over="ignore", invalid="ignore"):  # as in the batch pass above
-            val_pred, _ = predict_batch(model, X_val)
-        val_f1 = pooled_f1_indices(T_val, val_pred)
-        history.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen, val_f1=val_f1))
+            with np.errstate(over="ignore", invalid="ignore"):  # as in the batch pass above
+                val_pred, _ = predict_batch(model, X_val)
+            val_f1 = pooled_f1_indices(T_val, val_pred)
+            history.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen, val_f1=val_f1))
 
-        if val_f1 > best_f1:
-            np.copyto(best_theta, model.theta)
-            best_f1 = val_f1
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            # patience 0 means stop at the first epoch without improvement
-            if since_best >= max(config.patience, 1):
-                break
+            if val_f1 > best_f1:
+                snapshot.seek(0)
+                snapshot.write(model.theta.data)  # a view: no copy of theta is made
+                best_f1 = val_f1
+                best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+                # patience 0 means stop at the first epoch without improvement
+                if since_best >= max(config.patience, 1):
+                    break
+
+        states.clear()  # the moments go before the snapshot's vector is allocated
+        best_theta = np.empty_like(model.theta)
+        snapshot.seek(0)
+        if snapshot.readinto(best_theta) != best_theta.nbytes:
+            raise TruncatedFile("the best epoch's snapshot is short")
 
     return TrainResult(
         model=replace(model, theta=best_theta),

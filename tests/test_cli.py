@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import inspect
 import json
@@ -7,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -588,6 +590,67 @@ def test_train_memory_holds_four_parameter_vectors_and_one_head(tmp_path):
     assert code == 0
     theta_bytes = load_model(tmp_path / "out" / "model-seed1.ckpt").theta.nbytes
     assert growth_bytes < 4.75 * theta_bytes, f"peak growth {growth_bytes / theta_bytes:.2f} x theta"
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
+def test_train_memory_holds_three_parameter_vectors_and_one_head(tmp_path):
+    # as above, but the best epoch waits in an unlinked temporary file, read back
+    # only after the two AdamW moments are released
+    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
+    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 1024 - emb.dim))
+    write_facts(tmp_path / "facts.jsonl", facts)
+    save_embeddings(tmp_path / "facts.emb", EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids))
+    config = dict(FAST_CONFIG, seeds=[1], train=dict(FAST_CONFIG["train"], max_epochs=3))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, growth_bytes = run_probed(
+        "--config", tmp_path / "config.json", "train", "--facts", tmp_path / "facts.jsonl",
+        "--embeddings", tmp_path / "facts.emb", "--out-dir", tmp_path / "out",
+    )
+    assert code == 0
+    theta_bytes = load_model(tmp_path / "out" / "model-seed1.ckpt").theta.nbytes
+    assert growth_bytes < 3.75 * theta_bytes, f"peak growth {growth_bytes / theta_bytes:.2f} x theta"
+
+
+def test_train_without_room_for_its_snapshot_writes_no_model(workspace, capsys, monkeypatch):
+    tmp_path, facts_path, emb_path, config_path = workspace
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full_disk)
+    out_dir = tmp_path / "run"
+    code = run("--config", config_path, "train", "--facts", facts_path, "--embeddings", emb_path,
+               "--out-dir", out_dir)
+    assert code == 4
+    assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
+    assert not list(out_dir.glob("model-seed*.ckpt")) and not (out_dir / "metrics.txt").exists()
+
+
+@pytest.mark.parametrize("field", ["id", "text"])
+@pytest.mark.parametrize("command", ["split", "train", "canon", "embed-fetch"])
+def test_lone_surrogate_is_parse_error(workspace, capsys, command, field):
+    tmp_path, facts_path, emb_path, config_path = workspace
+    first, rest = facts_path.read_text().split("\n", 1)
+    record = json.loads(first)
+    if command == "canon":  # a raw record, which canon would otherwise accept
+        record = {"id": "r1", "text": "x", "annotation": {"broken": "Yes", "broken_reason": "No fact"}}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({**record, field: "\ud800"}) + "\n" + rest)
+    argv = {
+        "split": ["split", "--facts", bad, "--out", tmp_path / "split.txt"],
+        "train": ["--config", config_path, "train", "--facts", bad, "--embeddings", emb_path,
+                  "--out-dir", tmp_path / "run"],
+        "canon": ["canon", "--raw", bad, "--out", tmp_path / "canon.jsonl"],
+        # never contacted: the facts fail before the first request
+        "embed-fetch": ["embed-fetch", "--facts", bad, "--endpoint", "http://127.0.0.1:9/embed",
+                        "--out", tmp_path / "e.emb"],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert run(*argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: line 1: a string holds a lone surrogate")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")

@@ -1,4 +1,5 @@
 import inspect
+import pickle
 
 import pytest
 
@@ -20,3 +21,24 @@ def test_error_class_declares_exit_code(cls):
     """Without its own exit_code an error class would fall back to exit 1."""
     assert "exit_code" in vars(cls)
     assert 3 <= cls.exit_code <= 11
+
+
+# the classes whose constructors take arguments other than one message
+ARGUMENTS = {
+    errors.UnknownEnumValue: ("time", ["Present"]),
+    errors.ParseError: (3, "invalid JSON"),
+    errors.DuplicateId: ("f1",),
+    errors.ZeroVector: (7,),
+    errors.ProtocolError: (502, "x" * 300),
+}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_survives_a_pickle_round_trip(cls):
+    """An error raised in a worker process reaches the parent with its class and message."""
+    error = cls(*ARGUMENTS.get(cls, ("a message",)))
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error)
+    assert copy.exit_code == error.exit_code
+    assert vars(copy) == vars(error)

@@ -1,7 +1,10 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import struct
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,6 +19,7 @@ from factkit.errors import (
     DimensionMismatch,
     EmptySplit,
     LabelOutOfRange,
+    NonFiniteLoss,
     SchemaMismatch,
     TruncatedFile,
 )
@@ -45,7 +49,7 @@ from factkit.model import (
     targets_from_facts,
     train,
 )
-from factkit.model import _head_forward, _loss_and_grads
+from factkit.model import _dropout_mask, _head_forward, _loss_and_grads
 from factkit.taxonomy import DIMENSIONS, labelsets_from_codes
 
 from synth import synthetic_dataset
@@ -116,6 +120,32 @@ def test_forward_train_mode_dropout_changes_logits():
     noisy = forward(model, h, train_mode=True, rng=rng)
     clean = forward(model, h)
     assert not all(np.allclose(a, b) for a, b in zip(noisy, clean))
+
+
+def expression_head_forward(head, X, rate, rng):
+    """``_head_forward`` written as expressions, one fresh array per operation."""
+    m1 = _dropout_mask(rng, X.shape, rate)
+    z = X if m1 is None else X * m1
+    t = np.tanh(z @ head.W1.T + head.b1)
+    m2 = _dropout_mask(rng, t.shape, rate)
+    u = t if m2 is None else t * m2
+    return u @ head.W2.T + head.b2, (z, t, u, m2)
+
+
+@pytest.mark.parametrize(
+    "rows, rate", [(800, 0.0), (800, 0.2), (1, 0.0)], ids=["eval", "train-dropout", "one-row"]
+)
+def test_head_forward_in_place_matches_the_expressions_bitwise(rows, rate):
+    model = new_model(96, TWO_HEADS, hidden=80, dropout_rate=rate, seed=3)
+    X = np.random.default_rng(4).normal(size=(rows, 96))
+    for head in model.heads:
+        rng = None if rate == 0.0 else np.random.default_rng(5)
+        reference = None if rate == 0.0 else np.random.default_rng(5)
+        logits, cache = _head_forward(head, X, rate, rng)
+        want_logits, want_cache = expression_head_forward(head, X, rate, reference)
+        assert logits.tobytes() == want_logits.tobytes()
+        for got, want in zip(cache, want_cache):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 # --- loss ---
@@ -675,6 +705,80 @@ def test_train_memory_holds_four_parameter_vectors_and_one_head():
         tracemalloc.stop()
     ratio = (peak - start) / model.theta.nbytes
     assert ratio < 3.75, f"peak {ratio:.2f} x theta"
+
+
+def test_train_memory_holds_three_parameter_vectors_and_one_head():
+    # as above, but the best epoch waits in a temporary file, not in a fourth
+    # vector: the moments (2 x theta) and the read-back vector (1 x theta) are
+    # never held together
+    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
+    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 256 - emb.dim))
+    emb = EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids)
+    space = canonical_label_space()
+    targets = targets_from_facts(facts, space)
+    ids = emb.row_ids
+    split = SplitAssignment(train=ids[:90], val=ids[90:110], test=ids[110:])
+    model = new_model(256, space, dropout_rate=0.1, seed=1)
+    config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=2, patience=2, seed=1)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        train(model, emb, targets, split, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = (peak - start) / model.theta.nbytes
+    assert ratio < 2.75, f"peak {ratio:.2f} x theta"
+
+
+@pytest.mark.parametrize("learning_rate", [0.05, 1e308], ids=["trained", "non-finite-loss"])
+def test_train_closes_its_snapshot_file_and_leaves_no_file(tmp_path, monkeypatch, learning_rate):
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    real = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    emb, targets, split = tiny_task()
+    model = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
+    config = TrainConfig(learning_rate=learning_rate, batch_size=4, max_epochs=3, seed=2)
+    if learning_rate == 1e308:
+        with pytest.raises(NonFiniteLoss), np.errstate(over="ignore", invalid="ignore"):
+            train(model, emb, targets, split, config)
+    else:
+        train(model, emb, targets, split, config)
+    assert len(opened) == 1 and opened[0].closed
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_refuses_a_short_snapshot(monkeypatch):
+    class ShortFile(io.BytesIO):
+        def readinto(self, buffer):
+            return super().readinto(memoryview(buffer).cast("B")[:-1])
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", ShortFile)
+    emb, targets, split = tiny_task()
+    model = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
+    with pytest.raises(TruncatedFile, match="snapshot is short"):
+        train(model, emb, targets, split, TrainConfig(batch_size=4, max_epochs=2, seed=2))
+
+
+def test_train_snapshot_write_failure_raises_and_closes_the_file(monkeypatch):
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    opened = []
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: opened.append(FullDisk()) or opened[-1])
+    emb, targets, split = tiny_task()
+    model = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
+    with pytest.raises(OSError) as excinfo:
+        train(model, emb, targets, split, TrainConfig(batch_size=4, max_epochs=2, seed=2))
+    assert excinfo.value.errno == errno.ENOSPC
+    assert opened[0].closed
 
 
 def test_train_empty_split():
