@@ -297,9 +297,9 @@ def read_split(path: Union[str, Path]) -> tuple[SplitAssignment, SplitSpec]:
         raise ParseError(5, "split file has a line after its three id lines")
     header: dict[str, str] = {}
     for token in lines[0].split():
-        if "=" not in token:
-            raise ParseError(1, f"malformed header token {token!r}")
-        key, value = token.split("=", 1)
+        key, equals, value = token.partition("=")
+        if not equals or key not in ("seed", "train", "val", "test") or key in header:
+            raise ParseError(1, f"malformed header token {token!r}: unknown or repeated key")
         header[key] = value
     try:
         spec = SplitSpec(

@@ -36,15 +36,13 @@ gradient buffer. An in-place update of a head's array is an update of
 and the AdamW step updates them in place, one fixed-size block at a time.
 Training holds three parameter-sized vectors and allocates none of them per
 batch or per epoch: the parameters (the caller's ``theta``, updated in
-place) and the two moments. The best epoch's parameters are written to an
-unlinked temporary file under ``TMPDIR`` and read back into the returned
-model's own vector only after the moments are released, so they wait in the
-kernel's page cache, not in the process's resident set (if ``TMPDIR`` is a
-tmpfs, they wait in shared memory instead). The whole gradient is never
-held: each head's gradient is written into one buffer sized to one head,
-and AdamW steps that head's ``flat`` slice as soon as it is written, before
-the next head's forward step. Heads share no parameters and AdamW is
-elementwise, so this gives the bits of one step over the whole gradient.
+place) and the two moments. The best epoch's parameters wait in an unlinked
+temporary file, not in a fourth vector, and only while a later epoch moves
+``theta`` (see :func:`train`). The whole gradient is never held: each head's gradient is written
+into one buffer sized to one head, and AdamW steps that head's ``flat``
+slice as soon as it is written, before the next head's forward step. Heads
+share no parameters and AdamW is elementwise, so this gives the bits of one
+step over the whole gradient.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -374,10 +372,9 @@ def _loss_and_grads(
     gradient is written, flat, into one buffer sized to one head and passed
     as ``apply(c, grad)`` before head c + 1's forward step. Without ``apply``,
     each head's gradient is copied into a fresh vector laid out like
-    ``theta``, which is returned in place of ``None``.
+    ``theta``, which is returned in place of ``None``. ``X`` and ``targets``
+    are not checked here, on every batch: the callers check them once.
     """
-    targets = _check_targets(model, targets)
-    _check_inputs(model, X)
     rate = model.dropout_rate if train_mode else 0.0
     counts = _unmasked_counts(targets)
     scale_rows = 1.0 / counts / X.shape[0]
@@ -423,7 +420,9 @@ def backward(
     checking.
     """
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    _, grad = _loss_and_grads(model, h, target, train_mode=train_mode, rng=rng)
+    _check_inputs(model, h)
+    targets = _check_targets(model, target)
+    _, grad = _loss_and_grads(model, h, targets, train_mode=train_mode, rng=rng)
     return replace(model, theta=grad).parameters()
 
 
@@ -568,11 +567,11 @@ def train(
 ) -> TrainResult:
     """Mini-batch training with early stopping on validation pooled F1.
 
-    ``targets`` aligns row-for-row with ``embeddings``. Each epoch shuffles
-    the training rows with a generator seeded from ``config.seed``, then
-    takes one AdamW step per batch; after each epoch the validation pooled
-    macro F1 decides whether this epoch's parameters become the kept
-    snapshot. Training stops after ``patience`` consecutive epochs without
+    ``targets`` aligns row-for-row with ``embeddings``; both are checked
+    once, here. Each epoch shuffles the training rows with a generator seeded
+    from ``config.seed``, then takes one AdamW step per batch; after each
+    epoch the validation pooled macro F1 decides whether this epoch is the
+    best so far. Training stops after ``patience`` consecutive epochs without
     improvement or at ``max_epochs``.
 
     A batch's step is taken head by head: ``_loss_and_grads`` writes each
@@ -585,22 +584,24 @@ def train(
     heads are stepped, so when ``NonFiniteLoss`` is raised the failing
     batch's update is already in ``model.theta``.
 
-    Each improving epoch's ``theta`` is written, from a view, over the start
-    of one unlinked ``tempfile.TemporaryFile`` under ``TMPDIR``. Its pages
-    sit in the kernel's page cache, which is reclaimable and not part of the
-    resident set; if ``TMPDIR`` is a tmpfs they sit in shared memory instead.
-    Every exit closes the file, and a killed process leaves no file behind.
-    A failed write (say ``ENOSPC``) raises ``OSError``, and a short read-back
-    raises ``TruncatedFile``.
+    An epoch that follows an improving one first writes ``theta``, from a
+    view, over the start of one unlinked ``tempfile.TemporaryFile`` under
+    ``TMPDIR``: that is the last moment ``theta`` holds the best epoch. Its
+    pages sit in the kernel's page cache, which is reclaimable and not part
+    of the resident set; if ``TMPDIR`` is a tmpfs they sit in shared memory
+    instead. If an epoch ran after the best one, the file is read back into
+    ``model.theta``, which the heads view. Every exit closes the file, and a
+    killed process leaves no file behind. A failed write (say ``ENOSPC``)
+    raises ``OSError``, and a short read-back raises ``TruncatedFile``.
 
-    Training runs in place: ``model.theta`` holds the last step's parameters
-    afterwards (pass ``model.copy()`` to keep the initial ones). The returned
-    ``model`` wraps the best epoch's parameters, read back into a vector of
-    its own after the moments are released; its other fields are ``model``'s.
+    Training runs in place (pass ``model.copy()`` to keep the initial
+    parameters): the returned ``model`` is ``model``, holding the best
+    epoch's parameters.
     """
     if not split.train or not split.val:
         raise EmptySplit("train and val splits must both be non-empty")
     targets = _check_targets(model, targets)
+    _check_inputs(model, embeddings.rows)
     if len(targets) != len(embeddings):
         raise DimensionMismatch("targets and embeddings rows must align")
     row_of = embeddings.index_of()
@@ -622,14 +623,16 @@ def train(
 
     rng = np.random.default_rng(config.seed)
 
-    best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always writes the snapshot
+    best_f1 = -np.inf  # pooled F1 is finite, so epoch 1 always improves
     best_epoch = since_best = 0
     history: list[EpochStats] = []
 
     with tempfile.TemporaryFile() as snapshot:
         for epoch in range(1, config.max_epochs + 1):
+            if epoch > 1 and best_epoch == epoch - 1:  # this epoch moves theta off the best
+                snapshot.seek(0)
+                snapshot.write(model.theta.data)  # a view: no copy of theta is made
             order = rng.permutation(len(train_rows))
-            seen = 0
             loss_sum = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
@@ -640,16 +643,13 @@ def train(
                 if not np.isfinite(batch_loss):
                     raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")
                 loss_sum += batch_loss * len(batch)
-                seen += len(batch)
 
             with np.errstate(over="ignore", invalid="ignore"):  # as in the batch pass above
                 val_pred, _ = predict_batch(model, X_val)
             val_f1 = pooled_f1_indices(T_val, val_pred)
-            history.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen, val_f1=val_f1))
+            history.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(order), val_f1=val_f1))
 
             if val_f1 > best_f1:
-                snapshot.seek(0)
-                snapshot.write(model.theta.data)  # a view: no copy of theta is made
                 best_f1 = val_f1
                 best_epoch = epoch
                 since_best = 0
@@ -659,14 +659,13 @@ def train(
                 if since_best >= max(config.patience, 1):
                     break
 
-        states.clear()  # the moments go before the snapshot's vector is allocated
-        best_theta = np.empty_like(model.theta)
-        snapshot.seek(0)
-        if snapshot.readinto(best_theta) != best_theta.nbytes:
-            raise TruncatedFile("the best epoch's snapshot is short")
+        if best_epoch < len(history):  # a later epoch moved theta off the best
+            snapshot.seek(0)
+            if snapshot.readinto(model.theta) != model.theta.nbytes:
+                raise TruncatedFile("the best epoch's snapshot is short")
 
     return TrainResult(
-        model=replace(model, theta=best_theta),
+        model=model,
         history=history,
         best_epoch=best_epoch,
         best_val_f1=best_f1,

@@ -595,7 +595,7 @@ def test_train_memory_holds_four_parameter_vectors_and_one_head(tmp_path):
 @pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
 def test_train_memory_holds_three_parameter_vectors_and_one_head(tmp_path):
     # as above, but the best epoch waits in an unlinked temporary file, read back
-    # only after the two AdamW moments are released
+    # into the parameters themselves
     facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
     noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 1024 - emb.dim))
     write_facts(tmp_path / "facts.jsonl", facts)
@@ -1131,9 +1131,11 @@ def test_eval_without_split_scores_every_trainable_fact(workspace, capsys):
         ("seed=1 train:7/10 val=1/10 test=1/5", None, "line 1: malformed header token 'train:7/10'"),
         ("seed=18446744073709551616 train=7/10 val=1/10 test=1/5", None,
          "line 1: bad split header: seed 18446744073709551616 is not in [0, 2**64)"),
+        ("sead=4 seed=1 train=7/10 val=1/10 test=1/5", None, "line 1: malformed header token 'sead=4'"),
+        ("seed=1 seed=5 train=7/10 val=1/10 test=1/5", None, "line 1: malformed header token 'seed=5'"),
     ],
     ids=["fraction-negative", "fraction-zero-denominator", "id-twice-in-test", "id-in-train-and-test",
-         "token-without-equals", "seed-2**64"],
+         "token-without-equals", "seed-2**64", "unknown-key", "repeated-key"],
 )
 def test_eval_bad_split_header_exit_code(workspace, capsys, header, repeat, message):
     tmp_path, facts_path, emb_path, _ = workspace

@@ -565,20 +565,20 @@ def test_train_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_train_updates_model_in_place_and_returns_a_snapshot():
+def test_train_leaves_the_best_epoch_in_the_model_it_returns():
     emb, targets, split = tiny_task()
     config = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=10, patience=2, seed=2)
     model = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
+    theta = model.theta
     result = train(model, emb, targets, split, config)
-    assert not np.shares_memory(result.model.theta, model.theta)
-    assert all(np.shares_memory(a, result.model.theta) for a in result.model.parameters())
-    # patience ran out after the best epoch, so the last step moved model past the snapshot
+    assert result.model is model and model.theta is theta
+    assert all(np.shares_memory(a, theta) for a in model.parameters())
+    # patience ran out after the best epoch, so later steps moved theta past it
     assert result.history[-1].epoch > result.best_epoch
-    assert not np.array_equal(model.theta, result.model.theta)
     # the same run stopped at the best epoch leaves that epoch's parameters in model
     again = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
     train(again, emb, targets, split, replace(config, max_epochs=result.best_epoch))
-    assert np.array_equal(again.theta, result.model.theta)
+    assert model.theta.tobytes() == again.theta.tobytes()
 
 
 def test_train_golden_digest_across_adamw_blocks():
@@ -606,8 +606,8 @@ def test_train_golden_digest_across_adamw_blocks():
 def whole_gradient_train(model, embeddings, targets, split, config):
     """``train`` with a whole-model gradient vector and one ``adamw_step`` per batch.
 
-    Returns the best snapshot, the history and the best epoch; ``model.theta``
-    holds the last step's parameters afterwards, as with ``train``.
+    Returns a copy of the best epoch's parameters, the history and the best
+    epoch; ``model.theta`` holds the last step's parameters afterwards.
     """
     row_of = embeddings.index_of()
     train_rows = [row_of[i] for i in split.train]
@@ -678,39 +678,15 @@ def test_per_head_steps_match_one_step_over_the_whole_gradient_bitwise(
     best_theta, history, best_epoch = whole_gradient_train(reference, emb, targets, split, config)
     assert result.history == history
     assert result.best_epoch == best_epoch
-    assert result.model.theta.tobytes() == best_theta.tobytes()
-    assert model.theta.tobytes() == reference.theta.tobytes()
-
-
-def test_train_memory_holds_four_parameter_vectors_and_one_head():
-    # seven heads at d = hidden = 256; beside theta, training keeps two AdamW
-    # moments and one best-epoch snapshot (3 x theta), a one-head gradient
-    # buffer (1/7 of theta), AdamW's two 512 KB scratch blocks and the batch's
-    # activations
-    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
-    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 256 - emb.dim))
-    emb = EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids)
-    space = canonical_label_space()
-    targets = targets_from_facts(facts, space)
-    ids = emb.row_ids
-    split = SplitAssignment(train=ids[:90], val=ids[90:110], test=ids[110:])
-    model = new_model(256, space, dropout_rate=0.1, seed=1)
-    config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=2, patience=2, seed=1)
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        train(model, emb, targets, split, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    ratio = (peak - start) / model.theta.nbytes
-    assert ratio < 3.75, f"peak {ratio:.2f} x theta"
+    assert result.model is model
+    assert model.theta.tobytes() == best_theta.tobytes()
 
 
 def test_train_memory_holds_three_parameter_vectors_and_one_head():
-    # as above, but the best epoch waits in a temporary file, not in a fourth
-    # vector: the moments (2 x theta) and the read-back vector (1 x theta) are
-    # never held together
+    # seven heads at d = hidden = 256; beside theta, training keeps two AdamW
+    # moments (2 x theta), a one-head gradient buffer (1/7 of theta), AdamW's
+    # two 512 KB scratch blocks and the batch's activations; the best epoch
+    # waits in a temporary file and is read back into theta itself
     facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
     noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 256 - emb.dim))
     emb = EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids)
@@ -762,8 +738,72 @@ def test_train_refuses_a_short_snapshot(monkeypatch):
     monkeypatch.setattr(tempfile, "TemporaryFile", ShortFile)
     emb, targets, split = tiny_task()
     model = new_model(4, [("pair", ("n", "y"))], hidden=4, dropout_rate=0.0, seed=1)
+    # at learning rate 0 epoch 2 cannot improve on epoch 1, so the read-back runs
+    config = TrainConfig(learning_rate=0.0, batch_size=4, max_epochs=2, seed=2)
     with pytest.raises(TruncatedFile, match="snapshot is short"):
-        train(model, emb, targets, split, TrainConfig(batch_size=4, max_epochs=2, seed=2))
+        train(model, emb, targets, split, config)
+
+
+REAL_TEMPORARY_FILE = tempfile.TemporaryFile
+
+
+class CountedFile:
+    """A ``tempfile.TemporaryFile`` that counts the writes and reads made through it."""
+
+    def __init__(self):
+        self.file = REAL_TEMPORARY_FILE()
+        self.writes = self.reads = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def seek(self, offset):
+        return self.file.seek(offset)
+
+    def write(self, data):
+        self.writes += 1
+        return self.file.write(data)
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return self.file.readinto(buffer)
+
+
+@pytest.mark.parametrize(
+    "changes, best_epoch, writes, reads",
+    [
+        ({"max_epochs": 2}, 2, 1, 0),  # perfbench fit's shape: epochs 1 and 2 both improve
+        ({"max_epochs": 1}, 1, 0, 0),
+        ({"learning_rate": 0.0, "patience": 1}, 1, 1, 1),  # epoch 2 cannot improve on epoch 1
+        ({"seed": 3, "patience": 1}, 1, 1, 1),  # epoch 2 scores worse than epoch 1
+    ],
+    ids=["two-improving-epochs", "one-epoch", "learning-rate-0", "worse-epoch-2"],
+)
+def test_train_writes_the_best_epoch_only_before_a_later_epoch_moves_it(
+    monkeypatch, changes, best_epoch, writes, reads
+):
+    opened = []
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda: opened.append(CountedFile()) or opened[-1])
+    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
+    space = canonical_label_space()
+    targets = targets_from_facts(facts, space)
+    ids = emb.row_ids
+    split = SplitAssignment(train=ids[:90], val=ids[90:110], test=ids[110:])
+    config = replace(
+        TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4, patience=2, seed=1), **changes
+    )
+    model = new_model(emb.dim, space, hidden=16, seed=config.seed)
+    result = train(model, emb, targets, split, config)
+    assert result.best_epoch == best_epoch
+    assert (opened[0].writes, opened[0].reads) == (writes, reads)
+    # the parameters are those of the same run stopped at the best epoch
+    again = new_model(emb.dim, space, hidden=16, seed=config.seed)
+    train(again, emb, targets, split, replace(config, max_epochs=result.best_epoch))
+    assert model.theta.tobytes() == again.theta.tobytes()
 
 
 def test_train_snapshot_write_failure_raises_and_closes_the_file(monkeypatch):
