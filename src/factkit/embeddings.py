@@ -49,7 +49,7 @@ _NORM_ROWS = 1024  # rows that l2_normalize holds as float64 at once
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """N row vectors aligned one-to-one with N fact ids."""
+    """N finite row vectors aligned one-to-one with N fact ids."""
 
     rows: np.ndarray
     row_ids: tuple[str, ...]
@@ -64,7 +64,7 @@ class EmbeddingMatrix:
             )
         if len(set(self.row_ids)) != len(self.row_ids):
             raise DimensionMismatch("row ids are not unique")
-        if rows.size and not np.all(np.isfinite(rows)):
+        if not np.isfinite((rows.min(initial=0.0), rows.max(initial=0.0))).all():  # no N x d mask
             raise ValueError("embedding rows contain non-finite values")
         object.__setattr__(self, "rows", rows)
 
@@ -234,7 +234,7 @@ def fetch_embeddings(
             raise ProtocolError(200, f"embeddings are not a numeric matrix: rows hold {names}")
         if dim == 0:
             raise ProtocolError(200, "embeddings have no columns")
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite((array.min(initial=0.0), array.max(initial=0.0))).all():
             raise ProtocolError(200, "embeddings contain non-finite values")
         if declared_dim is None:
             declared_dim = dim

@@ -536,11 +536,11 @@ def predict_batch(model: MultiHeadModel, X: np.ndarray) -> tuple[np.ndarray, np.
 
     Ties go to the lowest label index. ``X`` may be any float dtype: it is
     read in blocks of at most ``PREDICT_BLOCK`` rows, each upcast to float64
-    on its own, and eval mode keeps no backward cache, so memory beyond the
-    inputs and outputs is bounded by one block. The blocks split the rows
-    into near-equal parts, so no block has a single row unless ``X`` does:
-    numpy would send a one-row product to GEMV, whose rounding can differ
-    from the GEMM that computes every other row.
+    on its own. Each head's activations are freed before the next head runs,
+    so memory beyond the inputs and outputs is one float64 block and one
+    head's activations. The blocks split the rows into near-equal parts, so
+    no block has a single row unless ``X`` does: numpy would send a one-row
+    product to GEMV, whose rounding can differ from the GEMM for the others.
     """
     X = np.asarray(X)
     _check_inputs(model, X)
@@ -551,7 +551,7 @@ def predict_batch(model: MultiHeadModel, X: np.ndarray) -> tuple[np.ndarray, np.
         rows = slice(start, start + len(block))
         block = np.asarray(block, dtype=np.float64)
         for c, head in enumerate(model.heads):
-            logits, _ = _head_forward(head, block, 0.0, None)
+            logits = _head_forward(head, block, 0.0, None)[0]  # the cache goes before the next head
             indices[rows, c] = logits.argmax(axis=1)
             confidences[rows, c] = softmax(logits).max(axis=1)
         start = rows.stop

@@ -555,47 +555,10 @@ def test_train_rerun_is_byte_identical(workspace):
 
 
 @pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
-def test_train_memory_holds_five_parameter_vectors(tmp_path):
-    # at d = hidden = 1024 theta is ~59 MB, so the vectors training keeps
-    # (parameters, gradient, two AdamW moments, best-epoch snapshot) dominate
-    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
-    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 1024 - emb.dim))
-    write_facts(tmp_path / "facts.jsonl", facts)
-    save_embeddings(tmp_path / "facts.emb", EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids))
-    config = dict(FAST_CONFIG, seeds=[1], train=dict(FAST_CONFIG["train"], max_epochs=3))
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    code, growth_bytes = run_probed(
-        "--config", tmp_path / "config.json", "train", "--facts", tmp_path / "facts.jsonl",
-        "--embeddings", tmp_path / "facts.emb", "--out-dir", tmp_path / "out",
-    )
-    assert code == 0
-    theta_bytes = load_model(tmp_path / "out" / "model-seed1.ckpt").theta.nbytes
-    assert growth_bytes < 6 * theta_bytes, f"peak growth {growth_bytes / theta_bytes:.2f} x theta"
-
-
-@pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
-def test_train_memory_holds_four_parameter_vectors_and_one_head(tmp_path):
-    # as above, but AdamW steps each head as soon as its gradient is written, so
-    # a one-head buffer (1/7 of theta) stands in for the whole gradient vector
-    facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
-    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 1024 - emb.dim))
-    write_facts(tmp_path / "facts.jsonl", facts)
-    save_embeddings(tmp_path / "facts.emb", EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids))
-    config = dict(FAST_CONFIG, seeds=[1], train=dict(FAST_CONFIG["train"], max_epochs=3))
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    code, growth_bytes = run_probed(
-        "--config", tmp_path / "config.json", "train", "--facts", tmp_path / "facts.jsonl",
-        "--embeddings", tmp_path / "facts.emb", "--out-dir", tmp_path / "out",
-    )
-    assert code == 0
-    theta_bytes = load_model(tmp_path / "out" / "model-seed1.ckpt").theta.nbytes
-    assert growth_bytes < 4.75 * theta_bytes, f"peak growth {growth_bytes / theta_bytes:.2f} x theta"
-
-
-@pytest.mark.skipif(not HAS_PROC, reason="needs Linux /proc")
 def test_train_memory_holds_three_parameter_vectors_and_one_head(tmp_path):
-    # as above, but the best epoch waits in an unlinked temporary file, read back
-    # into the parameters themselves
+    # at d = hidden = 1024 theta is ~59 MB, so the vectors training keeps dominate:
+    # parameters, two AdamW moments and a one-head gradient buffer; the best epoch
+    # waits in an unlinked temporary file, read back into the parameters themselves
     facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
     noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 1024 - emb.dim))
     write_facts(tmp_path / "facts.jsonl", facts)

@@ -1,6 +1,7 @@
 import json
 import socket
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,10 +55,30 @@ def test_matrix_rejects_rows_without_columns(shape):
 
 
 def test_matrix_rejects_non_finite():
-    rows = np.zeros((2, 2))
-    rows[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        EmbeddingMatrix(rows=rows, row_ids=("a", "b"))
+    for value in (np.nan, np.inf, -np.inf):
+        for cell in ((0, 0), (-1, -1)):
+            rows = np.zeros((2, 3))
+            rows[cell] = value
+            with pytest.raises(ValueError, match="embedding rows contain non-finite values"):
+                EmbeddingMatrix(rows=rows, row_ids=("a", "b"))
+
+
+def test_matrix_of_no_rows_constructs():
+    matrix = EmbeddingMatrix(rows=np.zeros((0, 3), dtype=np.float32), row_ids=())
+    assert len(matrix) == 0 and matrix.dim == 3
+
+
+def test_matrix_checks_its_rows_without_an_elementwise_mask():
+    rows = np.random.default_rng(0).standard_normal((4096, 1024), dtype=np.float32)
+    ids = tuple(map(str, range(len(rows))))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        EmbeddingMatrix(rows=rows, row_ids=ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < rows.nbytes / 16, f"peak {(peak - start) / rows.nbytes:.3f} x rows"
 
 
 def test_take_orders_rows_by_id():

@@ -450,6 +450,23 @@ def test_predict_blocks_match_one_unblocked_pass_bitwise(n):
         assert np.array_equal(got_confidences, confidences)
 
 
+def test_predict_batch_memory_is_bounded_by_one_block():
+    # at hidden = dim, a head's tanh activations are the size of the block's
+    # float64 copy; the two are alive at once, but no earlier head's activations
+    model = new_model(256, canonical_label_space(), hidden=256, seed=0)
+    rows = np.random.default_rng(0).standard_normal((PREDICT_BLOCK, 256), dtype=np.float32)
+    block_bytes = rows.size * 8
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        predict_batch(model, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = (peak - start) / block_bytes
+    assert ratio < 2.5, f"peak {ratio:.2f} x one float64 block"
+
+
 # --- AdamW ---
 
 
