@@ -98,16 +98,20 @@ class EmbeddingMatrix:
 
 
 def save_embeddings(path: Union[str, Path], matrix: EmbeddingMatrix) -> None:
-    """Write a ``.emb`` file; float32 storage regardless of input dtype."""
+    """Write a ``.emb`` file; float32 storage regardless of input dtype.
+
+    Every id is encoded before the file opens, so an id that UTF-8 cannot
+    encode raises :class:`UnicodeEncodeError` and leaves ``path`` as it was.
+    """
     rows = np.ascontiguousarray(matrix.rows, dtype="<f4")
     n, d = rows.shape
+    encoded = [row_id.encode("utf-8") for row_id in matrix.row_ids]
     with open(path, "wb") as handle:
         handle.write(struct.pack("<4I", MAGIC, FORMAT_VERSION, n, d))
         rows.tofile(handle)
-        for row_id in matrix.row_ids:
-            encoded = row_id.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
+        for blob in encoded:
+            handle.write(struct.pack("<I", len(blob)))
+            handle.write(blob)
 
 
 def load_embeddings(path: Union[str, Path]) -> EmbeddingMatrix:
@@ -220,7 +224,8 @@ def fetch_embeddings(
         if not isinstance(vectors, list) or len(vectors) != len(batch):
             raise ProtocolError(200, f"expected {len(batch)} embeddings, got {vectors!r}")
         try:
-            array = np.asarray(vectors, dtype="<f4")
+            with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
+                array = np.asarray(vectors, dtype="<f4")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(200, f"embeddings are not a numeric matrix: {exc}") from exc
         if type(dim) is not int:  # a JSON true or 1.0 would compare equal to 1

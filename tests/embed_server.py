@@ -8,7 +8,8 @@ Serves ``POST /embed`` with ``{"texts": [...]}`` and answers
 * ``payload``: every reply carries ``payload`` as its embeddings, verbatim
   (NaN included), to exercise malformed replies.
 * ``body``: every reply's whole JSON body is ``payload``, to exercise
-  replies that are not an object.
+  replies that are not an object; a ``bytes`` payload is the body as it is,
+  say JSON nested deeper than a parser allows.
 * ``raw``: every reply is ``payload``, bytes written to the socket verbatim,
   status line included (see :func:`raw_reply`), to exercise any status,
   body or malformed reply.
@@ -111,7 +112,7 @@ class MockEmbedServer:
                 reply = {"dim": dim, "embeddings": vectors}
                 if outer.mode == "body":
                     reply = outer.payload
-                payload = json.dumps(reply).encode()
+                payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))

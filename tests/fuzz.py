@@ -4,13 +4,16 @@ Standard library only, beside numpy and factkit themselves: every case draws
 from its own ``random.Random`` seeded with the run's seed and the case
 number, so a case replays on its own. ``make_workspace`` writes one small
 valid input of each kind: facts, a second rater's labels, raw annotations,
-a config, a split file and a checkpoint. Each case mutates one of them, in
+a config, a split file and a checkpoint, plus one embedding endpoint's reply
+to ``embed-fetch``. Each case mutates one of them, in
 the spirit of grammar-based fuzzing (Godefroid, Kiezun and Levin,
 "Grammar-based Whitebox Fuzzing", PLDI 2008), one to three times (the
 config once, so that no case sets both ``max_epochs`` and ``patience`` to
 2**64):
 
-- a JSON tree (a facts or raw record, the config, the checkpoint header):
+- a JSON tree (a facts or raw record, the config, the checkpoint header, the
+  ``{"dim": d, "embeddings": [...]}`` reply that ``tests/embed_server.py``'s
+  ``body`` mode serves for the one batch, with ``embedding.retries`` 0):
   drop a key or item, add one, or swap in a value from ``VALUES``, or
   replace the whole tree with one;
 - a JSON-lines file: also drop, repeat, blank or cut a line;
@@ -21,7 +24,7 @@ The case then runs one command that reads the mutated file, with stdout and
 stderr captured and warnings recorded. The invariant is exit 0 with nothing
 on stderr, or exactly one ``error: <Category>: ...`` line and the exit code
 that ``<Category>`` declares (4 for an ``OSError``). Anything else, a raised
-exception included, is an escape. Endpoint replies are not fuzzed.
+exception included, is an escape.
 
 ``tests/test_fuzz.py`` runs a fixed seed and case count in tier-1. A
 longer run is ungated; from the repository root::
@@ -66,6 +69,7 @@ from factkit.model import (
 )
 
 from canon_fixtures import GOLDEN_CASES, VALID_BASE
+from embed_server import MockEmbedServer
 from synth import synthetic_dataset
 
 DEEP = "\x00deep\x00"  # serialized as DEEP_JSON, an array nested deeper than json.loads allows
@@ -79,6 +83,7 @@ CONFIG = {
     "train": {"max_epochs": 2, "patience": 1, "batch_size": 16, "hidden": 4},
     "sampling": {"k": 3, "cap": 2},
     "baseline": {"l2": 1e-3},
+    "embedding": {"batch_size": 64, "retries": 0},  # one request per fetch, never retried
 }
 
 # each input kind, and the commands that read it, as (command, the flag given the mutated file)
@@ -92,6 +97,7 @@ READERS = {
         "split", "train", "baseline", "sample", "agree", "eval", "canon", "predict", "analyze")],
     "split": [("eval", "--split")],
     "checkpoint": [("predict", "--model"), ("eval", "--model"), ("analyze", "--models")],
+    "reply": [("embed-fetch", "--endpoint")],
 }
 
 
@@ -105,10 +111,15 @@ class Workspace:
     paths: dict  # kind -> its valid file; "emb" and "train-facts" are never mutated
     documents: dict  # kind -> the valid document that cases mutate
     theta: bytes  # the checkpoint's parameter block, after its header
+    server: MockEmbedServer  # serves the mutated "reply" document
 
 
-def make_workspace(root: Path) -> Workspace:
-    """Valid inputs of every kind under ``root``, each small enough to run in milliseconds."""
+def make_workspace(root: Path, server: MockEmbedServer) -> Workspace:
+    """Valid inputs of every kind under ``root``, each small enough to run in milliseconds.
+
+    The valid endpoint reply is a document too; ``server``, in ``body`` mode,
+    serves each case's mutation of it.
+    """
     paths = {kind: root / name for kind, name in [
         ("facts", "facts.jsonl"), ("labels", "labels.jsonl"), ("raw", "raw.jsonl"),
         ("config", "config.json"), ("split", "split.txt"), ("checkpoint", "model.ckpt"),
@@ -140,8 +151,10 @@ def make_workspace(root: Path) -> Workspace:
         "split": [split_lines[0].split()] + [line.split(",") if line else []
                                              for line in split_lines[1:]],
         "checkpoint": json.loads(blob[12 : 12 + blob_len]),
+        "reply": {"dim": 2, "embeddings": [[float(i), 1.0] for i in range(len(facts))]},
     }
-    return Workspace(root, paths, documents, blob[12 + blob_len :])
+    paths["reply"] = server.url
+    return Workspace(root, paths, documents, blob[12 + blob_len :], server)
 
 
 def _containers(tree):
@@ -258,6 +271,8 @@ def _write(workspace: Workspace, kind: str, document, path: Path) -> None:
         path.write_bytes(text.encode("utf-8", "surrogatepass"))
     elif kind == "config":
         path.write_text(_dumps(document), encoding="utf-8")
+    elif kind == "reply":  # served, not written
+        workspace.server.payload = _dumps(document).encode()
     else:
         path.write_text("".join((line if isinstance(line, Text) else _dumps(line)) + "\n"
                                 for line in document), encoding="utf-8")
@@ -281,6 +296,8 @@ def _argv(command: str, paths: dict, out: Path) -> list[str]:
         "canon": ["canon", "--raw", paths["raw"], "--out", out / "canon.jsonl"],
         "predict": ["predict", "--model", paths["checkpoint"], "--embeddings", paths["emb"],
                     "--out", out / "predict.jsonl"],
+        "embed-fetch": ["embed-fetch", "--facts", paths["facts"], "--endpoint", paths["reply"],
+                        "--out", out / "fetched.emb"],
     }[command]
     return ["--config", str(paths["config"]), *map(str, argv)]
 
@@ -318,15 +335,19 @@ def run_main(argv: list[str]):
     return code, err.getvalue() + shown
 
 
+def case_rng(seed: int, case: int) -> random.Random:
+    """The case's own generator; its first draw picks the input kind from ``READERS``."""
+    return random.Random(f"{seed}:{case}")
+
+
 def run_case(workspace: Workspace, seed: int, case: int):
     """Mutate one input and run one command on it; a description of the escape, or None."""
-    rng = random.Random(f"{seed}:{case}")
+    rng = case_rng(seed, case)
     kind = rng.choice(list(READERS))
     command, flag = rng.choice(READERS[kind])
     document = copy.deepcopy(workspace.documents[kind])
-    mutate = {"config": mutate_tree, "checkpoint": mutate_tree, "split": mutate_split}.get(
-        kind, mutate_lines
-    )
+    mutate = {"config": mutate_tree, "checkpoint": mutate_tree, "reply": mutate_tree,
+              "split": mutate_split}.get(kind, mutate_lines)
     notes = []
     for _ in range(1 if kind == "config" else rng.randint(1, 3)):
         document, note = mutate(rng, document)
@@ -339,7 +360,8 @@ def run_case(workspace: Workspace, seed: int, case: int):
         _write(workspace, kind, document, mutated)
         # only the flag's own file is the mutated one; agree's --labels gives facts, then labels
         key = {"--corpus": "facts", "--train-facts": "train-facts"}.get(flag, kind)
-        argv = _argv(command, {**workspace.paths, key: mutated}, out / "out")
+        mutated_paths = {**workspace.paths, key: mutated} if kind != "reply" else workspace.paths
+        argv = _argv(command, mutated_paths, out / "out")
         code, err = run_main(argv)
     finally:
         shutil.rmtree(out)
@@ -354,16 +376,17 @@ def fuzz(root: Path, seed: int, cases, seconds: float = math.inf) -> tuple[int, 
 
     Returns how many cases ran and the escapes found.
     """
-    workspace = make_workspace(root)
-    deadline = time.monotonic() + seconds
     ran, escapes = 0, []
-    for case in cases:
-        if time.monotonic() > deadline:
-            break
-        found = run_case(workspace, seed, case)
-        ran += 1
-        if found:
-            escapes.append(found)
+    with MockEmbedServer(mode="body") as server:
+        workspace = make_workspace(root, server)
+        deadline = time.monotonic() + seconds
+        for case in cases:
+            if time.monotonic() > deadline:
+                break
+            found = run_case(workspace, seed, case)
+            ran += 1
+            if found:
+                escapes.append(found)
     return ran, escapes
 
 

@@ -356,6 +356,11 @@ def test_average_report_means():
     assert avg.interpretation == "Substantial"  # band of the averaged kappa
 
 
+def test_average_report_refuses_no_reports():
+    with pytest.raises(EmptyInput, match="no reports to average"):
+        average_report([])
+
+
 def test_average_band_follows_the_rows_rule():
     # two complete raters: every row bands by Cohen's kappa, so the average row does too
     split = RatingsTable(values=[["a", "b"], ["b", "b"]] * 3)  # Cohen 0, Fleiss -1/3

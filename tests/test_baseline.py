@@ -1,14 +1,23 @@
+import importlib
 import math
 import random
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from factkit.baseline import (
+    LS_FTOL,
+    LS_GTOL,
+    LS_TRIALS,
+    CsrMatrix,
     LinearModel,
     TfidfConfig,
+    _lbfgs,
+    _line_search,
+    _objective,
     baseline_eval,
     logreg_predict,
     logreg_train,
@@ -17,6 +26,7 @@ from factkit.baseline import (
     tokenize,
     train_baseline,
 )
+from factkit.dataio import read_facts
 from factkit.errors import DimensionMismatch, EmptyInput, EmptyVocabulary, LengthMismatch
 from factkit.metrics import macro_f1
 from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, label_codes
@@ -24,6 +34,7 @@ from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, label_codes
 from synth import synthetic_labels, embed_labels
 
 LENIENT = TfidfConfig(min_df=1, max_df=1.0)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # --- tokenizer ---
@@ -39,6 +50,11 @@ def test_tokenize_strips_accents():
 
 
 # --- vocabulary ---
+
+
+def test_fit_refuses_an_empty_corpus():
+    with pytest.raises(EmptyInput, match="empty corpus"):
+        tfidf_fit([])
 
 
 def test_default_filters_empty_vocabulary():
@@ -136,9 +152,43 @@ def test_fit_transform_rows_have_norm_one_or_zero():
     corpus = [f"w{i} w{i + 1} shared" for i in range(8)]
     vocab = tfidf_fit(corpus, LENIENT)
     matrix = tfidf_transform(vocab, corpus + ["unseen tokens only"])
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    norms = np.linalg.norm(matrix.toarray(), axis=1)
     for norm in norms:
         assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
+
+
+def test_csr_matrix_from_dense_round_trips_and_refuses_other_ranks():
+    dense = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.5, 0.0, -3.0]])
+    matrix = CsrMatrix.from_dense(dense)
+    assert matrix.shape == (3, 3) and matrix.nnz == 3
+    assert matrix.indptr.tolist() == [0, 1, 1, 3] and matrix.indices.tolist() == [1, 0, 2]
+    assert np.array_equal(matrix.toarray(), dense)
+    weights = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(matrix.matmul_t(weights), dense @ weights.T)
+    residual = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(matrix.t_matmul_t(residual), (dense.T @ residual).T)
+    for bad in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            CsrMatrix.from_dense(bad)
+
+
+def test_transform_and_one_objective_stay_far_below_the_dense_matrix():
+    # paper scale: 2,000 texts over a 10,000-term vocabulary, nine labels
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(150)]
+    texts = [" ".join(rng.choice(words) for _ in range(25)) for _ in range(2000)]
+    vocab = tfidf_fit(texts)
+    assert len(vocab.terms) == 10_000
+    y_idx, share = np.arange(2000) % 9, np.full(2000, 1 / 2000)
+    tracemalloc.start()
+    try:
+        X = tfidf_transform(vocab, texts)
+        _objective(np.zeros(9 * 10_001), X, y_idx, share, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = 2000 * 10_000 * 8
+    assert peak < dense_bytes / 20, f"peak {peak / dense_bytes:.3f} x the dense matrix"
 
 
 def test_sublinear_tf():
@@ -167,7 +217,7 @@ def separable_set(n=40, seed=0):
         else:
             X[i, 1] += 1.0
             y.append("pos")
-    return sp.csr_matrix(X), y
+    return X, y
 
 
 def test_logreg_learns_separable_within_200_epochs():
@@ -184,9 +234,7 @@ def test_logreg_class_balance_ratio():
     w_b = n / (n_classes * 10)
     assert w_b / w_a == pytest.approx(9.0, abs=1e-12)
     # and the fit with balancing still learns the separable signal
-    X = sp.csr_matrix(
-        np.vstack([np.tile([1.0, 0.0], (90, 1)), np.tile([0.0, 1.0], (10, 1))])
-    )
+    X = np.vstack([np.tile([1.0, 0.0], (90, 1)), np.tile([0.0, 1.0], (10, 1))])
     model = logreg_train(X, y, class_balanced=True)
     assert logreg_predict(model, X) == y
 
@@ -202,13 +250,13 @@ def test_logreg_loss_non_increasing_full_batch():
 
     # the end point is near-stationary: central differences of an independent
     # implementation of the objective vanish there
-    dense = X.toarray()
     y_idx = np.array([model.labels.index(v) for v in y])
 
     def objective(theta):
         weights, bias = theta[:-2].reshape(2, -1), theta[-2:]
-        scores = dense @ weights.T + bias
-        log_probs = scores - logsumexp(scores, axis=1, keepdims=True)
+        scores = X @ weights.T + bias
+        top = scores.max(axis=1, keepdims=True)
+        log_probs = scores - top - np.log(np.exp(scores - top).sum(axis=1, keepdims=True))
         ce = -log_probs[np.arange(len(y)), y_idx].mean()
         return ce + 0.5 * l2 * (weights**2).sum()
 
@@ -223,7 +271,7 @@ def test_logreg_loss_non_increasing_full_batch():
 
 
 def test_logreg_single_class_constant_predictor():
-    X = sp.csr_matrix(np.ones((5, 2)))
+    X = np.ones((5, 2))
     with pytest.warns(UserWarning):
         model = logreg_train(X, ["only"] * 5)
     assert model.single_class
@@ -231,12 +279,117 @@ def test_logreg_single_class_constant_predictor():
 
 
 def test_logreg_single_class_goes_through_lbfgs():
-    X = sp.csr_matrix(np.ones((5, 2)))
+    X = np.ones((5, 2))
     with pytest.warns(UserWarning, match="single-class"):
         model = logreg_train(X, [3] * 5)
     # zero weights have a zero gradient, so L-BFGS stops where it starts
     assert model.loss_history == (0.0,)
     assert model.labels == (3,) and not model.weights.any() and not model.bias.any()
+
+
+@pytest.mark.parametrize("l2", [1e-4, 1e-2])
+def test_lbfgs_ends_within_1e_4_of_scipy_lbfgsb(l2, tmp_path, monkeypatch):
+    # scipy is only the reference here: the same objective through its L-BFGS-B
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for seed in range(1, 6):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        workloads.Baseline().setup(seed, work, tmp_path / "out")
+        facts = read_facts(work / "facts.jsonl")
+        texts = [fact.text for fact in facts]
+        X = tfidf_transform(tfidf_fit(texts), texts)
+        for column in label_codes([fact.labels for fact in facts]).T:
+            labels, y_idx = np.unique(column, return_inverse=True)
+            if len(labels) < 2:
+                continue
+            sample_w = 1.0 / np.bincount(y_idx)[y_idx]
+            args = (X, y_idx, sample_w / sample_w.sum(), l2)
+            reference = optimize.minimize(
+                _objective, np.zeros(len(labels) * (X.shape[1] + 1)), args=args,
+                method="L-BFGS-B", jac=True,
+            ).fun
+            ours = logreg_train(X, column, l2=l2).loss_history[-1]
+            assert ours - reference <= 1e-4 * abs(reference), (seed, labels)
+
+
+def test_logreg_huge_l2_backs_off_to_the_start_without_warnings():
+    # every step from zero overflows the penalty: each non-finite value halves the step
+    X, y = separable_set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = logreg_train(X, y, l2=1e308)
+    assert model.loss_history[-1] == pytest.approx(math.log(2), abs=1e-12)
+    assert not model.weights.any() and not model.bias.any()
+
+
+def test_line_search_steps_meet_sufficient_decrease():
+    # seeded 1-D functions, a downward tilt plus four sines, from first steps of 1e-2 to 1e2
+    outcomes = {"wolfe": 0, "stopped early": 0, "no step": 0}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        amp, freq = rng.uniform(-1, 1, 4), rng.uniform(0.1, 5, 4)
+        tilt, bowl, step = rng.uniform(2, 3), rng.choice([0.0, 0.01, 1.0]), 10 ** rng.uniform(-2, 2)
+
+        def fun(x):
+            value = bowl * x[0] ** 2 - tilt * x[0] + amp @ np.sin(freq * x[0])
+            return value, np.array([2 * bowl * x[0] - tilt + amp @ (freq * np.cos(freq * x[0]))])
+
+        f0, g0 = fun(np.zeros(1))
+        if not g0[0] < 0:
+            continue
+        found = _line_search(fun, np.zeros(1), f0, g0, np.ones(1), step)
+        if found is None:
+            outcomes["no step"] += 1
+            continue
+        x, f, g = found
+        assert f <= f0 + LS_FTOL * x[0] * g0[0], seed
+        outcomes["wolfe" if abs(g[0]) <= -LS_GTOL * g0[0] else "stopped early"] += 1
+    assert outcomes["wolfe"] > 200 and outcomes["stopped early"] and outcomes["no step"], outcomes
+
+
+def test_line_search_shortens_a_step_that_lowers_the_value_too_little():
+    # x^2/2 - x is 0 at 0 and at 2: a first step of 1.999 lowers it, but by less than
+    # the sufficient decrease line asks, so the search works on the tilted function
+    fun = lambda x: (0.5 * x[0] ** 2 - x[0], np.array([x[0] - 1.0]))
+    calls = []
+    x, f, g = _line_search(lambda x: calls.append(x[0]) or fun(x), np.zeros(1), *fun(np.zeros(1)),
+                           np.ones(1), 1.999)
+    assert len(calls) == 2 and calls[0] == 1.999
+    assert f <= LS_FTOL * x[0] * -1.0 and abs(g[0]) <= LS_GTOL
+
+
+def test_line_search_refuses_an_ascent_direction():
+    fun = lambda x: ((x**2).sum(), 2 * x)
+    x = np.ones(2)
+    assert _line_search(fun, x, *fun(x), np.ones(2), 1.0) is None
+
+
+def test_lbfgs_drops_its_pairs_after_a_failed_search_then_stops():
+    # an ill-conditioned quadratic whose values turn NaN after six evaluations
+    scale = np.array([1.0, 100.0])
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        value = 0.5 * (scale * (x - 3.0) ** 2).sum()
+        return (value if len(calls) <= 6 else math.nan), scale * (x - 3.0)
+
+    x, history = _lbfgs(fun, np.zeros(2))
+    # six good values, then one search with the pairs and one along the gradient, each
+    # halving its step through every trial; x stays at the last accepted point
+    assert len(calls) == 6 + 2 * LS_TRIALS
+    assert np.array_equal(calls[6 + LS_TRIALS], x - scale * (x - 3.0))
+    assert history[-1] == 0.5 * (scale * (x - 3.0) ** 2).sum()
+    assert history == sorted(history, reverse=True) and len(history) >= 3
+
+
+def test_predict_refuses_a_matrix_of_another_width():
+    X, y = separable_set()
+    model = logreg_train(X, y)
+    with pytest.raises(DimensionMismatch, match="3 features vs 4 weights"):
+        logreg_predict(model, X[:, :3])
 
 
 @pytest.mark.parametrize("l2", [math.nan, math.inf, -1.0])
@@ -251,7 +404,7 @@ def test_logreg_rejects_misaligned_and_empty_inputs():
     with pytest.raises(DimensionMismatch, match="rows vs"):
         logreg_train(X, y[:-1])
     with pytest.raises(EmptyInput, match="zero samples"):
-        logreg_train(sp.csr_matrix((0, 3)), [])
+        logreg_train(np.zeros((0, 3)), [])
 
 
 def test_logreg_deterministic():
@@ -283,7 +436,7 @@ def perfect_models_for(labelsets):
 
 def test_baseline_eval_perfect_models():
     labelsets = synthetic_labels(n_facts=60, invalid_count=20)
-    X = sp.csr_matrix(embed_labels(labelsets, noise=0.0))
+    X = embed_labels(labelsets, noise=0.0)
     report = baseline_eval(perfect_models_for(labelsets), X, label_codes(labelsets))
     assert report.overall_macro_f1 == 1.0
     assert all(v == 1.0 for v in report.per_label_f1.values())
@@ -291,7 +444,7 @@ def test_baseline_eval_perfect_models():
 
 def test_baseline_eval_missing_dimension():
     labelsets = synthetic_labels(n_facts=60, invalid_count=20)
-    X = sp.csr_matrix(embed_labels(labelsets, noise=0.0))
+    X = embed_labels(labelsets, noise=0.0)
     models = perfect_models_for(labelsets)
     for given in (models[:-1], []):
         with pytest.raises(LengthMismatch):

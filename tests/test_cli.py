@@ -17,7 +17,7 @@ import pytest
 
 import factkit
 from factkit import cli
-from factkit.baseline import logreg_train, train_baseline
+from factkit.baseline import logreg_train, tfidf_fit, tfidf_transform, train_baseline
 from factkit.cli import DEFAULT_CONFIG, SETTINGS, load_config, main
 from factkit.dataio import SplitSpec, read_facts, read_split, write_facts
 from factkit.embeddings import (
@@ -78,21 +78,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # only the baseline needs scipy.sparse, so no other command pays for loading it
-    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, factkit.cli; print('scipy.sparse' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert result.stdout.split() == ["False"]
-
-
-def test_sample_and_analyze_leave_scipy_sparse_unloaded(workspace):
-    tmp_path, facts_path, emb_path, config_path = workspace
+def test_baseline_sample_and_analyze_load_no_scipy(tmp_path):
+    # the whole package runs on numpy alone, so no command pays scipy's import time and RSS
+    facts_path, emb_path, config_path = token_signal_workspace(tmp_path)
     model_path = tmp_path / "model.ckpt"
     save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
     commands = [
+        ["--config", config_path, "baseline", "--facts", facts_path, "--out-dir", tmp_path / "base"],
         ["--config", config_path, "sample", "--facts", facts_path, "--embeddings", emb_path,
          "--out", tmp_path / "sampled.jsonl", "--k", "5"],
         ["analyze", "--models", model_path, "--corpus", facts_path, "--embeddings", emb_path,
@@ -102,14 +94,15 @@ def test_sample_and_analyze_leave_scipy_sparse_unloaded(workspace):
         "import json, sys\n"
         "from factkit.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, 'scipy.sparse' in sys.modules]))\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", script, json.dumps([[str(a) for a in argv] for argv in commands])],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], False]
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -693,8 +686,8 @@ def test_baseline_command(tmp_path):
     assert mean > 0.8
 
 
-def test_baseline_report_golden(tmp_path):
-    """Pins the TF-IDF recipe: NFKD accent folding and 1 + ln(count) term frequency.
+def golden_baseline_workspace(tmp_path):
+    """The token-signal facts, rewritten so TF-IDF's recipe shows in the scores.
 
     The label tokens are thinned so the scores stay below 100%, odd facts spell
     "e" as "é", and the first word repeats up to twice."""
@@ -705,6 +698,29 @@ def test_baseline_report_golden(tmp_path):
         text = " ".join([words[0]] * (i % 3) + words)
         fact.text = text.replace("e", "é") if i % 2 else text
     write_facts(facts_path, facts)
+    return facts, facts_path, config_path
+
+
+def test_tfidf_arrays_golden(tmp_path):
+    """Pins every TF-IDF value bitwise: the CSR values, column indices and row pointers.
+
+    Entries are hashed in (row, column) order, so the order a CSR form keeps
+    within a row does not matter."""
+    facts, _, _ = golden_baseline_workspace(tmp_path)
+    texts = [fact.text for fact in facts] + ["unseen words only"]
+    matrix = tfidf_transform(tfidf_fit(texts), texts)
+    indptr = np.asarray(matrix.indptr, dtype="<i8")
+    order = np.lexsort((matrix.indices, np.repeat(np.arange(len(texts)), np.diff(indptr))))
+    digest = hashlib.sha256()
+    for array in (np.asarray(matrix.data, "<f8")[order], np.asarray(matrix.indices, "<i8")[order], indptr):
+        digest.update(array.tobytes())
+    assert matrix.shape == (len(texts), 107) and matrix.nnz == 2084
+    assert digest.hexdigest() == "61076dfbaded09a9af4bcd7ba9e806be841a2629a915b8746f4e1b12cb432b71"
+
+
+def test_baseline_report_golden(tmp_path):
+    """Pins the TF-IDF recipe: NFKD accent folding and 1 + ln(count) term frequency."""
+    _, facts_path, config_path = golden_baseline_workspace(tmp_path)
     out_dir = tmp_path / "base"
     assert run(
         "--config", config_path, "baseline", "--facts", facts_path, "--out-dir", out_dir,

@@ -289,6 +289,14 @@ def test_seed_outside_64_bits_is_refused(make):
             make(seed)
 
 
+def test_xoshiro_refuses_bounds_it_cannot_draw_from():
+    rng = Xoshiro256StarStar(1)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        rng.below(0)
+    with pytest.raises(ValueError, match="more items than available"):
+        rng.sample_without_replacement([1, 2], 3)
+
+
 @pytest.mark.parametrize("fractions", ["train=11/10 val=-1/5 test=1/10", "train=1/0 val=1/10 test=1/5"])
 def test_read_split_rejects_bad_fractions(tmp_path, fractions):
     path = tmp_path / "split.txt"

@@ -32,8 +32,8 @@ def _imported(tree: ast.Module):
             yield node.lineno, node.module.split(".")[0]
 
 
-def test_package_imports_only_stdlib_numpy_and_scipy():
-    assert _declared() == {"numpy", "scipy"}
+def test_package_imports_only_stdlib_and_numpy():
+    assert _declared() == {"numpy"}
     allowed = set(sys.stdlib_module_names) | {"factkit"} | _declared()
     stray = [
         f"{path.name}:{line}: {name}"

@@ -2,6 +2,7 @@ import json
 import socket
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,15 @@ def test_load_zero_width_file_is_dimension_mismatch(tmp_path):
         load_embeddings(path)
 
 
+def test_save_refuses_an_unencodable_id_before_touching_the_file(tmp_path):
+    path = tmp_path / "m.emb"
+    path.write_bytes(b"earlier file")
+    matrix = EmbeddingMatrix(rows=np.ones((2, 3)), row_ids=("a", "b\ud800"))
+    with pytest.raises(UnicodeEncodeError):
+        save_embeddings(path, matrix)
+    assert path.read_bytes() == b"earlier file"
+
+
 def test_load_unicode_ids(tmp_path):
     m = matrix_of([[1.0]], ids=("café",))
     path = tmp_path / "v.emb"
@@ -248,6 +258,17 @@ def test_fetch_rejects_negative_retries():
         fetch_embeddings("http://127.0.0.1:9/embed", ["x"], batch_size=1, retries=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [({"batch_size": 0}, ValueError, "batch_size must be positive"),
+     ({"ids": ["u"]}, DimensionMismatch, "different lengths")],
+    ids=["zero-batch", "ids-mismatch"],
+)
+def test_fetch_refuses_arguments_before_any_request(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        fetch_embeddings("http://127.0.0.1:9/embed", ["x", "y"], **{"batch_size": 1, **kwargs})
+
+
 # --- HTTP transport: what each reply maps to, and how many requests it takes ---
 
 
@@ -266,16 +287,18 @@ def test_fetch_rejects_negative_retries():
         (raw_reply("200 OK", b'{"dim": 1, "embeddings": [[1%s]]}' % (b"0" * 400)), 2,
          ProtocolError, 1),
         (raw_reply("200 OK", b"[" * 100_000), 2, ProtocolError, 1),
+        (raw_reply("200 OK", b'{"dim": 1, "embeddings": [[1e308]]}'), 2, ProtocolError, 1),
     ],
     ids=[
         "404-at-once", "503-retried", "non-json-200", "bad-status-line-retried", "zero-width",
         "dim-true", "dim-float", "boolean-row", "numeric-string-row", "huge-int-row",
-        "deep-nesting",
+        "deep-nesting", "beyond-float32",
     ],
 )
 def test_fetch_reply_mapping(reply, retries, error, requests_seen):
     with MockEmbedServer(mode="raw", payload=reply) as server:
-        with pytest.raises(error):
+        with pytest.raises(error), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a refused reply warns of nothing on the way
             fetch_embeddings(server.url, ["x"], batch_size=1, retries=retries, backoff=0.01)
     assert server.requests_seen == requests_seen
 

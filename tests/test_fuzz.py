@@ -17,6 +17,15 @@ def test_fuzzed_inputs_end_in_exit_0_or_one_error_line(tmp_path):
     assert [path.name for path in tmp_path.glob("case*")] == []
 
 
+def test_fuzzed_endpoint_replies_end_in_exit_0_or_one_error_line(tmp_path):
+    kinds = list(fuzz.READERS)
+    cases = [case for case in range(600) if fuzz.case_rng(1, case).choice(kinds) == "reply"]
+    assert len(cases) > 50
+    ran, escapes = fuzz.fuzz(tmp_path, seed=1, cases=cases)
+    assert ran == len(cases)
+    assert not escapes, "\n".join(escapes)
+
+
 @pytest.mark.parametrize(
     "code, err, reason",
     [

@@ -375,6 +375,11 @@ def test_aggregate_order_invariance():
     assert a == b
 
 
+def test_aggregate_refuses_no_reports():
+    with pytest.raises(EmptyInput, match="no reports to aggregate"):
+        aggregate_seeds([])
+
+
 def test_aggregate_single_report_degenerate():
     agg = aggregate_seeds([report_of(0.5)])
     assert agg.degenerate

@@ -113,6 +113,25 @@ def test_forward_dimension_mismatch():
         forward(model, np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda model: replace(model, theta=model.theta[:-1]), "theta must hold"),
+        (lambda model: forward(model, np.ones(2), train_mode=True), "train-mode dropout needs an RNG"),
+        (lambda model: backward(model, np.ones(2), np.zeros(3)), "targets have 3 categories"),
+        (lambda model: loss(model, [np.zeros(3), np.zeros(3)], np.zeros(2)), "logits have width 3"),
+        (lambda model: adamw_step(AdamState.zeros_like(model.theta), model.theta,
+                                  model.theta[:-1], TrainConfig()), "must have one shape"),
+    ],
+    ids=["theta-size", "dropout-without-rng", "backward-target-width", "loss-logit-width",
+         "adamw-shapes"],
+)
+def test_model_refuses_mismatched_inputs(call, message):
+    model = small_model(dropout=0.5)
+    with pytest.raises((DimensionMismatch, ValueError), match=message):
+        call(model)
+
+
 def test_forward_train_mode_dropout_changes_logits():
     model = small_model(dim=16, hidden=8, seed=1, dropout=0.5)
     h = np.ones(16)
@@ -839,11 +858,15 @@ def test_train_snapshot_write_failure_raises_and_closes_the_file(monkeypatch):
 
 
 def test_train_empty_split():
-    emb, targets, _ = tiny_task()
+    emb, targets, split = tiny_task()
     bad = SplitAssignment(train=(), val=("t0",), test=())
     model = new_model(4, [("pair", ("n", "y"))], seed=0)
     with pytest.raises(EmptySplit):
         train(model, emb, targets, bad, TrainConfig())
+    with pytest.raises(EmptySplit, match="'zzz' missing from embeddings"):
+        train(model, emb, targets, replace(split, val=("zzz",)), TrainConfig())
+    with pytest.raises(DimensionMismatch, match="must align"):
+        train(model, emb, targets[:-1], split, TrainConfig())
 
 
 def test_train_early_stopping_respects_patience():
@@ -1189,6 +1212,10 @@ def test_targets_from_facts_canonical():
     # first fact is invalid/No Fact: validity index 1, reason index 0
     assert targets[0].tolist()[4] == 1
     assert targets[0].tolist()[5] == 0
+    with pytest.raises(SchemaMismatch, match="canonical"):
+        targets_from_facts(facts, canonical_label_space()[::-1])
+    with pytest.raises(ValueError, match="has no labels"):
+        targets_from_facts([replace(facts[0], labels=None)], canonical_label_space())
 
 
 def test_synthetic_end_to_end_quick():

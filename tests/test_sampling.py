@@ -208,6 +208,13 @@ def test_k_too_large():
         kmeans_fit(np.zeros((3, 2)), k=4, seed=0)
 
 
+def test_k_and_cap_must_be_positive():
+    with pytest.raises(ValueError, match="k must be positive"):
+        kmeans_fit(np.zeros((3, 2)), k=0, seed=0)
+    with pytest.raises(ValueError, match="cap must be positive"):
+        cluster_sample(facts_of(2), model_with_assignments([0, 1], k=2), cap=0, seed=0)
+
+
 def test_degenerate_identical_points():
     points = np.ones((6, 2))
     model = kmeans_fit(points, k=3, seed=0)
