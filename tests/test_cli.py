@@ -78,6 +78,40 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # importing the command line must not pay scipy.sparse's import time and RSS
+    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, factkit.cli; print('scipy.sparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.split() == ["False"]
+
+
+def test_sample_and_analyze_leave_scipy_sparse_unloaded(workspace):
+    tmp_path, facts_path, emb_path, config_path = workspace
+    model_path = tmp_path / "model.ckpt"
+    save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), hidden=2))
+    commands = [
+        ["--config", config_path, "sample", "--facts", facts_path, "--embeddings", emb_path,
+         "--out", tmp_path / "sampled.jsonl", "--k", "5"],
+        ["analyze", "--models", model_path, "--corpus", facts_path, "--embeddings", emb_path,
+         "--out", tmp_path / "distribution.txt"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from factkit.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy.sparse' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(factkit.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([[str(a) for a in argv] for argv in commands])],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], False]
+
+
 def test_baseline_sample_and_analyze_load_no_scipy(tmp_path):
     # the whole package runs on numpy alone, so no command pays scipy's import time and RSS
     facts_path, emb_path, config_path = token_signal_workspace(tmp_path)
