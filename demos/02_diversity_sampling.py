@@ -1,8 +1,9 @@
 """Cluster-based diversity sampling over a synthetic fact pool.
 
 Pipeline: deduplicate by exact text, embed (mocked here with planted topic
-directions), L2-normalize, K-Means into clusters, then draw at most `cap`
-facts per cluster. Rare topics survive the capping; dominant ones shrink.
+directions), L2-normalize, K-Means over the normalized rows (a plain array:
+``matrix.rows``) into clusters, then draw at most `cap` facts per cluster.
+Rare topics survive the capping; dominant ones shrink.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ keep = {f.id for f in unique}
 rows = np.array([v for f, v in zip(facts, vectors) if f.id in keep])
 matrix = l2_normalize(EmbeddingMatrix(rows=rows, row_ids=tuple(f.id for f in unique)))
 
-model = kmeans_fit(matrix, k=8, seed=42)
+model = kmeans_fit(matrix.rows, k=8, seed=42)
 print(f"k-means: k={model.k}, inertia={model.inertia:.3f}, "
       f"{model.n_iter} Lloyd iterations")
 print("inertia per assignment step:", [round(v, 2) for v in model.inertia_history])

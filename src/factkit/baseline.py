@@ -13,8 +13,11 @@ grows with the nonzeros, not with rows times terms.
 The classifier is multinomial logistic regression: the sample-weighted mean
 cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized), minimized over the
 full training set by L-BFGS (Liu & Nocedal, 1989) with L-BFGS-B's defaults
-and its Moré-Thuente line search, in numpy. With ``class_balanced`` each
+and its Moré-Thuente line search, in numpy. The fit is class-balanced: each
 sample is weighted N / (n_classes * count(y)).
+
+:func:`train_baseline` fits the vectorizer with the default ``TfidfConfig``;
+other thresholds can be set only through :func:`tfidf_fit`.
 """
 
 from __future__ import annotations
@@ -138,10 +141,6 @@ class CsrMatrix:
             np.bincount(self.indices, self.data * r[rows], minlength=self.shape[1])
             for r in residual.T
         ])
-
-
-def _as_csr(X) -> CsrMatrix:
-    return X if isinstance(X, CsrMatrix) else CsrMatrix.from_dense(X)
 
 
 def tfidf_transform(vocab: TfidfVocab, texts: Sequence[str]) -> CsrMatrix:
@@ -360,10 +359,10 @@ def _lbfgs(fun, x) -> tuple[np.ndarray, list[float]]:
     return x, history
 
 
-def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearModel:
-    """Fit multinomial logistic regression by full-batch L-BFGS.
+def logreg_train(X: CsrMatrix, y, l2: float = 1e-4) -> LinearModel:
+    """Fit class-balanced multinomial logistic regression by full-batch L-BFGS.
 
-    ``X`` is a :class:`CsrMatrix` or a dense 2-D array. The fit starts from
+    Each sample is weighted N / (n_classes * count(y)). The fit starts from
     zero weights with L-BFGS-B's default tolerances (see :func:`_lbfgs`).
     ``loss_history`` holds the objective at the start and after each
     iteration. A single-class ``y`` warns and takes the same path: its
@@ -372,7 +371,6 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
     """
     if not 0.0 <= l2 < math.inf:
         raise ValueError("l2 must be finite and nonnegative")
-    X = _as_csr(X)
     n, n_features = X.shape
     if n != len(y):
         raise DimensionMismatch(f"{n} rows vs {len(y)} labels")
@@ -383,7 +381,7 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
     if len(labels) == 1:
         warnings.warn(f"single-class input ({labels[0]!r}); returning constant predictor")
     # N / (n_classes * count(y)) up to a constant factor, which the weighted mean cancels
-    sample_w = 1.0 / np.bincount(y_idx)[y_idx] if class_balanced else np.ones(n)
+    sample_w = 1.0 / np.bincount(y_idx)[y_idx]
     share = sample_w / sample_w.sum()
     # a huge l2 overflows and a flat line divides by zero: such values count as steps too long
     with np.errstate(all="ignore"):
@@ -401,9 +399,8 @@ def logreg_train(X, y, class_balanced: bool = True, l2: float = 1e-4) -> LinearM
     )
 
 
-def logreg_predict(model: LinearModel, X) -> list:
-    """Argmax labels of a :class:`CsrMatrix` or dense array's rows; ties go to the first label."""
-    X = _as_csr(X)
+def logreg_predict(model: LinearModel, X: CsrMatrix) -> list:
+    """Argmax labels of ``X``'s rows; ties go to the first label."""
     if X.shape[1] != model.weights.shape[1]:
         raise DimensionMismatch(f"{X.shape[1]} features vs {model.weights.shape[1]} weights")
     scores = X.matmul_t(model.weights) + model.bias
@@ -411,7 +408,7 @@ def logreg_predict(model: LinearModel, X) -> list:
 
 
 def baseline_eval(
-    models: Sequence[LinearModel], X, gold_codes: np.ndarray
+    models: Sequence[LinearModel], X: CsrMatrix, gold_codes: np.ndarray
 ) -> metrics.MetricsReport:
     """Score each model's predictions, as one column, against gold (N, 7) label codes.
 
@@ -426,7 +423,6 @@ def baseline_eval(
 def train_baseline(
     train_texts: Sequence[str],
     train_codes: np.ndarray,
-    tfidf_config: TfidfConfig = TfidfConfig(),
     l2: float = 1e-4,
 ) -> tuple[TfidfVocab, list[LinearModel]]:
     """Fit the vectorizer on training texts and one model per column of ``train_codes``.
@@ -435,7 +431,7 @@ def train_baseline(
     seven models come back in column (``DIMENSIONS``) order and each model's
     ``labels`` are codes into its dimension's ``LABEL_SPACE``.
     """
-    vocab = tfidf_fit(train_texts, tfidf_config)
+    vocab = tfidf_fit(train_texts)
     X = tfidf_transform(vocab, train_texts)
-    models = [logreg_train(X, column, class_balanced=True, l2=l2) for column in train_codes.T]
+    models = [logreg_train(X, column, l2=l2) for column in train_codes.T]
     return vocab, models

@@ -287,7 +287,7 @@ def cmd_sample(args, config):
     facts = read_facts(args.facts)
     # one name for the rows, so the loaded matrix is freed before K-Means copies them
     rows = l2_normalize(load_embeddings(args.embeddings).select([f.id for f in facts]))
-    kmeans = kmeans_fit(rows, k=k, seed=seed)
+    kmeans = kmeans_fit(rows.rows, k=k, seed=seed)
     sampled = cluster_sample(facts, kmeans, cap=cap, seed=seed)
     write_facts(args.out, sampled)
     print(f"sample: {len(sampled)} of {len(facts)} facts kept across {k} clusters")

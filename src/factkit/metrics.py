@@ -96,22 +96,13 @@ def macro_f1(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:
     return _f1_count(gold_codes, pred_codes, [len(labels)])[-1]
 
 
-def pooled_overall_f1(
-    gold_sets: Sequence[LabelSet],
-    pred_sets: Sequence[LabelSet],
-    dimensions: Sequence[Dimension] = DIMENSIONS,
-) -> float:
-    """Macro F1 over (dimension, label) types pooled across dimensions.
+def pooled_overall_f1(gold_sets: Sequence[LabelSet], pred_sets: Sequence[LabelSet]) -> float:
+    """Macro F1 over (dimension, label) types pooled across all seven dimensions.
 
     Each fact contributes one pooled (gold, pred) pair per dimension; "None"
     gold labels participate like any other label.
     """
-    columns = [DIMENSIONS.index(dim) for dim in dimensions]
-    return _f1_count(
-        label_codes(gold_sets)[:, columns],
-        label_codes(pred_sets)[:, columns],
-        [_LABEL_SIZES[c] for c in columns],
-    )[-1]
+    return _f1_count(label_codes(gold_sets), label_codes(pred_sets), _LABEL_SIZES)[-1]
 
 
 @dataclass(frozen=True)

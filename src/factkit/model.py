@@ -8,13 +8,15 @@ One shared input vector feeds an independent two-layer head per category:
 
 Training minimizes the masked weighted cross-entropy
 
-    L = (1 / |V|) * sum_c  w_c * [y_c >= 0] * CE(logits_c, y_c)
+    L = (1 / |V|) * sum_c  w(y_c) * [y_c >= 0] * CE(logits_c, y_c)
 
 where V is the set of categories whose target is not masked (masked targets
-use the sentinel ``MASK``), w_c is the category weight, and L = 0 when every
-category is masked. The encoder producing h is frozen: only head parameters
-are trained, with AdamW (decoupled weight decay) and early stopping on the
-validation pooled macro F1.
+use the sentinel ``MASK``), w(y_c) is the gold label's weight (1 without
+label weights), and L = 0 when every category is masked. A weight for a
+whole category is the same weight given to each of its labels. The encoder
+producing h is frozen: only head parameters are trained, with AdamW
+(decoupled weight decay) and early stopping on the validation pooled macro
+F1.
 
 Dropout is inverted (scaling by 1/(1-rate) at train time, identity at eval
 time) and drawn independently per head, per example. All training arithmetic
@@ -46,7 +48,8 @@ step over the whole gradient.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
-label lists, weights) followed by ``theta`` as little-endian float64.
+label lists, label weights, and a category weight that is always 1.0)
+followed by ``theta`` as little-endian float64.
 """
 
 from __future__ import annotations
@@ -137,7 +140,6 @@ class MultiHeadModel:
     dropout_rate: float
     category_names: tuple[str, ...]
     label_space: tuple[tuple[str, ...], ...]
-    category_weights: np.ndarray
     theta: np.ndarray
     label_weights: Optional[list[np.ndarray]] = None
     heads: list[HeadParams] = field(init=False, repr=False)
@@ -146,8 +148,6 @@ class MultiHeadModel:
         sizes = _layout(self.dim, self.hidden, self.label_space)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
-        if not _nonnegative(self.category_weights, len(self.label_space)):
-            raise ValueError("category_weights must be one nonnegative value per category")
         if self.label_weights is not None and not (
             len(self.label_weights) == len(self.label_space)
             and all(map(_nonnegative, self.label_weights, map(len, self.label_space)))
@@ -172,12 +172,7 @@ class MultiHeadModel:
         return [array for head in self.heads for array in head.arrays()]
 
     def copy(self) -> "MultiHeadModel":
-        return replace(
-            self,
-            category_weights=self.category_weights.copy(),
-            theta=self.theta.copy(),
-            label_weights=deepcopy(self.label_weights),
-        )
+        return replace(self, theta=self.theta.copy(), label_weights=deepcopy(self.label_weights))
 
 
 def canonical_label_space() -> list[tuple[str, tuple[str, ...]]]:
@@ -190,7 +185,6 @@ def new_model(
     label_space: Sequence[tuple[str, Sequence[str]]],
     hidden: Optional[int] = None,
     dropout_rate: float = 0.1,
-    category_weights: Optional[Sequence[float]] = None,
     label_weights: Optional[Sequence[Sequence[float]]] = None,
     seed: int = 0,
 ) -> MultiHeadModel:
@@ -201,8 +195,6 @@ def new_model(
     """
     if hidden is None:
         hidden = dim
-    if category_weights is None:
-        category_weights = [1.0] * len(label_space)
     if label_weights is not None:
         label_weights = [np.array(w, dtype=np.float64) for w in label_weights]
     spaces = tuple(tuple(labels) for _, labels in label_space)
@@ -212,7 +204,6 @@ def new_model(
         dropout_rate=dropout_rate,
         category_names=tuple(name for name, _ in label_space),
         label_space=spaces,
-        category_weights=np.array(category_weights, dtype=np.float64),
         theta=np.zeros(sum(_layout(dim, hidden, spaces))),
         label_weights=label_weights,
     )
@@ -326,14 +317,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _add_head_ce(model, logits, targets, c, contrib):
     """Add head c's weighted cross-entropy to ``contrib`` on the rows it does not mask.
 
-    Returns those rows, their log-softmax and their CE scale: w_c, times the
-    gold label's weight.
+    Returns those rows, their log-softmax and their CE scale: the gold label's
+    weight, or 1 without label weights.
     """
     rows = np.flatnonzero(targets[:, c] >= 0)
     log_probs = _log_softmax(logits[rows])
-    scale = np.full(rows.size, model.category_weights[c])
-    if model.label_weights is not None:
-        scale = scale * model.label_weights[c][targets[rows, c]]
+    if model.label_weights is None:
+        scale = np.ones(rows.size)
+    else:
+        scale = model.label_weights[c][targets[rows, c]]
     contrib[rows] += scale * -log_probs[np.arange(rows.size), targets[rows, c]]
     return rows, log_probs, scale
 
@@ -702,14 +694,12 @@ def save_model(path: Union[str, Path], model: MultiHeadModel) -> None:
             {
                 "name": name,
                 "labels": list(labels),
-                "weight": float(weight),
+                "weight": 1.0,  # kept in the format; load_model refuses any other value
                 "label_weights": (
                     None if model.label_weights is None else model.label_weights[c].tolist()
                 ),
             }
-            for c, (name, labels, weight) in enumerate(
-                zip(model.category_names, model.label_space, model.category_weights)
-            )
+            for c, (name, labels) in enumerate(zip(model.category_names, model.label_space))
         ],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
@@ -719,20 +709,36 @@ def save_model(path: Union[str, Path], model: MultiHeadModel) -> None:
         model.theta.astype("<f8", copy=False).tofile(handle)
 
 
+def _typed(key: str, value, *types):
+    """``value`` if its JSON type is one of ``types``; a boolean is not an ``int`` here."""
+    if type(value) not in types:
+        raise TypeError(f"{key} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def _header_fields(header: dict) -> dict:
-    """``MultiHeadModel`` fields but ``theta``, read from the JSON keys, unchecked."""
+    """``MultiHeadModel`` fields but ``theta``, read from the JSON keys in the types that
+    :func:`save_model` writes; ``MultiHeadModel`` checks their values."""
     entries = header["categories"]
+    if any(_typed("weight", e["weight"], int, float) != 1.0 for e in entries):
+        raise ValueError("a category weight must be 1.0")
     fields = dict(
         dim=header["dim"],
         hidden=header["hidden"],
-        dropout_rate=header["dropout_rate"],
-        category_names=tuple(e["name"] for e in entries),
-        label_space=tuple(tuple(e["labels"]) for e in entries),
-        category_weights=np.array([float(e["weight"]) for e in entries]),
+        dropout_rate=_typed("dropout_rate", header["dropout_rate"], int, float),
+        category_names=tuple(_typed("name", e["name"], str) for e in entries),
+        label_space=tuple(
+            tuple(_typed("label", label, str) for label in _typed("labels", e["labels"], list))
+            for e in entries
+        ),
     )
     per_label = [e.get("label_weights") for e in entries]
     if any(w is not None for w in per_label):
-        fields["label_weights"] = [np.array(w, dtype=np.float64) for w in per_label]
+        fields["label_weights"] = [
+            np.array([_typed("label_weights", x, int, float)
+                      for x in _typed("label_weights", w, list)], dtype=np.float64)
+            for w in per_label
+        ]
     return fields
 
 

@@ -20,16 +20,14 @@ double, as ``Generator.choice`` with probabilities would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AlignmentError, KTooLarge
 from .prng import Xoshiro256StarStar
 from .taxonomy import FactRecord
-from .embeddings import EmbeddingMatrix
 
-DEFAULT_CAP = 3
 MAX_ITER = 100  # Lloyd iterations at most
 TOL = 1e-4  # stop once no centroid moves this far
 
@@ -51,12 +49,6 @@ class KMeansModel:
     inertia: float
     inertia_history: tuple[float, ...]
     n_iter: int
-
-
-def _as_rows(data: Union[EmbeddingMatrix, np.ndarray]) -> np.ndarray:
-    """The points as float64, not copied if they already are; nothing here writes to them."""
-    rows = data.rows if isinstance(data, EmbeddingMatrix) else data
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _assign(
@@ -141,14 +133,14 @@ def _kmeans_plus_plus(
     return points[chosen].copy()
 
 
-def kmeans_fit(data: Union[EmbeddingMatrix, np.ndarray], k: int, seed: int) -> KMeansModel:
+def kmeans_fit(data: np.ndarray, k: int, seed: int) -> KMeansModel:
     """Fit K-Means with a fixed seed; the result is bitwise reproducible.
 
     Stops when the largest centroid movement falls below ``TOL`` or after
     ``MAX_ITER`` Lloyd iterations. All points being identical with ``k > 1``
     is allowed and yields duplicate centroids.
     """
-    points = _as_rows(data)
+    points = np.asarray(data, dtype=np.float64)  # not copied if float64; never written to
     n = points.shape[0]
     if k < 1:
         raise ValueError("k must be positive")
@@ -195,18 +187,17 @@ def kmeans_fit(data: Union[EmbeddingMatrix, np.ndarray], k: int, seed: int) -> K
     )
 
 
-def recompute_inertia(data: Union[EmbeddingMatrix, np.ndarray], model: KMeansModel) -> float:
+def recompute_inertia(data: np.ndarray, model: KMeansModel) -> float:
     """Sum of squared distances from each point to its assigned centroid."""
-    points = _as_rows(data)
-    deltas = points - model.centroids[model.assignments]
+    deltas = np.asarray(data, dtype=np.float64) - model.centroids[model.assignments]
     return float(np.einsum("ij,ij->", deltas, deltas))
 
 
 def cluster_sample(
     facts: Sequence[FactRecord],
     model: KMeansModel,
-    cap: int = DEFAULT_CAP,
-    seed: int = 0,
+    cap: int,
+    seed: int,
 ) -> list[FactRecord]:
     """Draw up to ``cap`` facts per cluster, without replacement.
 

@@ -24,7 +24,12 @@ The case then runs one command that reads the mutated file, with stdout and
 stderr captured and warnings recorded. The invariant is exit 0 with nothing
 on stderr, or exactly one ``error: <Category>: ...`` line and the exit code
 that ``<Category>`` declares (4 for an ``OSError``). Anything else, a raised
-exception included, is an escape.
+exception included, is an escape. A mutated checkpoint that a command
+accepts must also load as the model its header states: the header that
+``save_model`` writes for the loaded model must equal the mutated header
+over the keys both hold, where numbers compare by value but a boolean or a
+string never equals a number. A difference, such as a ``"weight": true``
+read as 1.0, is a silent coercion and an escape too.
 
 ``tests/test_fuzz.py`` runs a fixed seed and case count in tier-1. A
 longer run is ungated; from the repository root::
@@ -64,6 +69,7 @@ from factkit.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     canonical_label_space,
+    load_model,
     new_model,
     save_model,
 )
@@ -319,6 +325,42 @@ def escape_reason(code, err: str):
     return None if code == declared else f"exit {code}, but {match[1]} declares {declared}"
 
 
+def header_difference(saved, mutated, at: str = "header"):
+    """Where two JSON trees differ over the keys both hold, or None if they do not.
+
+    Numbers compare by value, but a boolean or a string never equals a number.
+    """
+    if isinstance(saved, dict) and isinstance(mutated, dict):
+        pairs = [(key, saved[key], mutated[key]) for key in sorted(saved.keys() & mutated.keys())]
+    elif isinstance(saved, list) and isinstance(mutated, list) and len(saved) == len(mutated):
+        pairs = [(i, a, b) for i, (a, b) in enumerate(zip(saved, mutated))]
+    else:
+        numbers = all(type(v) in (int, float) for v in (saved, mutated))
+        same = (numbers or type(saved) is type(mutated)) and saved == mutated
+        return None if same else f"{at}: {mutated!r} loads as {saved!r}"
+    for key, a, b in pairs:
+        found = header_difference(a, b, f"{at}/{key}")
+        if found:
+            return found
+    return None
+
+
+def _header_of(path: Path):
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    return json.loads(data[12 : 12 + blob_len])
+
+
+def coercion(path: Path, scratch: Path):
+    """How the model loaded from checkpoint ``path`` differs from its header, or None.
+
+    The loaded model is saved to ``scratch``, and the two headers are compared.
+    """
+    save_model(scratch, load_model(path))
+    found = header_difference(_header_of(scratch), _header_of(path))
+    return None if found is None else f"silent coercion: {found}"
+
+
 def run_main(argv: list[str]):
     """``cli.main(argv)``'s exit code (None if it raised) and its stderr, warnings included."""
     err = io.StringIO()
@@ -363,9 +405,11 @@ def run_case(workspace: Workspace, seed: int, case: int):
         mutated_paths = {**workspace.paths, key: mutated} if kind != "reply" else workspace.paths
         argv = _argv(command, mutated_paths, out / "out")
         code, err = run_main(argv)
+        reason = escape_reason(code, err)
+        if reason is None and code == 0 and kind == "checkpoint":
+            reason = coercion(mutated, out / "resaved.ckpt")
     finally:
         shutil.rmtree(out)
-    reason = escape_reason(code, err)
     if reason is None:
         return None
     return f"case {case}: {reason}\n  argv: {argv}\n  {kind}: {'; '.join(notes)}\n{err}"

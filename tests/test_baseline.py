@@ -217,12 +217,12 @@ def separable_set(n=40, seed=0):
         else:
             X[i, 1] += 1.0
             y.append("pos")
-    return X, y
+    return CsrMatrix.from_dense(X), y
 
 
 def test_logreg_learns_separable_within_200_epochs():
     X, y = separable_set()
-    model = logreg_train(X, y, class_balanced=True)
+    model = logreg_train(X, y)
     assert logreg_predict(model, X) == y
 
 
@@ -234,15 +234,19 @@ def test_logreg_class_balance_ratio():
     w_b = n / (n_classes * 10)
     assert w_b / w_a == pytest.approx(9.0, abs=1e-12)
     # and the fit with balancing still learns the separable signal
-    X = np.vstack([np.tile([1.0, 0.0], (90, 1)), np.tile([0.0, 1.0], (10, 1))])
-    model = logreg_train(X, y, class_balanced=True)
+    X = CsrMatrix.from_dense(
+        np.vstack([np.tile([1.0, 0.0], (90, 1)), np.tile([0.0, 1.0], (10, 1))])
+    )
+    model = logreg_train(X, y)
     assert logreg_predict(model, X) == y
 
 
 def test_logreg_loss_non_increasing_full_batch():
     X, y = separable_set()
+    # 20 rows per class: the class-balanced objective is the unweighted one written below
+    assert y.count("neg") == y.count("pos") == 20
     l2 = 1e-2
-    model = logreg_train(X, y, class_balanced=False, l2=l2)
+    model = logreg_train(X, y, l2=l2)
     history = model.loss_history
     assert len(history) > 2
     assert history[0] == pytest.approx(math.log(2), abs=1e-12)
@@ -254,7 +258,7 @@ def test_logreg_loss_non_increasing_full_batch():
 
     def objective(theta):
         weights, bias = theta[:-2].reshape(2, -1), theta[-2:]
-        scores = X @ weights.T + bias
+        scores = X.toarray() @ weights.T + bias
         top = scores.max(axis=1, keepdims=True)
         log_probs = scores - top - np.log(np.exp(scores - top).sum(axis=1, keepdims=True))
         ce = -log_probs[np.arange(len(y)), y_idx].mean()
@@ -271,7 +275,7 @@ def test_logreg_loss_non_increasing_full_batch():
 
 
 def test_logreg_single_class_constant_predictor():
-    X = np.ones((5, 2))
+    X = CsrMatrix.from_dense(np.ones((5, 2)))
     with pytest.warns(UserWarning):
         model = logreg_train(X, ["only"] * 5)
     assert model.single_class
@@ -279,7 +283,7 @@ def test_logreg_single_class_constant_predictor():
 
 
 def test_logreg_single_class_goes_through_lbfgs():
-    X = np.ones((5, 2))
+    X = CsrMatrix.from_dense(np.ones((5, 2)))
     with pytest.warns(UserWarning, match="single-class"):
         model = logreg_train(X, [3] * 5)
     # zero weights have a zero gradient, so L-BFGS stops where it starts
@@ -389,7 +393,7 @@ def test_predict_refuses_a_matrix_of_another_width():
     X, y = separable_set()
     model = logreg_train(X, y)
     with pytest.raises(DimensionMismatch, match="3 features vs 4 weights"):
-        logreg_predict(model, X[:, :3])
+        logreg_predict(model, CsrMatrix.from_dense(X.toarray()[:, :3]))
 
 
 @pytest.mark.parametrize("l2", [math.nan, math.inf, -1.0])
@@ -404,7 +408,7 @@ def test_logreg_rejects_misaligned_and_empty_inputs():
     with pytest.raises(DimensionMismatch, match="rows vs"):
         logreg_train(X, y[:-1])
     with pytest.raises(EmptyInput, match="zero samples"):
-        logreg_train(np.zeros((0, 3)), [])
+        logreg_train(CsrMatrix.from_dense(np.zeros((0, 3))), [])
 
 
 def test_logreg_deterministic():
@@ -436,7 +440,7 @@ def perfect_models_for(labelsets):
 
 def test_baseline_eval_perfect_models():
     labelsets = synthetic_labels(n_facts=60, invalid_count=20)
-    X = embed_labels(labelsets, noise=0.0)
+    X = CsrMatrix.from_dense(embed_labels(labelsets, noise=0.0))
     report = baseline_eval(perfect_models_for(labelsets), X, label_codes(labelsets))
     assert report.overall_macro_f1 == 1.0
     assert all(v == 1.0 for v in report.per_label_f1.values())
@@ -444,7 +448,7 @@ def test_baseline_eval_perfect_models():
 
 def test_baseline_eval_missing_dimension():
     labelsets = synthetic_labels(n_facts=60, invalid_count=20)
-    X = embed_labels(labelsets, noise=0.0)
+    X = CsrMatrix.from_dense(embed_labels(labelsets, noise=0.0))
     models = perfect_models_for(labelsets)
     for given in (models[:-1], []):
         with pytest.raises(LengthMismatch):
@@ -468,9 +472,7 @@ def test_train_baseline_learns_token_signals():
         ]
         texts.append(" ".join(parts))
     codes = label_codes(labelsets)
-    vocab, models = train_baseline(
-        texts, codes, tfidf_config=TfidfConfig(min_df=1, max_df=1.0)
-    )
+    vocab, models = train_baseline(texts, codes)
     X = tfidf_transform(vocab, texts)
     report = baseline_eval(models, X, codes)
     assert report.overall_macro_f1 > 0.95

@@ -40,7 +40,6 @@ from factkit.model import (
     save_model,
     targets_from_facts,
 )
-from factkit.sampling import DEFAULT_CAP, cluster_sample
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
 from embed_server import MockEmbedServer, raw_reply
@@ -355,8 +354,6 @@ _SPLIT_FIELDS = {field.name: field.default for field in dataclasses.fields(Split
         ("train.hidden", _default(new_model, "hidden")),
         ("train.dropout", _default(new_model, "dropout_rate")),
         *[(f"split.{key}", _SPLIT_FIELDS[f"{key}_frac"]) for key in ("train", "val", "test")],
-        ("sampling.cap", DEFAULT_CAP),
-        ("sampling.cap", _default(cluster_sample, "cap")),
         ("baseline.l2", _default(logreg_train, "l2")),
         ("baseline.l2", _default(train_baseline, "l2")),
         ("embedding.timeout", _default(fetch_embeddings, "timeout")),
@@ -1041,6 +1038,7 @@ REFUSED_HEADER_EDITS = {
     "weight-nan": lambda h: h["categories"][0].update(weight=math.nan),
     "one-label": lambda h: h["categories"][0].update(labels=h["categories"][0]["labels"][:1]),
     "label-weights-negative": _label_weights_negative,
+    "name-int": lambda h: h["categories"][0].update(name=7),  # not SchemaMismatch, exit 9
 }
 
 

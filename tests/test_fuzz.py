@@ -47,6 +47,26 @@ def test_escape_reason(code, err, reason):
     assert fuzz.escape_reason(code, err) == reason
 
 
+@pytest.mark.parametrize(
+    "saved, mutated, found",
+    [
+        (1.0, 1, None),
+        ({"a": [1.0, "x"]}, {"a": [1, "x"], "b": True}, None),
+        (1.0, True, "header: True loads as 1.0"),
+        (1.0, "1", "header: '1' loads as 1.0"),
+        (False, 0, "header: 0 loads as False"),
+        (["a", "b"], "ab", "header: 'ab' loads as ['a', 'b']"),
+        ([1.0], [1.0, 2.0], "header: [1.0, 2.0] loads as [1.0]"),
+        ({"c": [{"weight": 1.0}]}, {"c": [{"weight": True}]},
+         "header/c/0/weight: True loads as 1.0"),
+    ],
+    ids=["int-for-float", "keys-both-hold", "bool-for-number", "string-for-number",
+         "number-for-bool", "string-for-list", "list-length", "nested"],
+)
+def test_header_difference(saved, mutated, found):
+    assert fuzz.header_difference(saved, mutated) == found
+
+
 real_digest_inputs = cli.digest_inputs
 
 

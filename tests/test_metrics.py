@@ -169,16 +169,6 @@ def _pooled_pairs(gold_sets, pred_sets):
     return pairs_gold, pairs_pred
 
 
-def test_pooled_single_dimension_reduces_to_macro():
-    rng = random.Random(2)
-    mains = ["Preferences", "Experience", "Demographics"]
-    gold = [valid_labels(main=rng.choice(mains)) for _ in range(30)]
-    pred = [valid_labels(main=rng.choice(mains)) for _ in range(30)]
-    pooled = pooled_overall_f1(gold, pred, dimensions=[Dimension.MAIN_CATEGORY])
-    plain = macro_f1([g.main_category for g in gold], [p.main_category for p in pred])
-    assert pooled == pytest.approx(plain, abs=1e-12)
-
-
 def test_pooled_matches_oracle_random():
     rng = random.Random(3)
     mains = ["Preferences", "Experience", "Demographics", "None"]

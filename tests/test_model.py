@@ -58,12 +58,15 @@ TWO_HEADS = [("alpha", ("a0", "a1", "a2")), ("beta", ("b0", "b1"))]
 
 
 def small_model(dim=2, hidden=1, seed=0, dropout=0.0, weights=None):
+    """``weights`` holds one weight per head, given to each of the head's labels."""
     return new_model(
         dim,
         TWO_HEADS,
         hidden=hidden,
         dropout_rate=dropout,
-        category_weights=weights,
+        label_weights=None if weights is None else [
+            [w] * len(labels) for w, (_, labels) in zip(weights, TWO_HEADS)
+        ],
         seed=seed,
     )
 
@@ -292,8 +295,13 @@ def test_gradient_into_a_dirty_buffer_is_bitwise_the_fresh_one():
     assert fresh.tobytes() == np.concatenate([grad for _, grad in seen]).tobytes()
 
 
-def two_pass_loss_and_grads(model, X, targets, rng):
-    """The loss and gradient as first written: every head forward, then the loss, then the gradient."""
+def two_pass_loss_and_grads(model, X, targets, rng, category_weights, label_weights):
+    """The loss and gradient as first written: every head forward, then the loss, then the gradient.
+
+    Each head's cross-entropy is scaled by ``category_weights[c]`` times the gold label's
+    weight in ``label_weights``, two factors multiplied apart; ``model``'s own label weights
+    are not read.
+    """
     rate = model.dropout_rate
     caches = [_head_forward(head, X, rate, rng) for head in model.heads]
 
@@ -302,10 +310,7 @@ def two_pass_loss_and_grads(model, X, targets, rng):
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def gold_weights(c, rows):
-        scale = np.full(rows.size, model.category_weights[c])
-        if model.label_weights is not None:
-            scale = scale * model.label_weights[c][targets[rows, c]]
-        return scale
+        return np.full(rows.size, category_weights[c]) * label_weights[c][targets[rows, c]]
 
     valid = targets >= 0
     valid_counts = valid.sum(axis=1).astype(np.float64)
@@ -345,14 +350,16 @@ def test_one_pass_loss_and_grads_match_the_two_pass_reference_bitwise(batch, see
     rng = np.random.default_rng([seed, batch])
     space = canonical_label_space()
     label_weights = [rng.uniform(0.5, 2.0, size=len(labels)) for _, labels in space]
-    model = new_model(
-        16, space, hidden=8, dropout_rate=0.2, label_weights=label_weights,
-        category_weights=rng.uniform(0.5, 2.0, size=len(space)), seed=seed,
-    )
+    category_weights = rng.uniform(0.5, 2.0, size=len(space))
+    # each category weight folded into its labels' weights: the reference multiplies them apart
+    folded = [w_c * w for w_c, w in zip(category_weights, label_weights)]
+    model = new_model(16, space, hidden=8, dropout_rate=0.2, label_weights=folded, seed=seed)
     X = rng.normal(size=(batch, 16))
     targets = np.column_stack([rng.integers(MASK, len(labels), size=batch) for _, labels in space])
     targets[:, 2] = MASK  # one head fully masked: its masks are still drawn
-    expected = two_pass_loss_and_grads(model, X, targets, np.random.default_rng(seed))
+    expected = two_pass_loss_and_grads(
+        model, X, targets, np.random.default_rng(seed), category_weights, label_weights
+    )
     got = _loss_and_grads(model, X, targets, True, np.random.default_rng(seed))
     assert got[0] == expected[0]
     assert got[1].tobytes() == expected[1].tobytes()
@@ -896,7 +903,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.dropout_rate == 0.2
     assert loaded.category_names == model.category_names
     assert loaded.label_space == model.label_space
-    assert np.array_equal(loaded.category_weights, model.category_weights)
     for a, b in zip(loaded.parameters(), model.parameters()):
         assert np.array_equal(a, b)
     # in place and on BLAS: an unaligned or read-only theta would force copies
@@ -937,7 +943,6 @@ def test_copy_shares_no_memory():
     assert np.array_equal(clone.theta, model.theta)
     for a, b in [
         (clone.theta, model.theta),
-        (clone.category_weights, model.category_weights),
         *zip(clone.label_weights, model.label_weights),
     ]:
         assert not np.shares_memory(a, b)
@@ -1053,6 +1058,21 @@ def _category(**changes):
         pytest.param(_header(dropout_rate=5.0), id="dropout-above-one"),
         pytest.param(_header(categories=_category(weight=-1.0)), id="weight-negative"),
         pytest.param(_header(categories=_category(weight=math.nan)), id="weight-nan"),
+        pytest.param(_header(categories=_category(weight=2.0)), id="weight-two"),
+        pytest.param(_header(categories=_category(weight=0.0)), id="weight-zero"),
+        pytest.param(_header(categories=_category(weight=True)), id="weight-true"),
+        pytest.param(_header(categories=_category(weight="1")), id="weight-string-one"),
+        pytest.param(_header(categories=_category(weight="1.5")), id="weight-string-number"),
+        pytest.param(
+            _header(categories=_category(label_weights=["2.5", 1.0])), id="label-weight-string"
+        ),
+        pytest.param(
+            _header(categories=_category(label_weights=[True, 1.0])), id="label-weight-true"
+        ),
+        pytest.param(_header(categories=_category(labels="ab")), id="labels-string"),
+        pytest.param(_header(categories=_category(labels=["a0", 1])), id="label-int"),
+        pytest.param(_header(categories=_category(name=7)), id="name-int"),
+        pytest.param(_header(dropout_rate=False), id="dropout-bool"),
         pytest.param(_header(categories=_category(labels=["a0"])), id="one-label"),
         pytest.param(
             _header(categories=_category(label_weights=[1.0, -0.5])), id="label-weights-negative"
@@ -1100,10 +1120,6 @@ NEW_MODEL_REFUSALS = [
                  id="dropout-negative"),
     pytest.param({"dropout_rate": math.nan}, lambda h: h.update(dropout_rate=math.nan),
                  "dropout_rate", id="dropout-nan"),
-    pytest.param({"category_weights": [1.0, -1.0]}, _edit_category(1, weight=-1.0),
-                 "category_weights", id="category-weight-negative"),
-    pytest.param({"category_weights": [math.nan, 1.0]}, _edit_category(0, weight=math.nan),
-                 "category_weights", id="category-weight-nan"),
     pytest.param({"label_weights": [(1.0, 1.0, 1.0), (1.0, -1.0)]},
                  _set_label_weights([1.0, 1.0, 1.0], [1.0, -1.0]), "label_weights",
                  id="label-weight-negative"),
