@@ -10,19 +10,19 @@ Rows are float32 on disk; training code upcasts to float64 before doing
 arithmetic.
 
 The provider is reached with ``urllib.request`` over ``http``/``https`` only;
-HTTPS verifies against the system CA store, and no redirect is followed.
+HTTPS verifies against the system CA store, and no redirect is followed. The
+HTTP stack (``urllib.request``, ``http.client``, ``ssl``) is imported on the
+first request, so the commands that never fetch do not load it.
 """
 
 from __future__ import annotations
 
-import http.client
+import functools
 import itertools
 import json
 import os
 import struct
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -251,15 +251,24 @@ def fetch_embeddings(
     return EmbeddingMatrix(rows=np.vstack(chunks), row_ids=tuple(ids))
 
 
-# urlopen's opener less its redirect, file, FTP and data handlers: a 3xx is an HTTPError
-_OPENER = urllib.request.OpenerDirector()
-for _handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
-                 urllib.request.HTTPSHandler(), urllib.request.HTTPDefaultErrorHandler(),
-                 urllib.request.HTTPErrorProcessor()):
-    _OPENER.add_handler(_handler)
+@functools.cache
+def _opener():
+    """urlopen's opener less its redirect, file, FTP and data handlers: a 3xx is an HTTPError."""
+    import urllib.request
+
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                    urllib.request.HTTPSHandler(), urllib.request.HTTPDefaultErrorHandler(),
+                    urllib.request.HTTPErrorProcessor()):
+        opener.add_handler(handler)
+    return opener
 
 
 def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
+    import http.client
+    import urllib.error
+    import urllib.request
+
     if not endpoint.lower().startswith(("http://", "https://")):
         raise TransportError(f"POST {endpoint} refused: only http and https URLs are supported")
     data = json.dumps({"texts": batch}).encode("utf-8")
@@ -271,7 +280,7 @@ def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
         try:
             request = urllib.request.Request(endpoint, data, request_headers, method="POST")
             try:
-                with _OPENER.open(request, timeout=timeout) as reply:
+                with _opener().open(request, timeout=timeout) as reply:
                     status, raw = reply.status, reply.read()
             except urllib.error.HTTPError as reply:  # a URLError, so caught first
                 with reply:

@@ -32,19 +32,21 @@ gradient.
 Every parameter lives in one float64 vector, ``MultiHeadModel.theta``: each
 head's W1, b1, W2, b2, row-major, in category order. Each head's contiguous
 slice of ``theta`` is its ``flat`` view, and ``_lay_head`` lays the four
-arrays over it; the same helper lays a head's gradient over the one-head
-gradient buffer. An in-place update of a head's array is an update of
+arrays over it; the same helper lays a head's b1, W2, b2 gradient over a
+small tail buffer. An in-place update of a head's array is an update of
 ``theta``. Each head's AdamW moments are laid out like its ``flat`` slice,
 and the AdamW step updates them in place, one fixed-size block at a time.
 Training holds three parameter-sized vectors and allocates none of them per
 batch or per epoch: the parameters (the caller's ``theta``, updated in
 place) and the two moments. The best epoch's parameters wait in an unlinked
 temporary file, not in a fourth vector, and only while a later epoch moves
-``theta`` (see :func:`train`). The whole gradient is never held: each head's gradient is written
-into one buffer sized to one head, and AdamW steps that head's ``flat``
-slice as soon as it is written, before the next head's forward step. Heads
-share no parameters and AdamW is elementwise, so this gives the bits of one
-step over the whole gradient.
+``theta`` (see :func:`train`). Neither the whole gradient nor a whole
+head's is ever held: a head's W1 gradient is written in row blocks of at
+most ``GRAD_BLOCK`` values (2 MiB) and its b1, W2, b2 gradient into the tail
+buffer, and AdamW steps each piece of the head's ``flat`` slice as soon as
+it is written, before the next head's forward step. Heads share no
+parameters, every piece is stepped once per batch and AdamW is elementwise,
+so this gives the bits of one step over the whole gradient.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -86,6 +88,7 @@ CHECKPOINT_MAGIC = int.from_bytes(b"FMHC", "little")
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 1 << 16  # elements per adamw_step block; its two scratch blocks are 512 KB each
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator floor
+GRAD_BLOCK = 1 << 18  # values per block of a head's W1 gradient: 2 MiB of float64
 PREDICT_BLOCK = 2048  # rows per eval-mode forward block; float64 activations stay ~16 MB at hidden=1024
 LOAD_BLOCK = 1 << 17  # parameters load_model reads and checks at once: 1 MiB of float64
 
@@ -146,6 +149,12 @@ class MultiHeadModel:
 
     def __post_init__(self):
         sizes = _layout(self.dim, self.hidden, self.label_space)
+        # a category name must name one category, and a label code one label
+        if len(set(self.category_names)) != len(self.category_names):
+            raise ValueError(f"category names must be distinct, got {self.category_names!r}")
+        for name, labels in zip(self.category_names, self.label_space):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"category {name!r} repeats a label: {labels!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
         if self.label_weights is not None and not (
@@ -349,23 +358,37 @@ def loss(model: MultiHeadModel, logits: Sequence[np.ndarray], target: np.ndarray
     return float(contrib[0] / _unmasked_counts(targets)[0])
 
 
+def _w1_row_bounds(dim: int, hidden: int) -> list[int]:
+    """Row bounds of the near-equal blocks, of at most ``GRAD_BLOCK`` values, that
+    ``_loss_and_grads`` writes a head's W1 gradient in. None is one row unless ``hidden``
+    is: numpy sends a one-row product to GEMV, which rounds unlike the GEMM of the whole,
+    so rows of over half a block go two or three to a block."""
+    n = min(-(-hidden // max(GRAD_BLOCK // dim, 1)), max(hidden // 2, 1))
+    return [hidden * i // n for i in range(n + 1)]
+
+
 def _loss_and_grads(
     model: MultiHeadModel,
     X: np.ndarray,
     targets: np.ndarray,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
-    apply: Optional[Callable[[int, np.ndarray], None]] = None,
+    apply: Optional[Callable[[int, int, np.ndarray], None]] = None,
 ) -> tuple[float, Optional[np.ndarray]]:
     """Mean per-example loss over the batch, and its gradient unless ``apply`` takes it.
 
     One pass, head by head: the head's forward step (its dropout masks drawn
-    then), its cross-entropy and its gradient. Each head's W1, b1, W2, b2
-    gradient is written, flat, into one buffer sized to one head and passed
-    as ``apply(c, grad)`` before head c + 1's forward step. Without ``apply``,
-    each head's gradient is copied into a fresh vector laid out like
-    ``theta``, which is returned in place of ``None``. ``X`` and ``targets``
-    are not checked here, on every batch: the callers check them once.
+    then), its cross-entropy and its gradient. Head c's gradient goes to
+    ``apply(c, start, piece)`` in pieces, ``start`` being the piece's offset in
+    the head's ``flat``, all before head c + 1's forward step. The b1, W2, b2
+    gradient is written into a small tail buffer, and W1's in the row blocks of
+    :func:`_w1_row_bounds`, each into one block buffer and passed on as soon as
+    it is written. ``dU`` is computed before any piece is passed on, since a
+    step on the tail moves W2, and the W1 blocks need only ``dA`` and the input
+    rows, so the other activations go first. Without ``apply``, each piece is
+    copied into a fresh vector laid out like ``theta``, which is returned in
+    place of ``None``. ``X`` and ``targets`` are not checked here, on every
+    batch: the callers check them once.
     """
     rate = model.dropout_rate if train_mode else 0.0
     counts = _unmasked_counts(targets)
@@ -374,27 +397,36 @@ def _loss_and_grads(
     grad = None
     if apply is None:
         grad = np.empty_like(model.theta)
-        grad_heads = replace(model, theta=grad).heads
-        apply = lambda c, head_grad: np.copyto(grad_heads[c].flat, head_grad)
-    buffer = np.empty(max(head.flat.size for head in model.heads))
+        grad_flats = [head.flat for head in replace(model, theta=grad).heads]
+        apply = lambda c, start, piece: np.copyto(grad_flats[c][start : start + piece.size], piece)
+    dim, hidden = model.dim, model.hidden
+    bounds = _w1_row_bounds(dim, hidden)
+    block_buffer = np.empty(max(np.diff(bounds)) * dim)
+    tail_buffer = np.empty(max(head.flat.size for head in model.heads) - hidden * dim)
     for c, head in enumerate(model.heads):
-        slots = _lay_head(buffer[: head.flat.size], model.dim, model.hidden, len(head.b2))
+        # the tail is laid out as a head of input width 0: b1, W2, b2
+        tail = _lay_head(tail_buffer[: head.flat.size - hidden * dim], 0, hidden, len(head.b2))
         logits, (z, t, u, m2) = _head_forward(head, X, rate, rng)
         rows, log_probs, scale = _add_head_ce(model, logits, targets, c, contrib)
         # a fully masked head has no rows, and its empty products write zeros
         G = np.exp(log_probs)
         G[np.arange(rows.size), targets[rows, c]] -= 1.0
         G *= (scale * scale_rows[rows])[:, None]
-        np.matmul(G.T, u[rows], out=slots.W2)
-        np.sum(G, axis=0, out=slots.b2)
+        np.matmul(G.T, u[rows], out=tail.W2)
+        np.sum(G, axis=0, out=tail.b2)
         dU = G @ head.W2
         if m2 is not None:
             dU = dU * m2[rows]
         dA = dU * (1.0 - t[rows] ** 2)
-        np.matmul(dA.T, z[rows], out=slots.W1)
-        np.sum(dA, axis=0, out=slots.b1)
-        del logits, log_probs, z, t, u, m2, G, dU, dA  # apply runs beside no activations
-        apply(c, slots.flat)
+        np.sum(dA, axis=0, out=tail.b1)
+        z_rows = z[rows]
+        del logits, log_probs, z, t, u, m2, G, dU  # the pieces go out beside dA and z_rows alone
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = block_buffer[: (hi - lo) * dim].reshape(hi - lo, dim)
+            np.matmul(dA[:, lo:hi].T, z_rows, out=block)
+            apply(c, lo * dim, block.reshape(-1))
+        del dA, z_rows
+        apply(c, hidden * dim, tail.flat)
     return float((contrib / counts).mean()), grad
 
 
@@ -442,7 +474,7 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Step count and the first and second moments, each laid out like ``theta``."""
+    """Step count and the first and second moments, each laid out like the parameters it steps."""
 
     step: int
     m: np.ndarray
@@ -566,15 +598,17 @@ def train(
     best so far. Training stops after ``patience`` consecutive epochs without
     improvement or at ``max_epochs``.
 
-    A batch's step is taken head by head: ``_loss_and_grads`` writes each
-    head's gradient into a buffer sized to one head and hands it to a step
-    that runs ``adamw_step`` on ``model.heads[c].flat`` and that head's own
-    moments. Every head is stepped on every batch, so the heads' step counts
-    move together, and the bits are those of one step over the whole
-    gradient. Memory is three parameter-sized vectors (parameters and two
-    moments) plus the one-head buffer. The batch loss is checked after the
-    heads are stepped, so when ``NonFiniteLoss`` is raised the failing
-    batch's update is already in ``model.theta``.
+    A batch's step is taken piece by piece: ``_loss_and_grads`` hands each
+    head's gradient over in pieces (W1 row blocks of at most ``GRAD_BLOCK``
+    values, then the b1, W2, b2 tail), and a step runs ``adamw_step`` on the
+    piece's slice of ``model.heads[c].flat`` with its own ``AdamState`` over
+    views of that head's moments. Every piece is stepped on
+    every batch, so the step counts move together, and the bits are those of
+    one step over the whole gradient. Memory is three parameter-sized vectors
+    (parameters and two moments) plus one 2 MiB gradient block and the tail.
+    The batch loss is checked after the heads are stepped, so when
+    ``NonFiniteLoss`` is raised the failing batch's update is already in
+    ``model.theta``.
 
     An epoch that follows an improving one first writes ``theta``, from a
     view, over the start of one unlinked ``tempfile.TemporaryFile`` under
@@ -608,10 +642,15 @@ def train(
     X_val = embeddings.rows[val_rows].astype(np.float64)
     T_val = targets[val_rows]
 
-    states = [AdamState.zeros_like(head.flat) for head in model.heads]
+    bounds = [row * model.dim for row in _w1_row_bounds(model.dim, model.hidden)]
+    states = {}  # (head, start of its piece) -> the piece's AdamState over views of the moments
+    for c, head in enumerate(model.heads):
+        moments = AdamState.zeros_like(head.flat)
+        for start, stop in zip(bounds, bounds[1:] + [head.flat.size]):
+            states[c, start] = AdamState(step=0, m=moments.m[start:stop], v=moments.v[start:stop])
 
-    def step(c: int, grad: np.ndarray) -> None:
-        adamw_step(states[c], model.heads[c].flat, grad, config)
+    def step(c: int, start: int, grad: np.ndarray) -> None:
+        adamw_step(states[c, start], model.heads[c].flat[start : start + grad.size], grad, config)
 
     rng = np.random.default_rng(config.seed)
 

@@ -299,6 +299,8 @@ def test_evaluate_rejects_bad_code_arrays():
     bad[0, 4] = 2  # validity has two labels
     with pytest.raises(LabelOutOfRange):
         evaluate_labelsets(gold, bad)
+    with pytest.raises(LabelOutOfRange):  # a gold code one past its column, not only a prediction
+        evaluate_labelsets(bad, gold)
 
 
 _HASH_SEED_PROBE = """
@@ -357,6 +359,13 @@ def test_aggregate_two_point_hand_computation():
     agg = aggregate_seeds([report_of(0.80), report_of(0.82)])
     assert agg.overall.mean == pytest.approx(0.81, abs=1e-12)
     assert agg.overall.std == pytest.approx(math.sqrt(2) / 100, abs=1e-12)
+
+
+def test_aggregate_three_point_sample_std_hand_computation():
+    # n - 1 = 2: with two seeds n - 1 = 1, which hides a divisor multiplied in or off by one
+    agg = aggregate_seeds([report_of(0.70), report_of(0.80), report_of(0.90)])
+    assert agg.overall.mean == pytest.approx(0.8, abs=1e-12)
+    assert agg.overall.std == pytest.approx(math.sqrt((0.1**2 + 0.0 + 0.1**2) / 2), abs=1e-12)
 
 
 def test_aggregate_order_invariance():

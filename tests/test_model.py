@@ -49,7 +49,7 @@ from factkit.model import (
     targets_from_facts,
     train,
 )
-from factkit.model import _dropout_mask, _head_forward, _loss_and_grads
+from factkit.model import GRAD_BLOCK, _dropout_mask, _head_forward, _loss_and_grads, _w1_row_bounds
 from factkit.taxonomy import DIMENSIONS, labelsets_from_codes
 
 from synth import synthetic_dataset
@@ -278,21 +278,26 @@ def test_masked_category_gradient_exactly_zero():
 
 
 def test_gradient_into_a_dirty_buffer_is_bitwise_the_fresh_one():
-    # the one-head buffer still holds head 0's gradient when head 1 is written;
-    # no row leaves head 1 unmasked, so its slots must be zeroed, not skipped
+    # the block and tail buffers still hold head 0's gradient when head 1 is written;
+    # no row leaves head 1 unmasked, so its pieces must be zeroed, not skipped
     model = small_model(dim=4, hidden=3, seed=5, dropout=0.2)
     assert model.heads[1].flat.size < model.heads[0].flat.size
     X = np.random.default_rng(2).normal(size=(6, 4))
     targets = np.column_stack([[0, 1, 2, 0, 1, 2], np.full(6, MASK)])
     seen = []
     loss, none = _loss_and_grads(model, X, targets, True, np.random.default_rng(3),
-                                 apply=lambda c, grad: seen.append((c, grad.copy())))
-    assert none is None and [c for c, _ in seen] == [0, 1]
-    assert np.all(seen[0][1][: model.heads[1].flat.size] != 0.0)
-    assert seen[1][1].size == model.heads[1].flat.size and not np.any(seen[1][1])
+                                 apply=lambda c, start, piece: seen.append((c, start, piece.copy())))
+    assert none is None
+    # one W1 block of 3 rows, then the tail (b1, W2, b2), per head
+    assert [(c, start, piece.size) for c, start, piece in seen] == [
+        (0, 0, 12), (0, 12, model.heads[0].flat.size - 12),
+        (1, 0, 12), (1, 12, model.heads[1].flat.size - 12),
+    ]
+    assert np.all(seen[0][2] != 0.0) and np.all(seen[1][2][: seen[3][2].size] != 0.0)
+    assert not np.any(seen[2][2]) and not np.any(seen[3][2])
     loss_again, fresh = _loss_and_grads(model, X, targets, True, np.random.default_rng(3))
     assert loss_again == loss
-    assert fresh.tobytes() == np.concatenate([grad for _, grad in seen]).tobytes()
+    assert fresh.tobytes() == np.concatenate([piece for _, _, piece in seen]).tobytes()
 
 
 def two_pass_loss_and_grads(model, X, targets, rng, category_weights, label_weights):
@@ -363,6 +368,34 @@ def test_one_pass_loss_and_grads_match_the_two_pass_reference_bitwise(batch, see
     got = _loss_and_grads(model, X, targets, True, np.random.default_rng(seed))
     assert got[0] == expected[0]
     assert got[1].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("hidden", [1024, 1025, 257])
+@pytest.mark.parametrize("batch", [1, 2, 3, 24, 64])
+def test_w1_gradient_in_blocks_is_bitwise_the_whole_product(batch, hidden):
+    # the reference writes W1's gradient as one np.matmul(dA.T, z[rows]); the blocks must
+    # give its bits, so none may be a one-row product (GEMV) and none may pass GRAD_BLOCK
+    bounds = _w1_row_bounds(1024, hidden)
+    sizes = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == hidden and len(sizes) > 1
+    assert sizes.min() >= 2 and sizes.max() - sizes.min() <= 1 and sizes.max() * 1024 <= GRAD_BLOCK
+    rng = np.random.default_rng([batch, hidden])
+    model = new_model(1024, TWO_HEADS, hidden=hidden, dropout_rate=0.2, seed=batch)
+    X = rng.normal(size=(batch, 1024))
+    targets = np.column_stack([rng.integers(0, len(labels), size=batch) for _, labels in TWO_HEADS])
+    ones = [np.ones(len(labels)) for _, labels in TWO_HEADS]
+    expected = two_pass_loss_and_grads(model, X, targets, np.random.default_rng(7), [1.0, 1.0], ones)
+    got = _loss_and_grads(model, X, targets, True, np.random.default_rng(7))
+    assert got[0] == expected[0]
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("dim, hidden, expected", [
+    (4, 1, [0, 1]), (4, 3, [0, 3]), (1024, 1024, [0, 256, 512, 768, 1024]),
+    (GRAD_BLOCK, 5, [0, 2, 5]), (GRAD_BLOCK // 2 + 1, 4, [0, 2, 4]),
+])
+def test_w1_row_bounds_split_near_equal_and_never_one_row(dim, hidden, expected):
+    assert _w1_row_bounds(dim, hidden) == expected
 
 
 def test_weight_doubling_scales_gradient():
@@ -727,9 +760,10 @@ def test_per_head_steps_match_one_step_over_the_whole_gradient_bitwise(
 
 def test_train_memory_holds_three_parameter_vectors_and_one_head():
     # seven heads at d = hidden = 256; beside theta, training keeps two AdamW
-    # moments (2 x theta), a one-head gradient buffer (1/7 of theta), AdamW's
-    # two 512 KB scratch blocks and the batch's activations; the best epoch
-    # waits in a temporary file and is read back into theta itself
+    # moments (2 x theta), one W1 gradient block (here all of a head's W1, under
+    # 1/7 of theta) and a tail, AdamW's two 512 KB scratch blocks and the batch's
+    # activations; the best epoch waits in a temporary file and is read back into
+    # theta itself
     facts, emb = synthetic_dataset(n_facts=120, invalid_count=40)
     noise = np.random.default_rng(0).normal(0.0, 0.02, size=(len(facts), 256 - emb.dim))
     emb = EmbeddingMatrix(np.hstack([emb.rows, noise]), emb.row_ids)
@@ -1113,6 +1147,18 @@ NEW_MODEL_REFUSALS = [
         _edit_category(1, labels=["b0"]),
         "two labels",
         id="one-label",
+    ),
+    pytest.param(
+        {"label_space": [("alpha", ("a0", "a1", "a0")), TWO_HEADS[1]]},
+        _edit_category(0, labels=["a0", "a1", "a0"]),
+        "repeats a label",
+        id="repeated-label",
+    ),
+    pytest.param(
+        {"label_space": [TWO_HEADS[0], ("alpha", TWO_HEADS[1][1])]},
+        _edit_category(1, name="alpha"),
+        "names must be distinct",
+        id="repeated-category-name",
     ),
     pytest.param({"dropout_rate": 1.0}, lambda h: h.update(dropout_rate=1.0), "dropout_rate",
                  id="dropout-one"),

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from factkit import sampling
 from factkit.errors import AlignmentError, KTooLarge
 from factkit.sampling import (
     _CHUNK,
@@ -221,6 +222,27 @@ def test_degenerate_identical_points():
     assert model.inertia == pytest.approx(0.0, abs=1e-12)
     assert model.centroids.shape == (3, 2)
     assert np.allclose(model.centroids, 1.0)
+
+
+def test_an_emptied_cluster_is_reseeded_at_the_farthest_point(monkeypatch):
+    # with seed 0, Lloyd's second assignment leaves cluster 1 without a point
+    points = np.array([[6, 0], [7, 1], [7, 4], [2, 3], [0, 4], [5, 9]], dtype=np.float64)
+    calls = []
+
+    def recording(points, centroids, x_sq):
+        assignments, best = _assign(points, centroids, x_sq)
+        calls.append((centroids.copy(), assignments, best))
+        return assignments, best
+
+    monkeypatch.setattr(sampling, "_assign", recording)
+    model = kmeans_fit(points, k=4, seed=0)
+    _, assignments, best = calls[1]
+    assert np.bincount(assignments, minlength=4)[1] == 0
+    assert int(np.argmax(best)) == 4 and np.sum(best == best.max()) == 1
+    # the next assignment sees cluster 1's centroid on that point, which it then keeps
+    assert calls[2][0][1].tolist() == points[4].tolist()
+    assert model.centroids[1].tolist() == points[4].tolist()
+    assert np.all(np.bincount(model.assignments, minlength=4) > 0)
 
 
 # --- cluster sampling ---
