@@ -6,8 +6,8 @@ output around. Vectors are stored in a compact binary format (extension
 format version, row count N, dimension d), then N*d little-endian float32
 values row-major, then N ids, each a u32 byte length followed by UTF-8 text.
 
-Rows are float32 on disk; training code upcasts to float64 before doing
-arithmetic.
+Rows are float32 on disk and in memory; training and prediction upcast one
+batch or block at a time to float64 before doing arithmetic.
 
 The provider is reached with ``urllib.request`` over ``http``/``https`` only;
 HTTPS verifies against the system CA store, and no redirect is followed. The

@@ -46,7 +46,11 @@ most ``GRAD_BLOCK`` values (2 MiB) and its b1, W2, b2 gradient into the tail
 buffer, and AdamW steps each piece of the head's ``flat`` slice as soon as
 it is written, before the next head's forward step. Heads share no
 parameters, every piece is stepped once per batch and AdamW is elementwise,
-so this gives the bits of one step over the whole gradient.
+so this gives the bits of one step over the whole gradient. Nor is the
+training set copied: each batch's rows are gathered from the stored matrix
+and upcast to float64 alone, and the validation rows keep their stored
+dtype. So training holds ``theta``, two moments, one gradient block and one
+batch of rows beyond its inputs.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -602,10 +606,12 @@ def train(
     head's gradient over in pieces (W1 row blocks of at most ``GRAD_BLOCK``
     values, then the b1, W2, b2 tail), and a step runs ``adamw_step`` on the
     piece's slice of ``model.heads[c].flat`` with its own ``AdamState`` over
-    views of that head's moments. Every piece is stepped on
-    every batch, so the step counts move together, and the bits are those of
-    one step over the whole gradient. Memory is three parameter-sized vectors
-    (parameters and two moments) plus one 2 MiB gradient block and the tail.
+    views of that head's moments. Every piece is stepped on every batch, so
+    the step counts move together, and the bits are those of one step over
+    the whole gradient. Each batch's rows are gathered from ``embeddings.rows``
+    and upcast to float64 alone; the validation rows go to :func:`predict_batch`
+    in their stored dtype. Memory is three parameter-sized vectors (parameters
+    and two moments) plus one 2 MiB gradient block, the tail and one batch.
     The batch loss is checked after the heads are stepped, so when
     ``NonFiniteLoss`` is raised the failing batch's update is already in
     ``model.theta``.
@@ -632,14 +638,13 @@ def train(
         raise DimensionMismatch("targets and embeddings rows must align")
     row_of = embeddings.index_of()
     try:
-        train_rows = [row_of[i] for i in split.train]
+        train_rows = np.array([row_of[i] for i in split.train], dtype=np.intp)
         val_rows = [row_of[i] for i in split.val]
     except KeyError as exc:
         raise EmptySplit(f"id {exc.args[0]!r} missing from embeddings") from exc
 
-    X_train = embeddings.rows[train_rows].astype(np.float64)
     T_train = targets[train_rows]
-    X_val = embeddings.rows[val_rows].astype(np.float64)
+    X_val = embeddings.rows[val_rows]  # stored dtype: predict_batch upcasts one block at a time
     T_val = targets[val_rows]
 
     bounds = [row * model.dim for row in _w1_row_bounds(model.dim, model.hidden)]
@@ -667,9 +672,10 @@ def train(
             loss_sum = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
+                X_batch = embeddings.rows[train_rows[batch]].astype(np.float64)
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
                     batch_loss, _ = _loss_and_grads(
-                        model, X_train[batch], T_train[batch], train_mode=True, rng=rng, apply=step
+                        model, X_batch, T_train[batch], train_mode=True, rng=rng, apply=step
                     )
                 if not np.isfinite(batch_loss):
                     raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")

@@ -42,6 +42,7 @@ from factkit.model import (
 )
 from factkit.taxonomy import DIMENSIONS, FactRecord, LabelSet
 
+from canon_fixtures import GOLDEN_CASES
 from embed_server import MockEmbedServer, raw_reply
 from rss_probe import HAS_PROC, run_probed
 from synth import synthetic_dataset
@@ -420,6 +421,39 @@ def test_sample_output_golden(tmp_path):
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "844f1af8f4d7bc959013e5bc887e52dd8bc6a73b871806fa78f4ab108328daba"
+    )
+
+
+def test_canon_output_golden(tmp_path):
+    """Pins the file layout of canon's facts and exclusions files over the 30
+    canonicalization cases, which include the dual-duration exclusions."""
+    raw = [
+        {"id": f"c{i:02d}", "text": name.replace("_", " "), "source": "MSC", "annotation": annotation}
+        for i, (name, annotation, *_) in enumerate(GOLDEN_CASES)
+    ]
+    raw_path = tmp_path / "raw.jsonl"
+    raw_path.write_text("".join(json.dumps(r) + "\n" for r in raw))
+    out = tmp_path / "facts.jsonl"
+    exclusions = tmp_path / "excluded.jsonl"
+    assert run("canon", "--raw", raw_path, "--out", out, "--exclusions", exclusions) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "37fb8ea683fb05006053b6cfa437284f5ff0ef1c657f19c27a7f48794e0b5d7b"
+    )
+    assert hashlib.sha256(exclusions.read_bytes()).hexdigest() == (
+        "71c82e730cf16ccbeb3472d5baf3620ec7f13d1bb2d0680483f8c05ff447a95c"
+    )
+
+
+def test_predict_output_golden(workspace):
+    """Pins predict's JSONL bytes (label names and confidences per line) on the
+    workspace corpus, for an untrained checkpoint of fixed seed."""
+    tmp_path, _, emb_path, _ = workspace
+    model_path = tmp_path / "model.ckpt"
+    save_model(model_path, new_model(load_embeddings(emb_path).dim, canonical_label_space(), seed=5))
+    out = tmp_path / "pred.jsonl"
+    assert run("predict", "--model", model_path, "--embeddings", emb_path, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c485bb1d933460a92240338bf0adfa9ea5a1718ce53179b23be466c8545c7033"
     )
 
 

@@ -3,8 +3,9 @@
 A function, class or assigned name defined at the top of a package module,
 and a method or property defined in one of its classes, must appear
 somewhere other than its own definition: in the package, the tests, the
-demos or the benchmark. A name nothing mentions is code that nothing calls,
-and it goes.
+demos or the benchmark. The package's ``__init__.py`` does not count: a
+re-export alone keeps no name alive. A name nothing mentions is code that
+nothing calls, and it goes.
 """
 
 import ast
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "factkit"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 EXCLUDED = ROOT / "perfbench" / ".work"  # benchmark scratch output
+REEXPORTS = PACKAGE / "__init__.py"  # naming a name there is no use of it
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -62,7 +64,9 @@ def _unused(defined) -> list[str]:
     sources, words = _sources()
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
-        elsewhere = set().union(*(w for path, w in words.items() if path != module))
+        elsewhere = set().union(
+            *(w for path, w in words.items() if path not in (module, REEXPORTS))
+        )
         lines = sources[module].splitlines()
         for name, first, last in defined(ast.parse(sources[module])):
             if name.startswith("__") and name.endswith("__"):

@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import struct
 import tracemalloc
@@ -118,6 +119,19 @@ def test_load_truncated_payload(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: 16 + 5 * 4])  # 5 of the 6 declared floats
     with pytest.raises(TruncatedFile):
+        load_embeddings(path)
+
+
+def test_payload_shorter_than_the_reported_size_is_truncated(tmp_path, monkeypatch):
+    # the size check passes, as for a file that shrinks after it runs; the payload read is short
+    m = matrix_of([[1, 2, 3], [4, 5, 6]])
+    path = tmp_path / "v.emb"
+    save_embeddings(path, m)
+    data = path.read_bytes()
+    path.write_bytes(data[: 16 + 5 * 4])
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*real(fd)[:6], len(data), *real(fd)[7:])))
+    with pytest.raises(TruncatedFile, match="payload is short"):
         load_embeddings(path)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 import tempfile
 import tracemalloc
@@ -784,6 +785,46 @@ def test_train_memory_holds_three_parameter_vectors_and_one_head():
     assert ratio < 2.75, f"peak {ratio:.2f} x theta"
 
 
+def float32_task(n, dim, seed=0):
+    """``n`` standard-normal float32 rows and TWO_HEADS targets read off their first columns."""
+    rows = np.random.default_rng(seed).standard_normal((n, dim), dtype=np.float32)
+    ids = tuple(f"r{i:04d}" for i in range(n))
+    targets = np.column_stack([rows[:, :3].argmax(axis=1), rows[:, 3] > 0])
+    return EmbeddingMatrix(rows=rows, row_ids=ids), targets, ids
+
+
+def test_train_memory_holds_one_batch_of_rows_not_a_float64_copy():
+    # theta is tiny (hidden = 4), so the rows dominate: a float64 copy of the
+    # 2,400 training and 300 validation rows alone would be 1.8 x the float32
+    # matrix; training upcasts one 64-row batch at a time and keeps the
+    # validation rows float32
+    embeddings, targets, ids = float32_task(3000, 256)
+    split = SplitAssignment(train=ids[:2400], val=ids[2400:2700], test=ids[2700:])
+    model = new_model(256, TWO_HEADS, hidden=4, seed=1)
+    config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=1, patience=1, seed=1)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        train(model, embeddings, targets, split, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = (peak - start) / embeddings.rows.nbytes
+    assert ratio < 1.0, f"peak {ratio:.2f} x the float32 rows"
+
+
+def test_train_from_float32_rows_ends_at_the_theta_of_their_float64_copy():
+    embeddings, targets, ids = float32_task(200, 16, seed=3)
+    split = SplitAssignment(train=ids[:150], val=ids[150:180], test=ids[180:])
+    config = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=3, patience=3, seed=4)
+    results = []
+    for rows in (embeddings.rows, embeddings.rows.astype(np.float64)):
+        model = new_model(16, TWO_HEADS, hidden=8, dropout_rate=0.1, seed=2)
+        results.append(train(model, EmbeddingMatrix(rows=rows, row_ids=ids), targets, split, config))
+    assert results[0].history == results[1].history
+    assert results[0].model.theta.tobytes() == results[1].model.theta.tobytes()
+
+
 @pytest.mark.parametrize("learning_rate", [0.05, 1e308], ids=["trained", "non-finite-loss"])
 def test_train_closes_its_snapshot_file_and_leaves_no_file(tmp_path, monkeypatch, learning_rate):
     opened = []
@@ -1040,6 +1081,19 @@ def test_multi_block_checkpoint_loads_bitwise_and_refuses_a_mid_block_end(tmp_pa
     data = path.read_bytes()
     # the file now ends half-way through the second block
     path.write_bytes(data[: len(data) - 8 * (model.theta.size - LOAD_BLOCK - LOAD_BLOCK // 2)])
+    with pytest.raises(TruncatedFile, match="parameter block is short"):
+        load_model(path)
+
+
+def test_checkpoint_shorter_than_its_reported_size_is_truncated(tmp_path, monkeypatch):
+    # the size checks pass, as for a file that shrinks after they run; the last block's read is short
+    model = _multi_block_model()
+    path = tmp_path / "model.ckpt"
+    save_model(path, model)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 8])
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*real(fd)[:6], len(data), *real(fd)[7:])))
     with pytest.raises(TruncatedFile, match="parameter block is short"):
         load_model(path)
 
