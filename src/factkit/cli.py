@@ -172,11 +172,9 @@ def load_config(path: Optional[str], flags: Optional[dict] = None) -> dict:
     return config
 
 
-DEFAULT_CONFIG = load_config(None)
-
 def _split_spec(config: dict, seed: int) -> SplitSpec:
     split = config["split"]
-    return SplitSpec(split["train"], split["val"], split["test"], seed=seed)
+    return SplitSpec(*(Fraction(split[part]) for part in ("train", "val", "test")), seed=seed)
 
 
 def _sha256(path: str) -> str:

@@ -33,33 +33,21 @@ from .errors import DuplicateId, EmptyInput, ParseError, UnknownEnumValue
 from .prng import _MASK64, Xoshiro256StarStar
 from .taxonomy import FactRecord, LabelSet
 
-FractionLike = Union[Fraction, float, int, str]
-
-
-def _to_fraction(value: FractionLike) -> Fraction:
-    # Floats go through their decimal literal so 0.7 means 7/10, not the
-    # nearest binary double.
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
-
 
 @dataclass
 class SplitSpec:
     """Fractions and seed for one split; strata are always the main category.
 
-    These are exactly the values a split file's header records.
+    These are exactly the values a split file's header records. The fractions
+    are exact ``Fraction``s, each in [0, 1], summing to exactly 1.
     """
 
-    train_frac: FractionLike = Fraction(7, 10)
-    val_frac: FractionLike = Fraction(1, 10)
-    test_frac: FractionLike = Fraction(2, 10)
+    train_frac: Fraction = Fraction(7, 10)
+    val_frac: Fraction = Fraction(1, 10)
+    test_frac: Fraction = Fraction(2, 10)
     seed: int = 0
 
     def __post_init__(self):
-        self.train_frac = _to_fraction(self.train_frac)
-        self.val_frac = _to_fraction(self.val_frac)
-        self.test_frac = _to_fraction(self.test_frac)
         if not all(0 <= fraction <= 1 for fraction in self.fractions):
             raise ValueError("split fractions must lie in [0, 1]")
         if self.train_frac + self.val_frac + self.test_frac != 1:

@@ -45,6 +45,7 @@ MAGIC = int.from_bytes(b"FEMB", "little")
 FORMAT_VERSION = 1
 
 _NORM_ROWS = 1024  # rows that l2_normalize holds as float64 at once
+BACKOFF = 0.2  # seconds before fetch_embeddings' first retry; each later wait doubles
 
 
 @dataclass(frozen=True)
@@ -182,24 +183,25 @@ def fetch_embeddings(
     endpoint: str,
     texts: Sequence[str],
     batch_size: int,
-    ids: Optional[Sequence[str]] = None,
-    timeout: float = 30.0,
-    retries: int = 2,
-    backoff: float = 0.2,
-    headers: Optional[dict[str, str]] = None,
+    ids: Sequence[str],
+    timeout: float,
+    retries: int,
+    headers: Optional[dict[str, str]],
 ) -> EmbeddingMatrix:
     """Embed ``texts`` via ``POST endpoint`` in batches of ``batch_size``.
 
     The endpoint takes ``{"texts": [...]}`` and answers 200 with
     ``{"dim": d, "embeddings": [[...], ...]}``. Rows come back in input
-    order whatever the batch size. Only ``http``/``https`` URLs are sent.
-    Transport failures (:class:`TransportError`) and 5xx answers are retried
-    up to ``retries`` times with exponential backoff; other statuses and
-    non-JSON bodies raise :class:`ProtocolError` immediately, as does a reply
-    whose ``dim`` is not a JSON integer or whose rows are not a finite matrix
-    of JSON numbers (booleans and strings are refused) with at least one
-    column. A change of dimension between batches raises
-    :class:`DimensionDrift`; no texts raise :class:`EmptyInput`.
+    order whatever the batch size, named by ``ids``. Each request waits up
+    to ``timeout`` seconds and carries ``headers`` (``None``: none beyond
+    the JSON content type). Only ``http``/``https`` URLs are sent. Transport
+    failures (:class:`TransportError`) and 5xx answers are retried up to
+    ``retries`` times, after waits of ``BACKOFF``, ``2 * BACKOFF``, ...
+    seconds; other statuses and non-JSON bodies raise :class:`ProtocolError`
+    immediately, as does a reply whose ``dim`` is not a JSON integer or whose
+    rows are not a finite matrix of JSON numbers (booleans and strings are
+    refused) with at least one column. A change of dimension between
+    batches raises :class:`DimensionDrift`; no texts raise :class:`EmptyInput`.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -207,8 +209,6 @@ def fetch_embeddings(
         raise ValueError("retries must be non-negative")
     if not texts:
         raise EmptyInput("no texts to embed")
-    if ids is None:
-        ids = tuple(str(i) for i in range(len(texts)))
     if len(ids) != len(texts):
         raise DimensionMismatch("ids and texts have different lengths")
 
@@ -216,7 +216,7 @@ def fetch_embeddings(
     declared_dim: Optional[int] = None
     for start in range(0, len(texts), batch_size):
         batch = list(texts[start : start + batch_size])
-        body = _post_batch(endpoint, batch, timeout, retries, backoff, headers)
+        body = _post_batch(endpoint, batch, timeout, retries, headers)
         if not isinstance(body, dict):
             raise ProtocolError(200, f"reply is not a JSON object: {body!r}")
         dim = body.get("dim")
@@ -264,7 +264,7 @@ def _opener():
     return opener
 
 
-def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
+def _post_batch(endpoint, batch, timeout, retries, headers) -> dict:
     import http.client
     import urllib.error
     import urllib.request
@@ -276,7 +276,7 @@ def _post_batch(endpoint, batch, timeout, retries, backoff, headers) -> dict:
     last_error: FactkitError
     for attempt in range(retries + 1):
         if attempt:
-            time.sleep(backoff * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF * (2 ** (attempt - 1)))
         try:
             request = urllib.request.Request(endpoint, data, request_headers, method="POST")
             try:

@@ -288,18 +288,12 @@ def _check_inputs(model: MultiHeadModel, X: np.ndarray) -> None:
         raise DimensionMismatch(f"expected (*, {model.dim}) inputs, got {X.shape}")
 
 
-def forward(
-    model: MultiHeadModel,
-    h: np.ndarray,
-    train_mode: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> list[np.ndarray]:
-    """Per-category logit vectors for one d-dimensional input."""
+def forward(model: MultiHeadModel, h: np.ndarray) -> list[np.ndarray]:
+    """Per-category logit vectors for one d-dimensional input, in eval mode (no dropout)."""
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (model.dim,):
         raise DimensionMismatch(f"expected a ({model.dim},) vector, got {h.shape}")
-    rate = model.dropout_rate if train_mode else 0.0
-    return [_head_forward(head, h[None, :], rate, rng)[0][0] for head in model.heads]
+    return [_head_forward(head, h[None, :], 0.0, None)[0][0] for head in model.heads]
 
 
 def _check_targets(model: MultiHeadModel, targets: np.ndarray) -> np.ndarray:
@@ -434,23 +428,17 @@ def _loss_and_grads(
     return float((contrib / counts).mean()), grad
 
 
-def backward(
-    model: MultiHeadModel,
-    h: np.ndarray,
-    target: np.ndarray,
-    train_mode: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> list[np.ndarray]:
+def backward(model: MultiHeadModel, h: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of loss(forward(h)) in ``parameters()`` order.
 
-    With ``train_mode`` the dropout masks are drawn from ``rng`` and shared
-    between the forward pass and the gradients; leave it off when gradient
-    checking.
+    Eval mode, like :func:`forward`, so the gradients can be checked against
+    finite differences of ``forward``; training's dropout lives in
+    :func:`_loss_and_grads`, which :func:`train` drives.
     """
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
     _check_inputs(model, h)
     targets = _check_targets(model, target)
-    _, grad = _loss_and_grads(model, h, targets, train_mode=train_mode, rng=rng)
+    _, grad = _loss_and_grads(model, h, targets)
     return replace(model, theta=grad).parameters()
 
 

@@ -14,12 +14,13 @@ Serves ``POST /embed`` with ``{"texts": [...]}`` and answers
   status line included (see :func:`raw_reply`), to exercise any status,
   body or malformed reply.
 
-Failure injection: ``fail_next`` answers that many 500s before succeeding,
-``drift_after`` switches the dimension after that many requests to
-exercise the drift check, and ``delay`` waits that many seconds before
-each reply to exercise read timeouts. ``headers_seen`` keeps each request's
-headers, in arrival order. A GET is answered 405 but is counted and its
-headers kept, so a test sees a redirect that turned the POST into a GET.
+Failure injection: ``fail_next`` answers that many ``fail_status`` replies
+(500 unless given) before succeeding, ``drift_after`` switches the dimension
+after that many requests to exercise the drift check, and ``delay`` waits
+that many seconds before each reply to exercise read timeouts.
+``headers_seen`` keeps each request's headers, in arrival order. A GET is
+answered 405 but is counted and its headers kept, so a test sees a redirect
+that turned the POST into a GET.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class MockEmbedServer:
         mode: str = "bytelen",
         dim: int = 4,
         fail_next: int = 0,
+        fail_status: int = 500,
         drift_after: int = 0,
         payload: object = None,
         delay: float = 0.0,
@@ -62,6 +64,7 @@ class MockEmbedServer:
         self.payload = payload
         self.dim = dim
         self.fail_next = fail_next
+        self.fail_status = fail_status
         self.drift_after = drift_after
         self.delay = delay
         self.requests_seen = 0
@@ -94,7 +97,7 @@ class MockEmbedServer:
                     return
                 if outer.fail_next > 0:
                     outer.fail_next -= 1
-                    self.send_response(500)
+                    self.send_response(outer.fail_status)
                     self.end_headers()
                     self.wfile.write(b"injected failure")
                     return

@@ -18,13 +18,12 @@ import pytest
 import factkit
 from factkit import cli
 from factkit.baseline import logreg_train, tfidf_fit, tfidf_transform, train_baseline
-from factkit.cli import DEFAULT_CONFIG, SETTINGS, load_config, main
+from factkit.cli import SETTINGS, load_config, main
 from factkit.dataio import SplitSpec, read_facts, read_split, write_facts
 from factkit.embeddings import (
     FORMAT_VERSION,
     MAGIC,
     EmbeddingMatrix,
-    fetch_embeddings,
     load_embeddings,
     save_embeddings,
 )
@@ -338,7 +337,7 @@ def test_bad_embedding_content_exit_code(workspace, capsys, defect, message):
 
 
 def test_load_config_never_aliases_defaults(tmp_path):
-    before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
+    before = json.dumps(load_config(None), sort_keys=True)
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"seeds": [1]}))
     for path in (None, str(partial)):
@@ -346,7 +345,7 @@ def test_load_config_never_aliases_defaults(tmp_path):
         config["train"]["max_epochs"] = 99
         config["split"]["train"] = "1/2"
         config["seeds"].append(7)
-    assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
+    assert json.dumps(load_config(None), sort_keys=True) == before
 
 
 def _default(func, name):
@@ -367,8 +366,6 @@ _SPLIT_FIELDS = {field.name: field.default for field in dataclasses.fields(Split
         *[(f"split.{key}", _SPLIT_FIELDS[f"{key}_frac"]) for key in ("train", "val", "test")],
         ("baseline.l2", _default(logreg_train, "l2")),
         ("baseline.l2", _default(train_baseline, "l2")),
-        ("embedding.timeout", _default(fetch_embeddings, "timeout")),
-        ("embedding.retries", _default(fetch_embeddings, "retries")),
     ],
 )
 def test_settings_defaults_match_library_defaults(name, library):

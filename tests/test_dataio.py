@@ -272,12 +272,12 @@ def test_split_rejects_excluded():
 
 def test_split_spec_fractions_must_sum_to_one():
     with pytest.raises(ValueError):
-        SplitSpec(train_frac=0.7, val_frac=0.2, test_frac=0.2, seed=0)
+        SplitSpec(Fraction(7, 10), Fraction(1, 5), Fraction(1, 5), seed=0)
 
 
 def test_split_spec_fractions_must_lie_in_unit_interval():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        SplitSpec(train_frac="11/10", val_frac="-1/5", test_frac="1/10", seed=0)
+        SplitSpec(Fraction(11, 10), Fraction(-1, 5), Fraction(1, 10), seed=0)
 
 
 @pytest.mark.parametrize("make", [Xoshiro256StarStar, lambda seed: SplitSpec(seed=seed)],

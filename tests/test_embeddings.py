@@ -4,11 +4,15 @@ import socket
 import struct
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from factkit import embeddings
+from factkit.cli import SETTINGS
 from factkit.embeddings import (
+    BACKOFF,
     FORMAT_VERSION,
     MAGIC,
     EmbeddingMatrix,
@@ -219,9 +223,29 @@ def test_l2_normalize_rejects_zero_row():
 # --- HTTP fetching ---
 
 
+def fetch(endpoint, texts, batch_size, **given):
+    """``fetch_embeddings`` as ``embed-fetch`` calls it with the default settings.
+
+    The ids are "0", "1", ... and no header is added; ``given`` overrides any of them.
+    """
+    defaults = {
+        "ids": [str(i) for i in range(len(texts))],
+        "timeout": SETTINGS["embedding.timeout"][0],
+        "retries": SETTINGS["embedding.retries"][0],
+        "headers": None,
+    }
+    return fetch_embeddings(endpoint, texts, batch_size, **{**defaults, **given})
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retries wait 0.01 s and 0.02 s, not BACKOFF's seconds."""
+    monkeypatch.setattr(embeddings, "BACKOFF", 0.01)
+
+
 def test_fetch_bytelen_oracle():
     with MockEmbedServer(mode="bytelen") as server:
-        m = fetch_embeddings(server.url, ["ab", "abc"], batch_size=2)
+        m = fetch(server.url, ["ab", "abc"], batch_size=2)
     assert m.rows.tolist() == [[2.0], [3.0]]
     assert m.row_ids == ("0", "1")
 
@@ -229,9 +253,9 @@ def test_fetch_bytelen_oracle():
 def test_fetch_batch_size_invariance():
     texts = ["one", "two", "three", "four", "five"]
     with MockEmbedServer(mode="hash", dim=6) as server:
-        one = fetch_embeddings(server.url, texts, batch_size=1)
-        whole = fetch_embeddings(server.url, texts, batch_size=5)
-        odd = fetch_embeddings(server.url, texts, batch_size=2)
+        one = fetch(server.url, texts, batch_size=1)
+        whole = fetch(server.url, texts, batch_size=5)
+        odd = fetch(server.url, texts, batch_size=2)
     assert np.array_equal(one.rows, whole.rows)
     assert np.array_equal(one.rows, odd.rows)
 
@@ -239,37 +263,49 @@ def test_fetch_batch_size_invariance():
 def test_fetch_dimension_drift():
     with MockEmbedServer(mode="hash", dim=4, drift_after=1) as server:
         with pytest.raises(DimensionDrift):
-            fetch_embeddings(server.url, ["a", "b", "c"], batch_size=1)
+            fetch(server.url, ["a", "b", "c"], batch_size=1)
 
 
+@pytest.mark.usefixtures("fast_backoff")
 def test_fetch_retries_transient_500():
     with MockEmbedServer(mode="bytelen", fail_next=1) as server:
-        m = fetch_embeddings(server.url, ["hello"], batch_size=1, retries=2, backoff=0.01)
+        m = fetch(server.url, ["hello"], batch_size=1, retries=2)
     assert m.rows.tolist() == [[5.0]]
 
 
+@pytest.mark.usefixtures("fast_backoff")
 def test_fetch_exhausted_retries_raise():
     with MockEmbedServer(mode="bytelen", fail_next=10) as server:
         with pytest.raises(ProtocolError):
-            fetch_embeddings(server.url, ["hello"], batch_size=1, retries=1, backoff=0.01)
+            fetch(server.url, ["hello"], batch_size=1, retries=1)
+
+
+def test_fetch_waits_backoff_then_twice_backoff_between_retries(monkeypatch):
+    waits = []
+    monkeypatch.setattr(embeddings, "time", SimpleNamespace(sleep=waits.append))
+    with MockEmbedServer(mode="bytelen", fail_next=2, fail_status=503) as server:
+        m = fetch(server.url, ["hello"], batch_size=1, retries=2)
+    assert m.rows.tolist() == [[5.0]]
+    assert server.requests_seen == 3
+    assert waits == [BACKOFF, 2 * BACKOFF]
 
 
 def test_fetch_unreachable_endpoint():
     with pytest.raises(TransportError):
-        fetch_embeddings(
+        fetch(
             "http://127.0.0.1:9/embed", ["x"], batch_size=1, retries=0, timeout=0.2
         )
 
 
 def test_fetch_custom_ids():
     with MockEmbedServer(mode="bytelen") as server:
-        m = fetch_embeddings(server.url, ["a", "bb"], batch_size=2, ids=["u", "v"])
+        m = fetch(server.url, ["a", "bb"], batch_size=2, ids=["u", "v"])
     assert m.row_ids == ("u", "v")
 
 
 def test_fetch_rejects_negative_retries():
     with pytest.raises(ValueError):
-        fetch_embeddings("http://127.0.0.1:9/embed", ["x"], batch_size=1, retries=-1)
+        fetch("http://127.0.0.1:9/embed", ["x"], batch_size=1, retries=-1)
 
 
 @pytest.mark.parametrize(
@@ -280,7 +316,7 @@ def test_fetch_rejects_negative_retries():
 )
 def test_fetch_refuses_arguments_before_any_request(kwargs, error, message):
     with pytest.raises(error, match=message):
-        fetch_embeddings("http://127.0.0.1:9/embed", ["x", "y"], **{"batch_size": 1, **kwargs})
+        fetch("http://127.0.0.1:9/embed", ["x", "y"], **{"batch_size": 1, **kwargs})
 
 
 # --- HTTP transport: what each reply maps to, and how many requests it takes ---
@@ -309,18 +345,19 @@ def test_fetch_refuses_arguments_before_any_request(kwargs, error, message):
         "deep-nesting", "beyond-float32",
     ],
 )
+@pytest.mark.usefixtures("fast_backoff")
 def test_fetch_reply_mapping(reply, retries, error, requests_seen):
     with MockEmbedServer(mode="raw", payload=reply) as server:
         with pytest.raises(error), warnings.catch_warnings():
             warnings.simplefilter("error")  # a refused reply warns of nothing on the way
-            fetch_embeddings(server.url, ["x"], batch_size=1, retries=retries, backoff=0.01)
+            fetch(server.url, ["x"], batch_size=1, retries=retries)
     assert server.requests_seen == requests_seen
 
 
 def test_fetch_read_timeout_is_transport_error():
     with MockEmbedServer(mode="bytelen", delay=0.5) as server:
         with pytest.raises(TransportError):
-            fetch_embeddings(server.url, ["x"], batch_size=1, retries=0, timeout=0.1)
+            fetch(server.url, ["x"], batch_size=1, retries=0, timeout=0.1)
     assert server.requests_seen == 1
 
 
@@ -331,8 +368,8 @@ def test_fetch_does_not_follow_redirects(status):
         moved = raw_reply(f"{status} Moved", headers=f"Location: {target.url}\r\n")
         with MockEmbedServer(mode="raw", payload=moved) as server:
             with pytest.raises(ProtocolError) as excinfo:
-                fetch_embeddings(
-                    server.url, ["x"], batch_size=1, backoff=0.01,
+                fetch(
+                    server.url, ["x"], batch_size=1,
                     headers={"Authorization": "Bearer secret"},
                 )
     assert excinfo.value.status == status
@@ -347,7 +384,7 @@ def test_fetch_redirect_to_ftp_is_protocol_error():
     moved = raw_reply("302 Found", headers=f"Location: ftp://127.0.0.1:{port}/x\r\n")
     with MockEmbedServer(mode="raw", payload=moved) as server:
         with pytest.raises(ProtocolError) as excinfo:
-            fetch_embeddings(server.url, ["x"], batch_size=1, retries=0, timeout=1.0)
+            fetch(server.url, ["x"], batch_size=1, retries=0, timeout=1.0)
     assert excinfo.value.status == 302
     assert server.requests_seen == 1
 
@@ -360,5 +397,5 @@ def test_fetch_rejects_non_http_and_malformed_urls(tmp_path):
         address = server.url.split("://", 1)[1]
         for url in (address, f"ftp://{address}", reply.as_uri(), "http://", "http://[::1"):
             with pytest.raises(TransportError):
-                fetch_embeddings(url, ["x"], batch_size=1, retries=0, timeout=1.0)
+                fetch(url, ["x"], batch_size=1, retries=0, timeout=1.0)
     assert server.requests_seen == 0

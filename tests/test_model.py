@@ -121,7 +121,8 @@ def test_forward_dimension_mismatch():
     "call, message",
     [
         (lambda model: replace(model, theta=model.theta[:-1]), "theta must hold"),
-        (lambda model: forward(model, np.ones(2), train_mode=True), "train-mode dropout needs an RNG"),
+        (lambda model: _loss_and_grads(model, np.ones((1, 2)), np.zeros((1, 2), dtype=np.int64),
+                                       train_mode=True), "train-mode dropout needs an RNG"),
         (lambda model: backward(model, np.ones(2), np.zeros(3)), "targets have 3 categories"),
         (lambda model: loss(model, [np.zeros(3), np.zeros(3)], np.zeros(2)), "logits have width 3"),
         (lambda model: adamw_step(AdamState.zeros_like(model.theta), model.theta,
@@ -138,10 +139,10 @@ def test_model_refuses_mismatched_inputs(call, message):
 
 def test_forward_train_mode_dropout_changes_logits():
     model = small_model(dim=16, hidden=8, seed=1, dropout=0.5)
-    h = np.ones(16)
+    X = np.ones((1, 16))
     rng = np.random.default_rng(0)
-    noisy = forward(model, h, train_mode=True, rng=rng)
-    clean = forward(model, h)
+    noisy = [_head_forward(head, X, 0.5, rng)[0][0] for head in model.heads]
+    clean = forward(model, X[0])
     assert not all(np.allclose(a, b) for a, b in zip(noisy, clean))
 
 

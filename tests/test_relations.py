@@ -6,13 +6,16 @@ relations), on small seeded workspaces from ``synth.py``.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from factkit.cli import main
-from factkit.dataio import write_facts
+from factkit.dataio import read_facts, read_jsonl, read_split, write_facts
 from factkit.embeddings import save_embeddings
-from factkit.model import load_model, save_model
+from factkit.metrics import aggregate_seeds, evaluate_labelsets, render_aggregate
+from factkit.model import canonical_label_space, load_model, save_model, targets_from_facts
+from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, LabelSet, label_codes
 
 from synth import synthetic_dataset
 
@@ -40,6 +43,17 @@ def trained(tmp_path_factory):
         "--embeddings", paths["facts.emb"], "--out-dir", paths["run"], "--seeds", SEED,
     ) == 0
     return paths
+
+
+@pytest.fixture(scope="module")
+def predicted(trained, tmp_path_factory):
+    """``predict``'s line per fact id, for the trained checkpoint over every fact."""
+    out = tmp_path_factory.mktemp("predicted") / "predictions.jsonl"
+    assert run(
+        "predict", "--model", trained["run"] / f"model-seed{SEED}.ckpt",
+        "--embeddings", trained["facts.emb"], "--out", out,
+    ) == 0
+    return {line["id"]: line for _, line in read_jsonl(out)}
 
 
 def test_single_seed_train_report_is_the_eval_report_of_its_checkpoint(trained, tmp_path):
@@ -79,3 +93,40 @@ def test_a_rater_file_against_itself_agrees_fully(tmp_path):
     assert len(rows) == 8  # seven dimensions and the average
     for row in rows:
         assert row.split()[1:5] == ["100.0%", "1.000", "1.000", "1.000"], row
+
+
+def test_scoring_predict_labels_of_the_test_ids_is_the_eval_report(trained, predicted, tmp_path):
+    split = trained["run"] / f"split-seed{SEED}.txt"
+    out = tmp_path / "eval.txt"
+    assert run(
+        "--config", trained["config.json"], "eval",
+        "--model", trained["run"] / f"model-seed{SEED}.ckpt",
+        "--facts", trained["facts.jsonl"], "--embeddings", trained["facts.emb"],
+        "--split", split, "--out", out,
+    ) == 0
+    test_ids = read_split(split)[0].test
+    by_id = {fact.id: fact for fact in read_facts(trained["facts.jsonl"])}
+    gold = targets_from_facts([by_id[i] for i in test_ids], canonical_label_space())
+    labels = label_codes([LabelSet.from_dict(predicted[i]["labels"]) for i in test_ids])
+    report = render_aggregate(aggregate_seeds([evaluate_labelsets(gold, labels)]))
+    assert report.encode("utf-8") == out.read_bytes()
+
+
+def test_analyze_of_one_checkpoint_prints_predict_label_shares(trained, predicted, tmp_path):
+    out = tmp_path / "analysis.txt"
+    assert run(
+        "analyze", "--models", trained["run"] / f"model-seed{SEED}.ckpt",
+        "--corpus", trained["facts.jsonl"], "--embeddings", trained["facts.emb"], "--out", out,
+    ) == 0
+    counts = Counter(
+        (dim, line["labels"][dim.value]) for line in predicted.values() for dim in DIMENSIONS
+    )
+    n = len(predicted)
+    expected = [
+        f"{dim.value:<20}{label:<24}{f'{100.0 * counts[dim, label] / n:.1f}±0.0':>14}"
+        for dim in DIMENSIONS
+        for label in LABEL_SPACE[dim]
+    ]
+    # the rows after the summary, a blank line and the column names
+    rows = out.read_text(encoding="utf-8").splitlines()[3:]
+    assert [row[:58] for row in rows] == expected  # dimension, label and share; not confidence
