@@ -48,6 +48,16 @@ _NORM_ROWS = 1024  # rows that l2_normalize holds as float64 at once
 BACKOFF = 0.2  # seconds before fetch_embeddings' first retry; each later wait doubles
 
 
+def _row_blocks(n: int, limit: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of ``np.array_split``'s near-equal blocks of ``n`` rows, as few as keep
+    each to ``limit`` rows, but none of one row unless ``n`` is 1: numpy sends a one-row
+    product to GEMV, which rounds unlike GEMM. So at ``limit`` < 3 blocks take 2 or 3 rows."""
+    k = min(-(-n // max(limit, 1)), max(n // 2, 1))
+    q, r = divmod(n, max(k, 1))
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """N finite row vectors aligned one-to-one with N fact ids."""

@@ -34,23 +34,24 @@ head's W1, b1, W2, b2, row-major, in category order. Each head's contiguous
 slice of ``theta`` is its ``flat`` view, and ``_lay_head`` lays the four
 arrays over it; the same helper lays a head's b1, W2, b2 gradient over a
 small tail buffer. An in-place update of a head's array is an update of
-``theta``. Each head's AdamW moments are laid out like its ``flat`` slice,
-and the AdamW step updates them in place, one fixed-size block at a time.
-Training holds three parameter-sized vectors and allocates none of them per
-batch or per epoch: the parameters (the caller's ``theta``, updated in
-place) and the two moments. The best epoch's parameters wait in an unlinked
-temporary file, not in a fourth vector, and only while a later epoch moves
-``theta`` (see :func:`train`). Neither the whole gradient nor a whole
-head's is ever held: a head's W1 gradient is written in row blocks of at
-most ``GRAD_BLOCK`` values (2 MiB) and its b1, W2, b2 gradient into the tail
-buffer, and AdamW steps each piece of the head's ``flat`` slice as soon as
-it is written, before the next head's forward step. Heads share no
-parameters, every piece is stepped once per batch and AdamW is elementwise,
-so this gives the bits of one step over the whole gradient. Nor is the
-training set copied: each batch's rows are gathered from the stored matrix
-and upcast to float64 alone, and the validation rows keep their stored
-dtype. So training holds ``theta``, two moments, one gradient block and one
-batch of rows beyond its inputs.
+``theta``. Each head's two AdamW moments are laid out like its ``flat``
+slice, and the AdamW step updates them in place, one fixed-size block at a
+time. Training holds three parameter-sized vectors and allocates none of
+them per batch or per epoch: the parameters (the caller's ``theta``, updated
+in place) and the two moments. The best epoch's parameters wait in an
+unlinked temporary file, not in a fourth vector, and only while a later
+epoch moves ``theta`` (see :func:`train`). Neither the whole gradient nor a
+whole head's is ever held: a head's W1 gradient is written in row blocks of
+at most ``GRAD_BLOCK`` values (2 MiB) and its b1, W2, b2 gradient into the
+tail buffer, and AdamW steps each piece, at its offset in the head's
+``flat`` slice and in the head's moments, as soon as it is written, before
+the next head's forward step. Heads share no parameters, every piece is
+stepped once per batch and AdamW is elementwise, so this gives the bits of
+one step over the whole gradient. Nor is the training set copied: each
+batch's rows are gathered from the stored matrix and upcast to float64
+alone, and the validation rows keep their stored dtype. So training holds
+``theta``, two moments, one gradient block and one batch of rows beyond its
+inputs. The W1 gradient and prediction are blocked by ``_row_blocks``.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -74,7 +75,7 @@ import numpy as np
 
 from . import metrics
 from .dataio import SplitAssignment
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, _row_blocks
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -356,15 +357,6 @@ def loss(model: MultiHeadModel, logits: Sequence[np.ndarray], target: np.ndarray
     return float(contrib[0] / _unmasked_counts(targets)[0])
 
 
-def _w1_row_bounds(dim: int, hidden: int) -> list[int]:
-    """Row bounds of the near-equal blocks, of at most ``GRAD_BLOCK`` values, that
-    ``_loss_and_grads`` writes a head's W1 gradient in. None is one row unless ``hidden``
-    is: numpy sends a one-row product to GEMV, which rounds unlike the GEMM of the whole,
-    so rows of over half a block go two or three to a block."""
-    n = min(-(-hidden // max(GRAD_BLOCK // dim, 1)), max(hidden // 2, 1))
-    return [hidden * i // n for i in range(n + 1)]
-
-
 def _loss_and_grads(
     model: MultiHeadModel,
     X: np.ndarray,
@@ -379,10 +371,10 @@ def _loss_and_grads(
     then), its cross-entropy and its gradient. Head c's gradient goes to
     ``apply(c, start, piece)`` in pieces, ``start`` being the piece's offset in
     the head's ``flat``, all before head c + 1's forward step. The b1, W2, b2
-    gradient is written into a small tail buffer, and W1's in the row blocks of
-    :func:`_w1_row_bounds`, each into one block buffer and passed on as soon as
-    it is written. ``dU`` is computed before any piece is passed on, since a
-    step on the tail moves W2, and the W1 blocks need only ``dA`` and the input
+    gradient is written into a small tail buffer, and W1's in ``_row_blocks``
+    of at most ``GRAD_BLOCK`` values, each into one block buffer and passed on
+    as soon as it is written. ``dU`` is computed before any piece is passed on,
+    since a step on the tail moves W2, and the W1 blocks need only ``dA`` and the input
     rows, so the other activations go first. Without ``apply``, each piece is
     copied into a fresh vector laid out like ``theta``, which is returned in
     place of ``None``. ``X`` and ``targets`` are not checked here, on every
@@ -398,8 +390,8 @@ def _loss_and_grads(
         grad_flats = [head.flat for head in replace(model, theta=grad).heads]
         apply = lambda c, start, piece: np.copyto(grad_flats[c][start : start + piece.size], piece)
     dim, hidden = model.dim, model.hidden
-    bounds = _w1_row_bounds(dim, hidden)
-    block_buffer = np.empty(max(np.diff(bounds)) * dim)
+    blocks = _row_blocks(hidden, GRAD_BLOCK // dim)
+    block_buffer = np.empty(max(hi - lo for lo, hi in blocks) * dim)
     tail_buffer = np.empty(max(head.flat.size for head in model.heads) - hidden * dim)
     for c, head in enumerate(model.heads):
         # the tail is laid out as a head of input width 0: b1, W2, b2
@@ -419,7 +411,7 @@ def _loss_and_grads(
         np.sum(dA, axis=0, out=tail.b1)
         z_rows = z[rows]
         del logits, log_probs, z, t, u, m2, G, dU  # the pieces go out beside dA and z_rows alone
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in blocks:
             block = block_buffer[: (hi - lo) * dim].reshape(hi - lo, dim)
             np.matmul(dA[:, lo:hi].T, z_rows, out=block)
             apply(c, lo * dim, block.reshape(-1))
@@ -464,43 +456,32 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be >= 1, patience >= 0")
 
 
-@dataclass
-class AdamState:
-    """Step count and the first and second moments, each laid out like the parameters it steps."""
-
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, theta: np.ndarray) -> "AdamState":
-        return cls(step=0, m=np.zeros_like(theta), v=np.zeros_like(theta))
-
-
-def adamw_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, config: TrainConfig) -> None:
-    """One AdamW update with decoupled weight decay, in place, ``ADAM_BLOCK`` elements at a time.
+def adamw_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+               step: int, config: TrainConfig) -> None:
+    """AdamW update number ``step`` (from 1), with decoupled weight decay, in place.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
 
     with moment decays ``ADAM_BETA1`` and ``ADAM_BETA2`` and eps ``ADAM_EPS``.
+    ``theta`` and its moments ``m`` and ``v`` (zeros before step 1) are updated
+    in place, ``ADAM_BLOCK`` elements at a time.
     """
-    if not theta.shape == grad.shape == state.m.shape == state.v.shape:
-        raise DimensionMismatch("theta, grad, and state must have one shape")
-    state.step += 1
-    bias1 = 1.0 - ADAM_BETA1**state.step
-    bias2 = 1.0 - ADAM_BETA2**state.step
+    if not theta.shape == grad.shape == m.shape == v.shape:
+        raise DimensionMismatch("theta, grad, m and v must have one shape")
+    bias1 = 1.0 - ADAM_BETA1**step
+    bias2 = 1.0 - ADAM_BETA2**step
     scratch = np.empty((2, min(ADAM_BLOCK, theta.size)))
     for start in range(0, theta.size, ADAM_BLOCK):
-        p, g, m, v = (a[start : start + ADAM_BLOCK] for a in (theta, grad, state.m, state.v))
+        p, g, mb, vb = (a[start : start + ADAM_BLOCK] for a in (theta, grad, m, v))
         update, tmp = scratch[:, : p.size]
         # each operation of the formula in its evaluation order, into the scratch blocks
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-        v *= ADAM_BETA2
+        mb *= ADAM_BETA1
+        mb += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        vb *= ADAM_BETA2
         np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-        v += np.multiply(tmp, g, out=tmp)
-        np.divide(m, bias1, out=update)
-        np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
+        vb += np.multiply(tmp, g, out=tmp)
+        np.divide(mb, bias1, out=update)
+        np.sqrt(np.divide(vb, bias2, out=tmp), out=tmp)
         update /= np.add(tmp, ADAM_EPS, out=tmp)
         if config.weight_decay:
             update += np.multiply(p, config.weight_decay, out=tmp)
@@ -554,23 +535,19 @@ def predict_batch(model: MultiHeadModel, X: np.ndarray) -> tuple[np.ndarray, np.
     read in blocks of at most ``PREDICT_BLOCK`` rows, each upcast to float64
     on its own. Each head's activations are freed before the next head runs,
     so memory beyond the inputs and outputs is one float64 block and one
-    head's activations. The blocks split the rows into near-equal parts, so
-    no block has a single row unless ``X`` does: numpy would send a one-row
-    product to GEMV, whose rounding can differ from the GEMM for the others.
+    head's activations. The blocks are ``_row_blocks``, so none has a single
+    row unless ``X`` does.
     """
     X = np.asarray(X)
     _check_inputs(model, X)
     indices = np.empty((len(X), model.n_categories), dtype=np.intp)
     confidences = np.empty((len(X), model.n_categories))
-    start = 0
-    for block in np.array_split(X, max(1, -(-len(X) // PREDICT_BLOCK))):
-        rows = slice(start, start + len(block))
-        block = np.asarray(block, dtype=np.float64)
+    for lo, hi in _row_blocks(len(X), PREDICT_BLOCK):
+        block = np.asarray(X[lo:hi], dtype=np.float64)
         for c, head in enumerate(model.heads):
             logits = _head_forward(head, block, 0.0, None)[0]  # the cache goes before the next head
-            indices[rows, c] = logits.argmax(axis=1)
-            confidences[rows, c] = softmax(logits).max(axis=1)
-        start = rows.stop
+            indices[lo:hi, c] = logits.argmax(axis=1)
+            confidences[lo:hi, c] = softmax(logits).max(axis=1)
     return indices, confidences
 
 
@@ -591,15 +568,16 @@ def train(
     improvement or at ``max_epochs``.
 
     A batch's step is taken piece by piece: ``_loss_and_grads`` hands each
-    head's gradient over in pieces (W1 row blocks of at most ``GRAD_BLOCK``
-    values, then the b1, W2, b2 tail), and a step runs ``adamw_step`` on the
-    piece's slice of ``model.heads[c].flat`` with its own ``AdamState`` over
-    views of that head's moments. Every piece is stepped on every batch, so
-    the step counts move together, and the bits are those of one step over
-    the whole gradient. Each batch's rows are gathered from ``embeddings.rows``
-    and upcast to float64 alone; the validation rows go to :func:`predict_batch`
-    in their stored dtype. Memory is three parameter-sized vectors (parameters
-    and two moments) plus one 2 MiB gradient block, the tail and one batch.
+    head's gradient over in pieces, each with its offset in the head's
+    ``flat``, and ``adamw_step`` steps the slice at that offset of
+    ``model.heads[c].flat`` and of the head's two moments (one (2, size)
+    array). Only ``_loss_and_grads`` knows where the pieces lie. Every piece
+    is stepped once per batch, so the batch count is every step count, and
+    the bits are those of one step over the whole gradient. Each batch's rows
+    are gathered from ``embeddings.rows`` and upcast to float64 alone; the
+    validation rows go to :func:`predict_batch` in their stored dtype. Memory
+    is three parameter-sized vectors (parameters and two moments) plus one
+    2 MiB gradient block, the tail and one batch.
     The batch loss is checked after the heads are stepped, so when
     ``NonFiniteLoss`` is raised the failing batch's update is already in
     ``model.theta``.
@@ -635,15 +613,12 @@ def train(
     X_val = embeddings.rows[val_rows]  # stored dtype: predict_batch upcasts one block at a time
     T_val = targets[val_rows]
 
-    bounds = [row * model.dim for row in _w1_row_bounds(model.dim, model.hidden)]
-    states = {}  # (head, start of its piece) -> the piece's AdamState over views of the moments
-    for c, head in enumerate(model.heads):
-        moments = AdamState.zeros_like(head.flat)
-        for start, stop in zip(bounds, bounds[1:] + [head.flat.size]):
-            states[c, start] = AdamState(step=0, m=moments.m[start:stop], v=moments.v[start:stop])
+    moments = [np.zeros((2, head.flat.size)) for head in model.heads]  # m and v per head
+    steps = 0  # batches so far: every piece's AdamW step count
 
     def step(c: int, start: int, grad: np.ndarray) -> None:
-        adamw_step(states[c, start], model.heads[c].flat[start : start + grad.size], grad, config)
+        piece = slice(start, start + grad.size)
+        adamw_step(model.heads[c].flat[piece], grad, *moments[c][:, piece], steps, config)
 
     rng = np.random.default_rng(config.seed)
 
@@ -661,6 +636,7 @@ def train(
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
                 X_batch = embeddings.rows[train_rows[batch]].astype(np.float64)
+                steps += 1
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
                     batch_loss, _ = _loss_and_grads(
                         model, X_batch, T_train[batch], train_mode=True, rng=rng, apply=step

@@ -14,7 +14,8 @@ Seeding and assignment both expand squared distances as
 clamped at 0. A seeding step is therefore one matrix-vector product over the
 points plus O(n) work, with no n-by-d temporary, and it draws the next seed
 by inverting the cumulative sum of the squared distances at one uniform
-double, as ``Generator.choice`` with probabilities would.
+double, as ``Generator.choice`` with probabilities would. Assignment takes
+the points in ``_row_blocks`` of at most ``_CHUNK`` rows, as prediction does.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .embeddings import _row_blocks
 from .errors import AlignmentError, KTooLarge
 from .prng import Xoshiro256StarStar
 from .taxonomy import FactRecord
@@ -31,7 +33,7 @@ from .taxonomy import FactRecord
 MAX_ITER = 100  # Lloyd iterations at most
 TOL = 1e-4  # stop once no centroid moves this far
 
-_CHUNK = 8192  # points per distance block, bounds peak memory
+_CHUNK = 8192  # points per distance block at most, bounds peak memory
 _SUM_ROWS = 1024  # points per block of a cluster's sum, bounds peak memory
 
 
@@ -62,8 +64,10 @@ def _assign(
     assignments = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, start + _CHUNK)
+    for lo, hi in _row_blocks(n, _CHUNK):
+        rows = slice(lo, hi)
+        # Several blocks have _CHUNK / 2 rows or more, so no small product
+        # rounds a point's distances unlike one product over all points.
         # Building d2 in place in the product gives the same bits without the
         # ``2.0 * block`` copy, but when commands that follow ``sample`` run in
         # the same process, glibc then kept the freed heap resident: the corpus

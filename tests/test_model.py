@@ -13,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import factkit.model as model_module
 from factkit.dataio import SplitAssignment, SplitSpec, stratified_split
-from factkit.embeddings import EmbeddingMatrix
+from factkit.embeddings import EmbeddingMatrix, _row_blocks
 from factkit.errors import (
     BadMagic,
     DimensionMismatch,
@@ -31,7 +32,6 @@ from factkit.model import (
     LOAD_BLOCK,
     MASK,
     PREDICT_BLOCK,
-    AdamState,
     EpochStats,
     TrainConfig,
     adamw_step,
@@ -50,7 +50,7 @@ from factkit.model import (
     targets_from_facts,
     train,
 )
-from factkit.model import GRAD_BLOCK, _dropout_mask, _head_forward, _loss_and_grads, _w1_row_bounds
+from factkit.model import GRAD_BLOCK, _dropout_mask, _head_forward, _loss_and_grads
 from factkit.taxonomy import DIMENSIONS, labelsets_from_codes
 
 from synth import synthetic_dataset
@@ -125,8 +125,8 @@ def test_forward_dimension_mismatch():
                                        train_mode=True), "train-mode dropout needs an RNG"),
         (lambda model: backward(model, np.ones(2), np.zeros(3)), "targets have 3 categories"),
         (lambda model: loss(model, [np.zeros(3), np.zeros(3)], np.zeros(2)), "logits have width 3"),
-        (lambda model: adamw_step(AdamState.zeros_like(model.theta), model.theta,
-                                  model.theta[:-1], TrainConfig()), "must have one shape"),
+        (lambda model: adamw_step(model.theta, model.theta[:-1], *zero_moments(model.theta), 1,
+                                  TrainConfig()), "must have one shape"),
     ],
     ids=["theta-size", "dropout-without-rng", "backward-target-width", "loss-logit-width",
          "adamw-shapes"],
@@ -377,9 +377,9 @@ def test_one_pass_loss_and_grads_match_the_two_pass_reference_bitwise(batch, see
 def test_w1_gradient_in_blocks_is_bitwise_the_whole_product(batch, hidden):
     # the reference writes W1's gradient as one np.matmul(dA.T, z[rows]); the blocks must
     # give its bits, so none may be a one-row product (GEMV) and none may pass GRAD_BLOCK
-    bounds = _w1_row_bounds(1024, hidden)
-    sizes = np.diff(bounds)
-    assert bounds[0] == 0 and bounds[-1] == hidden and len(sizes) > 1
+    blocks = _row_blocks(hidden, GRAD_BLOCK // 1024)
+    sizes = np.array([hi - lo for lo, hi in blocks])
+    assert blocks[0][0] == 0 and blocks[-1][1] == hidden and len(sizes) > 1
     assert sizes.min() >= 2 and sizes.max() - sizes.min() <= 1 and sizes.max() * 1024 <= GRAD_BLOCK
     rng = np.random.default_rng([batch, hidden])
     model = new_model(1024, TWO_HEADS, hidden=hidden, dropout_rate=0.2, seed=batch)
@@ -392,12 +392,49 @@ def test_w1_gradient_in_blocks_is_bitwise_the_whole_product(batch, hidden):
     assert got[1].tobytes() == expected[1].tobytes()
 
 
-@pytest.mark.parametrize("dim, hidden, expected", [
-    (4, 1, [0, 1]), (4, 3, [0, 3]), (1024, 1024, [0, 256, 512, 768, 1024]),
-    (GRAD_BLOCK, 5, [0, 2, 5]), (GRAD_BLOCK // 2 + 1, 4, [0, 2, 4]),
+def test_row_blocks_split_near_equal_and_never_one_row():
+    for n in range(120):
+        for limit in [*range(12), 50, 119, 120, 1 << 20]:
+            blocks = _row_blocks(n, limit)
+            sizes = [hi - lo for lo, hi in blocks]
+            assert [row for lo, hi in blocks for row in range(lo, hi)] == list(range(n))
+            if n == 0:
+                assert blocks == []
+                continue
+            # np.array_split's blocks, as few as keep each within the limit where that
+            # is possible without a one-row block (limit 1 or 2 then takes 2 or 3 rows)
+            assert sizes == [len(part) for part in np.array_split(np.arange(n), len(blocks))]
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n == 1
+            assert max(sizes) <= (limit if limit >= 3 else 3)
+            assert len(blocks) == 1 or -(-n // (len(blocks) - 1)) > max(limit, 1)
+
+
+# a head's W1 gradient rows (hidden) in blocks of GRAD_BLOCK // dim rows
+@pytest.mark.parametrize("n, limit, expected", [
+    (1, GRAD_BLOCK // 4, [(0, 1)]), (3, GRAD_BLOCK // 4, [(0, 3)]),
+    (1024, GRAD_BLOCK // 1024, [(0, 256), (256, 512), (512, 768), (768, 1024)]),
+    (5, 1, [(0, 3), (3, 5)]), (4, 1, [(0, 2), (2, 4)]),
 ])
-def test_w1_row_bounds_split_near_equal_and_never_one_row(dim, hidden, expected):
-    assert _w1_row_bounds(dim, hidden) == expected
+def test_row_blocks_examples(n, limit, expected):
+    assert _row_blocks(n, limit) == expected
+
+
+def test_predict_batch_blocks_are_those_of_array_split(monkeypatch):
+    # the predict goldens were captured with np.array_split's ceil(n / PREDICT_BLOCK)
+    # parts; they stay put only if every row count keeps those blocks
+    for n in range(1, 3 * PREDICT_BLOCK + 2):
+        parts = np.array_split(np.arange(n), -(-n // PREDICT_BLOCK))
+        assert _row_blocks(n, PREDICT_BLOCK) == [(p[0], p[-1] + 1) for p in parts]
+    n, sizes = 2 * PREDICT_BLOCK + 1, []
+
+    def spy(head, X, rate, rng):
+        sizes.append(len(X))
+        return np.zeros((len(X), len(head.b2))), None
+
+    monkeypatch.setattr(model_module, "_head_forward", spy)
+    predict_batch(small_model(), np.zeros((n, 2)))
+    assert sizes[:: len(TWO_HEADS)] == [len(p) for p in np.array_split(np.arange(n), 3)]
 
 
 def test_weight_doubling_scales_gradient():
@@ -531,50 +568,76 @@ def test_predict_batch_memory_is_bounded_by_one_block():
 # --- AdamW ---
 
 
+def zero_moments(theta):
+    """AdamW's first and second moments before the first step."""
+    return np.zeros_like(theta), np.zeros_like(theta)
+
+
 def test_adamw_zero_gradient_fixed_point():
     theta = np.array([1.0, -2.0])
-    state = AdamState.zeros_like(theta)
+    m, v = zero_moments(theta)
     config = TrainConfig(learning_rate=0.01, weight_decay=0.0)
-    adamw_step(state, theta, np.zeros(2), config)
+    adamw_step(theta, np.zeros(2), m, v, 1, config)
     assert theta.tolist() == [1.0, -2.0]
+    assert m.tolist() == v.tolist() == [0.0, 0.0]
 
 
 def test_adamw_first_step_hand_computed():
     theta = np.array([1.0])
-    state = AdamState.zeros_like(theta)
+    m, v = zero_moments(theta)
     config = TrainConfig(learning_rate=0.01)
-    adamw_step(state, theta, np.array([1.0]), config)
+    adamw_step(theta, np.array([1.0]), m, v, 1, config)
     # bias-corrected m_hat = v_hat = 1, so the step is lr/(1+eps)
     assert theta[0] == pytest.approx(1.0 - 0.01 / (1.0 + 1e-8), abs=1e-12)
     assert theta[0] == pytest.approx(0.99, abs=1e-9)
+    assert (m[0], v[0]) == pytest.approx((0.1, 0.001), abs=1e-15)
+
+
+def test_adamw_second_step_hand_computed():
+    theta = np.array([1.0])
+    m, v = zero_moments(theta)
+    config = TrainConfig(learning_rate=0.01)
+    adamw_step(theta, np.array([1.0]), m, v, 1, config)
+    # step 2 corrects by 1 - beta^2: m = 0.19 and v = 0.001999 give m_hat = v_hat = 1 again
+    adamw_step(theta, np.array([1.0]), m, v, 2, config)
+    assert theta[0] == pytest.approx(1.0 - 2 * 0.01 / (1.0 + 1e-8), abs=1e-12)
+    assert (m[0], v[0]) == pytest.approx((0.19, 0.001999), abs=1e-15)
+
+
+def test_adamw_bias_correction_follows_the_step_count():
+    # the same moments and gradient at step 2 instead of 1: m_hat = 0.1 / 0.19 and
+    # v_hat = 0.001 / 0.001999, so the update is lr * m_hat / (sqrt(v_hat) + eps)
+    theta = np.array([1.0])
+    adamw_step(theta, np.array([1.0]), *zero_moments(theta), 2, TrainConfig(learning_rate=0.01))
+    expected = 0.01 * (0.1 / 0.19) / (math.sqrt(0.001 / 0.001999) + 1e-8)
+    assert theta[0] == pytest.approx(1.0 - expected, abs=1e-12)
 
 
 def test_adamw_pure_decay():
     theta = np.array([1.0])
-    state = AdamState.zeros_like(theta)
     config = TrainConfig(learning_rate=0.01, weight_decay=0.1)
-    adamw_step(state, theta, np.zeros(1), config)
+    adamw_step(theta, np.zeros(1), *zero_moments(theta), 1, config)
     assert theta[0] == pytest.approx(1.0 * (1.0 - 0.001), abs=1e-15)
 
 
 def test_adamw_decay_is_decoupled():
     # two steps with pure decay: multiplicative, independent of moments
     theta = np.array([2.0])
-    state = AdamState.zeros_like(theta)
+    m, v = zero_moments(theta)
     config = TrainConfig(learning_rate=0.5, weight_decay=0.01)
-    adamw_step(state, theta, np.zeros(1), config)
-    adamw_step(state, theta, np.zeros(1), config)
+    adamw_step(theta, np.zeros(1), m, v, 1, config)
+    adamw_step(theta, np.zeros(1), m, v, 2, config)
     assert theta[0] == pytest.approx(2.0 * (1 - 0.005) ** 2, abs=1e-12)
 
 
 def test_adamw_step_temporaries_are_block_sized():
     theta = np.random.default_rng(0).normal(size=1_000_003)
     grad = np.ones_like(theta)
-    state = AdamState.zeros_like(theta)
+    m, v = zero_moments(theta)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        adamw_step(state, theta, grad, TrainConfig(weight_decay=0.01))
+        adamw_step(theta, grad, m, v, 1, TrainConfig(weight_decay=0.01))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -692,8 +755,9 @@ def whole_gradient_train(model, embeddings, targets, split, config):
     val_rows = [row_of[i] for i in split.val]
     X_train, T_train = embeddings.rows[train_rows].astype(np.float64), targets[train_rows]
     X_val, T_val = embeddings.rows[val_rows].astype(np.float64), targets[val_rows]
-    state = AdamState.zeros_like(model.theta)
+    m, v = zero_moments(model.theta)
     best_theta = np.empty_like(model.theta)
+    steps = 0
     rng = np.random.default_rng(config.seed)
     best_f1, best_epoch, since_best, history = -np.inf, 0, 0, []
     for epoch in range(1, config.max_epochs + 1):
@@ -704,7 +768,8 @@ def whole_gradient_train(model, embeddings, targets, split, config):
             batch_loss, grad = _loss_and_grads(
                 model, X_train[batch], T_train[batch], train_mode=True, rng=rng
             )
-            adamw_step(state, model.theta, grad, config)
+            steps += 1
+            adamw_step(model.theta, grad, m, v, steps, config)
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
         val_f1 = pooled_f1_indices(T_val, predict_batch(model, X_val)[0])
@@ -1009,7 +1074,7 @@ def test_heads_are_views_of_theta():
     # an in-place AdamW step on theta moves the head arrays
     before = [a.copy() for a in params]
     grad = np.ones_like(model.theta)
-    adamw_step(AdamState.zeros_like(model.theta), model.theta, grad, TrainConfig(learning_rate=0.1))
+    adamw_step(model.theta, grad, *zero_moments(model.theta), 1, TrainConfig(learning_rate=0.1))
     assert all(np.allclose(a, b - 0.1) for a, b in zip(params, before))
 
 

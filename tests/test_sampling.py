@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from factkit import sampling
+from factkit.embeddings import _row_blocks
 from factkit.errors import AlignmentError, KTooLarge
 from factkit.sampling import (
     _CHUNK,
@@ -134,6 +136,52 @@ def test_assign_matches_expression_reference_bitwise(n, d, k, seed):
     expected = expression_assign(points, centroids)
     assert np.array_equal(got[0], expected[0])
     assert got[1].tobytes() == expected[1].tobytes()
+
+
+def one_product_assign(points, centroids):
+    """Assignment from one product over every point, in no blocks."""
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = np.einsum("ij,ij->i", points, points)[:, None] - 2.0 * points @ centroids.T + c_sq
+    np.maximum(d2, 0.0, out=d2)
+    assignments = np.argmin(d2, axis=1)
+    return assignments, np.take_along_axis(d2, assignments[:, None], axis=1)[:, 0]
+
+
+@pytest.mark.parametrize("m, seed", [(2, 10), (3, 5)])
+def test_assign_tail_rows_match_one_product_over_every_point(m, seed):
+    # In fixed blocks of _CHUNK rows, the last m points would form a product of their
+    # own, which rounds unlike the whole: with these seeds a near-tie tail point then
+    # changes centroid. Near-equal blocks have thousands of rows each.
+    rng = np.random.default_rng([seed, m])
+    points = rng.normal(size=(_CHUNK + m, 64))
+    centroids = points[rng.choice(_CHUNK, size=100, replace=False)].copy()
+    mid = (centroids[0] + centroids[1]) / 2.0
+    nudges = rng.integers(-3, 4, size=(m, 1)) * np.spacing(np.abs(mid).max())
+    points[-m:] = mid + nudges * (centroids[1] - centroids[0])
+    got = _assign(points, centroids, np.einsum("ij,ij->i", points, points))
+    expected = one_product_assign(points, centroids)
+    assert got[0][-m:].tolist() == expected[0][-m:].tolist()
+    assert got[1][-m:].tobytes() == expected[1][-m:].tobytes()
+
+
+def test_assign_memory_is_one_blocks_temporaries():
+    # a block's temporaries: its points scaled by 2 (rows x d), then its products and
+    # distances (rows x k each); distances over all n points at once would be 3x more
+    n, d, k = 20_000, 256, 100
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(n, d))
+    centroids = points[rng.choice(n, size=k, replace=False)].copy()
+    x_sq = np.einsum("ij,ij->i", points, points)
+    rows = max(hi - lo for lo, hi in _row_blocks(n, _CHUNK))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        _assign(points, centroids, x_sq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = 2 * n * 8
+    assert peak - start - outputs <= 1.1 * rows * (d + 2 * k) * 8
 
 
 def add_at_sums(points, assignments, k):
