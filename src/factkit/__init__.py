@@ -19,7 +19,6 @@ from .taxonomy import (
     LabelSet,
     RawAnnotation,
     canonicalize,
-    labelset_to_raw,
     validate_labelset,
 )
 from .dataio import (

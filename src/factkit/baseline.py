@@ -105,19 +105,6 @@ class CsrMatrix:
     indptr: np.ndarray  # n_rows + 1 offsets into data
     shape: tuple[int, int]
 
-    @classmethod
-    def from_dense(cls, dense) -> "CsrMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D matrix, got shape {dense.shape}")
-        rows, cols = np.nonzero(dense)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(dense)))])
-        return cls(dense[rows, cols], cols, indptr, dense.shape)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
     def row_of_values(self) -> np.ndarray:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 

@@ -258,8 +258,6 @@ def inverse_frequency_label_weights(
 def _dropout_mask(rng, shape, rate: float) -> Optional[np.ndarray]:
     if rate == 0.0:
         return None
-    if rng is None:
-        raise ValueError("train-mode dropout needs an RNG")
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -361,14 +359,14 @@ def _loss_and_grads(
     model: MultiHeadModel,
     X: np.ndarray,
     targets: np.ndarray,
-    train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
     apply: Optional[Callable[[int, int, np.ndarray], None]] = None,
 ) -> tuple[float, Optional[np.ndarray]]:
     """Mean per-example loss over the batch, and its gradient unless ``apply`` takes it.
 
     One pass, head by head: the head's forward step (its dropout masks drawn
-    then), its cross-entropy and its gradient. Head c's gradient goes to
+    then at ``model.dropout_rate`` if ``rng`` is given; without it, no
+    dropout), its cross-entropy and its gradient. Head c's gradient goes to
     ``apply(c, start, piece)`` in pieces, ``start`` being the piece's offset in
     the head's ``flat``, all before head c + 1's forward step. The b1, W2, b2
     gradient is written into a small tail buffer, and W1's in ``_row_blocks``
@@ -380,7 +378,7 @@ def _loss_and_grads(
     place of ``None``. ``X`` and ``targets`` are not checked here, on every
     batch: the callers check them once.
     """
-    rate = model.dropout_rate if train_mode else 0.0
+    rate = 0.0 if rng is None else model.dropout_rate
     counts = _unmasked_counts(targets)
     scale_rows = 1.0 / counts / X.shape[0]
     contrib = np.zeros(X.shape[0])
@@ -638,9 +636,7 @@ def train(
                 X_batch = embeddings.rows[train_rows[batch]].astype(np.float64)
                 steps += 1
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-                    batch_loss, _ = _loss_and_grads(
-                        model, X_batch, T_train[batch], train_mode=True, rng=rng, apply=step
-                    )
+                    batch_loss, _ = _loss_and_grads(model, X_batch, T_train[batch], rng=rng, apply=step)
                 if not np.isfinite(batch_loss):
                     raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")
                 loss_sum += batch_loss * len(batch)

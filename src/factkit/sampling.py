@@ -191,12 +191,6 @@ def kmeans_fit(data: np.ndarray, k: int, seed: int) -> KMeansModel:
     )
 
 
-def recompute_inertia(data: np.ndarray, model: KMeansModel) -> float:
-    """Sum of squared distances from each point to its assigned centroid."""
-    deltas = np.asarray(data, dtype=np.float64) - model.centroids[model.assignments]
-    return float(np.einsum("ij,ij->", deltas, deltas))
-
-
 def cluster_sample(
     facts: Sequence[FactRecord],
     model: KMeansModel,

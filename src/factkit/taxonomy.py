@@ -308,23 +308,3 @@ def validate_labelset(labels: LabelSet) -> list[str]:
     if labels.followup in ("Yes", "Maybe") and labels.time != "Future":
         violations.append("followup requires Future time")
     return violations
-
-
-def labelset_to_raw(labels: LabelSet) -> RawAnnotation:
-    """Re-express canonical labels as a prompt-style annotation.
-
-    Used to check that canonicalization is idempotent: feeding the result
-    back through :func:`canonicalize` must reproduce ``labels``.
-    """
-    if labels.validity == "Invalid":
-        return RawAnnotation(broken="Yes", broken_reason=labels.invalidity_reason)
-    return RawAnnotation(
-        main_category=labels.main_category,
-        time=labels.time,
-        referent=labels.referent,
-        duration=[] if labels.duration == NONE_LABEL else [labels.duration],
-        context_sufficient="Yes",
-        broken="No",
-        broken_reason=NONE_LABEL,
-        followup=labels.followup,
-    )

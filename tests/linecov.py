@@ -5,12 +5,15 @@ every line executed in a factkit source file while pytest runs the suite in
 this process; each file's executable lines come from its compiled code
 objects. Run from the repository root::
 
-    PYTHONPATH=src python tests/linecov.py [pytest arguments]
+    PYTHONPATH=src python tests/linecov.py [pytest arguments] [test paths]
 
-It prints ``path:line`` for every executable line no test reached, then a
-count, and exits with pytest's status. Tests that start a child process
-(``subprocess``, ``multiprocessing``) are not traced: lines that only a child
-runs are listed as not run.
+Without a test path it runs all of ``tests/``; given paths, only those, so
+``tests/linecov.py tests/test_acceptance.py`` lists the lines that the other
+tests alone reach. It prints ``path:line`` for every executable line no test
+reached, then a count, and exits with pytest's status. Tests that start a
+child process (``subprocess``, ``multiprocessing``) are not traced: lines
+that only a child runs, such as every line a demo runs (``test_demos.py``
+runs each demo as a script in its own process), are listed as not run.
 """
 
 from __future__ import annotations
@@ -53,11 +56,13 @@ def main(argv: list[str]) -> int:
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename in watched else None
 
+    if not any(Path(arg.split("::")[0]).exists() for arg in argv if not arg.startswith("-")):
+        argv = [*argv, str(ROOT / "tests")]
     sys.settrace(tracer)
     threading.settrace(tracer)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                              *argv, str(ROOT / "tests")])
+                              *argv])
     finally:
         sys.settrace(None)
         threading.settrace(None)

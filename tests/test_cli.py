@@ -787,7 +787,7 @@ def test_tfidf_arrays_golden(tmp_path):
     digest = hashlib.sha256()
     for array in (np.asarray(matrix.data, "<f8")[order], np.asarray(matrix.indices, "<i8")[order], indptr):
         digest.update(array.tobytes())
-    assert matrix.shape == (len(texts), 107) and matrix.nnz == 2084
+    assert matrix.shape == (len(texts), 107) and matrix.data.size == 2084
     assert digest.hexdigest() == "61076dfbaded09a9af4bcd7ba9e806be841a2629a915b8746f4e1b12cb432b71"
 
 

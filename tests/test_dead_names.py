@@ -2,10 +2,11 @@
 
 A function, class or assigned name defined at the top of a package module,
 and a method or property defined in one of its classes, must appear
-somewhere other than its own definition: in the package, the tests, the
-demos or the benchmark. The package's ``__init__.py`` does not count: a
-re-export alone keeps no name alive. A name nothing mentions is code that
-nothing calls, and it goes.
+somewhere other than its own definition, in one of the callers that
+``test_dead_options.CALLERS`` names: the package, the demos, the benchmark
+or the acceptance contract. The other tests do not count: a name only they
+mention is code that nothing runs. Nor does the package's ``__init__.py``:
+a re-export alone keeps no name alive. A name no caller mentions goes.
 """
 
 import ast
@@ -13,12 +14,9 @@ import functools
 import re
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "factkit"
-SEARCHED = ("src", "tests", "demos", "perfbench")
-EXCLUDED = ROOT / "perfbench" / ".work"  # benchmark scratch output
+from test_dead_options import FUNCTIONS, PACKAGE, caller_paths
+
 REEXPORTS = PACKAGE / "__init__.py"  # naming a name there is no use of it
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _top_level_names(tree: ast.Module):
@@ -49,18 +47,13 @@ def _words(text: str) -> set[str]:
 
 @functools.cache
 def _sources() -> tuple[dict[Path, str], dict[Path, set[str]]]:
-    """Each searched file's text and its words."""
-    sources = {
-        path: path.read_text(encoding="utf-8")
-        for top in SEARCHED
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if EXCLUDED not in path.parents
-    }
+    """Each caller file's text and its words."""
+    sources = {path: path.read_text(encoding="utf-8") for path in caller_paths()}
     return sources, {path: _words(text) for path, text in sources.items()}
 
 
 def _unused(defined) -> list[str]:
-    """``module: name`` for each name ``defined`` yields that nothing else mentions."""
+    """``module: name`` for each name ``defined`` yields that no other caller mentions."""
     sources, words = _sources()
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
@@ -79,12 +72,12 @@ def _unused(defined) -> list[str]:
 
 def test_every_top_level_name_is_used():
     unused = _unused(_top_level_names)
-    assert not unused, f"top-level names that nothing uses: {unused}"
+    assert not unused, f"top-level names that only their definition or the tests use: {unused}"
 
 
 def test_every_method_and_property_is_used():
     unused = _unused(_class_members)
-    assert not unused, f"methods and properties that nothing uses: {unused}"
+    assert not unused, f"methods and properties that only their definition or the tests use: {unused}"
 
 
 def test_class_members_are_methods_and_properties_not_fields_or_nested_defs():

@@ -7,6 +7,7 @@ arguments, or through ``*`` or ``**``. The other tests do not count, since a
 test that alone sets an option tests a behaviour that nothing runs. Calls
 are matched by the called name, so a method is matched by any ``.name(...)``
 call, and a class's ``__init__`` by a call of the class.
+``tests/test_dead_names.py`` counts a name's uses in the same ``CALLERS``.
 """
 
 import ast
@@ -72,17 +73,20 @@ def _shape(call: ast.Call) -> tuple[int, bool, frozenset, bool]:
     return starred.count(False), any(starred), keywords, len(keywords) < len(call.keywords)
 
 
-@functools.cache
-def _calls() -> dict[str, list[tuple[int, bool, frozenset, bool]]]:
-    """The shape of each call in the callers' files, per called name."""
+def caller_paths() -> list[Path]:
+    """The Python files that ``CALLERS`` names, the benchmark's scratch output aside."""
     paths = []
     for top in CALLERS:
         where = ROOT / top
         paths += [where] if where.is_file() else sorted(where.rglob("*.py"))
+    return [path for path in paths if EXCLUDED not in path.parents]
+
+
+@functools.cache
+def _calls() -> dict[str, list[tuple[int, bool, frozenset, bool]]]:
+    """The shape of each call in the callers' files, per called name."""
     calls: dict = {}
-    for path in paths:
-        if EXCLUDED in path.parents:
-            continue
+    for path in caller_paths():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and (name := _called_name(node)) is not None:
                 calls.setdefault(name, []).append(_shape(node))

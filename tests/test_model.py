@@ -121,15 +121,12 @@ def test_forward_dimension_mismatch():
     "call, message",
     [
         (lambda model: replace(model, theta=model.theta[:-1]), "theta must hold"),
-        (lambda model: _loss_and_grads(model, np.ones((1, 2)), np.zeros((1, 2), dtype=np.int64),
-                                       train_mode=True), "train-mode dropout needs an RNG"),
         (lambda model: backward(model, np.ones(2), np.zeros(3)), "targets have 3 categories"),
         (lambda model: loss(model, [np.zeros(3), np.zeros(3)], np.zeros(2)), "logits have width 3"),
         (lambda model: adamw_step(model.theta, model.theta[:-1], *zero_moments(model.theta), 1,
                                   TrainConfig()), "must have one shape"),
     ],
-    ids=["theta-size", "dropout-without-rng", "backward-target-width", "loss-logit-width",
-         "adamw-shapes"],
+    ids=["theta-size", "backward-target-width", "loss-logit-width", "adamw-shapes"],
 )
 def test_model_refuses_mismatched_inputs(call, message):
     model = small_model(dropout=0.5)
@@ -287,7 +284,7 @@ def test_gradient_into_a_dirty_buffer_is_bitwise_the_fresh_one():
     X = np.random.default_rng(2).normal(size=(6, 4))
     targets = np.column_stack([[0, 1, 2, 0, 1, 2], np.full(6, MASK)])
     seen = []
-    loss, none = _loss_and_grads(model, X, targets, True, np.random.default_rng(3),
+    loss, none = _loss_and_grads(model, X, targets, rng=np.random.default_rng(3),
                                  apply=lambda c, start, piece: seen.append((c, start, piece.copy())))
     assert none is None
     # one W1 block of 3 rows, then the tail (b1, W2, b2), per head
@@ -297,7 +294,7 @@ def test_gradient_into_a_dirty_buffer_is_bitwise_the_fresh_one():
     ]
     assert np.all(seen[0][2] != 0.0) and np.all(seen[1][2][: seen[3][2].size] != 0.0)
     assert not np.any(seen[2][2]) and not np.any(seen[3][2])
-    loss_again, fresh = _loss_and_grads(model, X, targets, True, np.random.default_rng(3))
+    loss_again, fresh = _loss_and_grads(model, X, targets, rng=np.random.default_rng(3))
     assert loss_again == loss
     assert fresh.tobytes() == np.concatenate([piece for _, _, piece in seen]).tobytes()
 
@@ -367,7 +364,7 @@ def test_one_pass_loss_and_grads_match_the_two_pass_reference_bitwise(batch, see
     expected = two_pass_loss_and_grads(
         model, X, targets, np.random.default_rng(seed), category_weights, label_weights
     )
-    got = _loss_and_grads(model, X, targets, True, np.random.default_rng(seed))
+    got = _loss_and_grads(model, X, targets, rng=np.random.default_rng(seed))
     assert got[0] == expected[0]
     assert got[1].tobytes() == expected[1].tobytes()
 
@@ -387,7 +384,7 @@ def test_w1_gradient_in_blocks_is_bitwise_the_whole_product(batch, hidden):
     targets = np.column_stack([rng.integers(0, len(labels), size=batch) for _, labels in TWO_HEADS])
     ones = [np.ones(len(labels)) for _, labels in TWO_HEADS]
     expected = two_pass_loss_and_grads(model, X, targets, np.random.default_rng(7), [1.0, 1.0], ones)
-    got = _loss_and_grads(model, X, targets, True, np.random.default_rng(7))
+    got = _loss_and_grads(model, X, targets, rng=np.random.default_rng(7))
     assert got[0] == expected[0]
     assert got[1].tobytes() == expected[1].tobytes()
 
@@ -765,9 +762,7 @@ def whole_gradient_train(model, embeddings, targets, split, config):
         seen, loss_sum = 0, 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_loss, grad = _loss_and_grads(
-                model, X_train[batch], T_train[batch], train_mode=True, rng=rng
-            )
+            batch_loss, grad = _loss_and_grads(model, X_train[batch], T_train[batch], rng=rng)
             steps += 1
             adamw_step(model.theta, grad, m, v, steps, config)
             loss_sum += batch_loss * len(batch)

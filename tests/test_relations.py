@@ -20,6 +20,7 @@ from factkit.taxonomy import DIMENSIONS, LABEL_SPACE, LabelSet, label_codes
 from synth import synthetic_dataset
 
 SEED = 42
+OTHER_SEED = 7
 CONFIG = {
     "train": {"learning_rate": 0.01, "batch_size": 32, "max_epochs": 4, "patience": 4},
 }
@@ -31,9 +32,14 @@ def run(*argv):
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """One single-seed ``train`` run: the workspace paths and its output directory."""
+    """One single-seed ``train`` run: the workspace paths and its output directory.
+
+    Each fact's text is its labels as tokens, so the TF-IDF ``baseline`` has terms to keep.
+    """
     tmp_path = tmp_path_factory.mktemp("trained")
     facts, emb = synthetic_dataset(n_facts=200, invalid_count=60)
+    for fact in facts:
+        fact.text = " ".join(f"{d.value}_{fact.labels.get(d).replace(' ', '')}" for d in DIMENSIONS)
     paths = {name: tmp_path / name for name in ("facts.jsonl", "facts.emb", "config.json", "run")}
     write_facts(paths["facts.jsonl"], facts)
     save_embeddings(paths["facts.emb"], emb)
@@ -43,6 +49,17 @@ def trained(tmp_path_factory):
         "--embeddings", paths["facts.emb"], "--out-dir", paths["run"], "--seeds", SEED,
     ) == 0
     return paths
+
+
+@pytest.fixture(scope="module")
+def two_seeds(trained, tmp_path_factory):
+    """A two-seed ``train`` run on ``trained``'s workspace, another seed first: its output directory."""
+    out = tmp_path_factory.mktemp("two-seeds")
+    assert run(
+        "--config", trained["config.json"], "train", "--facts", trained["facts.jsonl"],
+        "--embeddings", trained["facts.emb"], "--out-dir", out, "--seeds", OTHER_SEED, SEED,
+    ) == 0
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +91,28 @@ def test_split_writes_the_split_file_train_wrote(trained, tmp_path):
         "--out", out, "--seed", SEED,
     ) == 0
     assert out.read_bytes() == (trained["run"] / f"split-seed{SEED}.txt").read_bytes()
+
+
+def test_each_seed_of_a_two_seed_train_writes_what_a_one_seed_train_writes(
+    trained, two_seeds, tmp_path
+):
+    assert run(
+        "--config", trained["config.json"], "train", "--facts", trained["facts.jsonl"],
+        "--embeddings", trained["facts.emb"], "--out-dir", tmp_path, "--seeds", OTHER_SEED,
+    ) == 0
+    for seed, alone in ((SEED, trained["run"]), (OTHER_SEED, tmp_path)):
+        for name in (f"split-seed{seed}.txt", f"model-seed{seed}.ckpt"):
+            assert (two_seeds / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_baseline_writes_the_split_files_train_wrote(trained, two_seeds, tmp_path):
+    assert run(
+        "--config", trained["config.json"], "baseline", "--facts", trained["facts.jsonl"],
+        "--out-dir", tmp_path, "--seeds", OTHER_SEED, SEED,
+    ) == 0
+    for seed in (OTHER_SEED, SEED):
+        name = f"split-seed{seed}.txt"
+        assert (tmp_path / name).read_bytes() == (two_seeds / name).read_bytes(), name
 
 
 def test_saving_a_loaded_checkpoint_rewrites_its_bytes(trained, tmp_path):

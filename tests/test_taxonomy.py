@@ -5,13 +5,13 @@ from factkit.errors import LabelOutOfRange, UnknownEnumValue
 from factkit.taxonomy import (
     DIMENSIONS,
     LABEL_SPACE,
+    NONE_LABEL,
     Dimension,
     FactRecord,
     LabelSet,
     RawAnnotation,
     canonicalize,
     label_codes,
-    labelset_to_raw,
     labelsets_from_codes,
     validate_labelset,
 )
@@ -39,10 +39,26 @@ def test_canonical_output_always_validates(name, raw_kwargs, expected, excluded,
     assert validate_labelset(result.labels) == []
 
 
+def as_raw_annotation(labels: LabelSet) -> RawAnnotation:
+    """Canonical labels re-expressed as the prompt-style annotation that canonicalizes to them."""
+    if labels.validity == "Invalid":
+        return RawAnnotation(broken="Yes", broken_reason=labels.invalidity_reason)
+    return RawAnnotation(
+        main_category=labels.main_category,
+        time=labels.time,
+        referent=labels.referent,
+        duration=[] if labels.duration == NONE_LABEL else [labels.duration],
+        context_sufficient="Yes",
+        broken="No",
+        broken_reason=NONE_LABEL,
+        followup=labels.followup,
+    )
+
+
 @pytest.mark.parametrize("name,raw_kwargs,expected,excluded,reason", GOLDEN_CASES)
 def test_canonicalize_idempotent(name, raw_kwargs, expected, excluded, reason):
     first = canonicalize(RawAnnotation(**raw_kwargs))
-    second = canonicalize(labelset_to_raw(first.labels))
+    second = canonicalize(as_raw_annotation(first.labels))
     assert second.labels == first.labels
     assert second.excluded is False
 
