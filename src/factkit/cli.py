@@ -206,11 +206,7 @@ def digest_inputs(paths: Sequence[str]) -> dict[str, str]:
     file that cannot be read raises its OSError, the first in ``paths`` order.
     """
     unique = list(dict.fromkeys(paths))
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(len(unique), cpus)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(unique), model_mod.usable_cpus())) as pool:
         return dict(zip(unique, pool.map(_sha256, unique)))
 
 
@@ -332,7 +328,7 @@ def _aggregate_and_render(reports) -> str:
 
 
 def _fit_per_seed(args, config, facts, fit, report_name: str):
-    """Split, write ``split-seed<N>.txt``, fit and score per seed, then report.
+    """Split, fit and score, then write ``split-seed<N>.txt``, per seed; then report.
 
     ``fit(seed, assignment, targets, train_rows, test_rows)`` is the command's
     own step: ``targets`` are the facts' (N, 7) label codes, the row lists
@@ -352,11 +348,11 @@ def _fit_per_seed(args, config, facts, fit, report_name: str):
     for seed in seeds:
         spec = _split_spec(config, seed)
         assignment = stratified_split(facts, spec)
-        split_path = out_dir / f"split-seed{seed}.txt"
-        write_split(split_path, assignment, spec)
         train_rows = [row_of[i] for i in assignment.train]
         test_rows = [row_of[i] for i in assignment.test]
         report, note, paths = fit(seed, assignment, targets, train_rows, test_rows)
+        split_path = out_dir / f"split-seed{seed}.txt"
+        write_split(split_path, assignment, spec)  # after the fit, so a failed fit leaves no split
         reports.append(report)
         outputs += [str(split_path), *map(str, paths)]
         print(f"{command}: seed {seed} {note}test overall {report.overall_macro_f1:.4f}")

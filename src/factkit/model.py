@@ -44,14 +44,29 @@ epoch moves ``theta`` (see :func:`train`). Neither the whole gradient nor a
 whole head's is ever held: a head's W1 gradient is written in row blocks of
 at most ``GRAD_BLOCK`` values (2 MiB) and its b1, W2, b2 gradient into the
 tail buffer, and AdamW steps each piece, at its offset in the head's
-``flat`` slice and in the head's moments, as soon as it is written, before
-the next head's forward step. Heads share no parameters, every piece is
-stepped once per batch and AdamW is elementwise, so this gives the bits of
-one step over the whole gradient. Nor is the training set copied: each
-batch's rows are gathered from the stored matrix and upcast to float64
-alone, and the validation rows keep their stored dtype. So training holds
-``theta``, two moments, one gradient block and one batch of rows beyond its
-inputs. The W1 gradient and prediction are blocked by ``_row_blocks``.
+``flat`` slice and in the head's moments, as soon as it is written. Heads
+share no parameters, every piece is stepped once per batch and AdamW is
+elementwise, so this gives the bits of one step over the whole gradient.
+
+The W1 blocks and their AdamW steps run on a pool of one thread per CPU the
+process may use (``_w1_pool``), each worker writing its blocks, of at most
+``GRAD_BLOCK // workers`` values, into its own buffer. The calling thread
+keeps the forward step, the loss, the dropout draws (in the same order) and
+the tail, and takes the next head's forward step while the workers step
+this head's W1. Meanwhile BLAS runs one thread, set through OpenBLAS's
+``openblas_set_num_threads_local`` (in OpenBLAS 0.3.31 it sets the count for
+the whole process), so no idle BLAS worker spins on a CPU the pool needs.
+W1's gradient rows do not depend on their block, and one-thread GEMMs gave
+the bits of two-thread ones, so the bits are those of the inline blocks. The
+calling thread writes the blocks itself where the count cannot be set (MKL,
+Accelerate, OpenBLAS before 0.3.27), one CPU is usable, or a head's W1 fits
+in one ``GRAD_BLOCK``.
+
+Nor is the training set copied: each batch's rows are gathered from the
+stored matrix and upcast to float64 alone, and the validation rows keep their
+stored dtype. So training holds ``theta``, two moments, one gradient block
+and one batch of rows beyond its inputs. The W1 gradient and prediction are
+blocked by ``_row_blocks``.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -61,15 +76,18 @@ followed by ``theta`` as little-endian float64.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
 import struct
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -225,7 +243,10 @@ def new_model(
     for head in model.heads:
         for weights, fan_in in ((head.W1, dim), (head.W2, hidden)):
             bound = 1.0 / np.sqrt(fan_in)
-            weights[...] = rng.uniform(-bound, bound, size=weights.shape)
+            # Generator.uniform's arithmetic and draws, low + (high - low) * u, written into theta
+            rng.random(out=weights)
+            weights *= bound - -bound
+            weights += -bound
     return model
 
 
@@ -361,6 +382,8 @@ def _loss_and_grads(
     targets: np.ndarray,
     rng: Optional[np.random.Generator] = None,
     apply: Optional[Callable[[int, int, np.ndarray], None]] = None,
+    pool: Optional[ThreadPoolExecutor] = None,
+    workers: int = 1,
 ) -> tuple[float, Optional[np.ndarray]]:
     """Mean per-example loss over the batch, and its gradient unless ``apply`` takes it.
 
@@ -368,15 +391,21 @@ def _loss_and_grads(
     then at ``model.dropout_rate`` if ``rng`` is given; without it, no
     dropout), its cross-entropy and its gradient. Head c's gradient goes to
     ``apply(c, start, piece)`` in pieces, ``start`` being the piece's offset in
-    the head's ``flat``, all before head c + 1's forward step. The b1, W2, b2
+    the head's ``flat``, all before the function returns. The b1, W2, b2
     gradient is written into a small tail buffer, and W1's in ``_row_blocks``
-    of at most ``GRAD_BLOCK`` values, each into one block buffer and passed on
-    as soon as it is written. ``dU`` is computed before any piece is passed on,
-    since a step on the tail moves W2, and the W1 blocks need only ``dA`` and the input
-    rows, so the other activations go first. Without ``apply``, each piece is
-    copied into a fresh vector laid out like ``theta``, which is returned in
-    place of ``None``. ``X`` and ``targets`` are not checked here, on every
-    batch: the callers check them once.
+    of at most ``GRAD_BLOCK // workers`` values, each into a block buffer and
+    passed on as soon as it is written. Without a ``pool`` the caller does
+    that, before head c + 1's forward step. With a ``pool`` of ``workers``
+    threads, worker k writes and passes on every ``workers``-th block into
+    its own buffer, under the caller's numpy error handling, while the
+    caller passes on head c's tail and takes head c + 1's forward step; it
+    waits for head c's blocks before it hands out head c + 1's. ``dU`` is
+    computed before any piece is passed on, since a step on the tail moves
+    W2, and the W1 blocks need only ``dA`` and the input rows, so the other
+    activations go first. Without ``apply``, each piece is copied into a
+    fresh vector laid out like ``theta``, which is returned in place of
+    ``None``. ``X`` and ``targets`` are not checked here, on every batch:
+    the callers check them once.
     """
     rate = 0.0 if rng is None else model.dropout_rate
     counts = _unmasked_counts(targets)
@@ -388,9 +417,11 @@ def _loss_and_grads(
         grad_flats = [head.flat for head in replace(model, theta=grad).heads]
         apply = lambda c, start, piece: np.copyto(grad_flats[c][start : start + piece.size], piece)
     dim, hidden = model.dim, model.hidden
-    blocks = _row_blocks(hidden, GRAD_BLOCK // dim)
-    block_buffer = np.empty(max(hi - lo for lo, hi in blocks) * dim)
+    blocks = _row_blocks(hidden, GRAD_BLOCK // workers // dim)
+    block_buffers = np.empty((workers, max(hi - lo for lo, hi in blocks) * dim))
     tail_buffer = np.empty(max(head.flat.size for head in model.heads) - hidden * dim)
+    errors = np.geterr()  # numpy keeps its error handling per thread: the workers get this
+    pending = []  # the pool's futures for the last head's W1 blocks
     for c, head in enumerate(model.heads):
         # the tail is laid out as a head of input width 0: b1, W2, b2
         tail = _lay_head(tail_buffer[: head.flat.size - hidden * dim], 0, hidden, len(head.b2))
@@ -409,13 +440,30 @@ def _loss_and_grads(
         np.sum(dA, axis=0, out=tail.b1)
         z_rows = z[rows]
         del logits, log_probs, z, t, u, m2, G, dU  # the pieces go out beside dA and z_rows alone
+        shares = [(c, dA, z_rows, blocks[k::workers], block_buffers[k], apply, errors)
+                  for k in range(workers)]
+        for future in pending:  # head c - 1's blocks, whose buffers head c's reuse
+            future.result()
+        if pool is None:
+            _w1_pieces(*shares[0])
+        else:
+            pending = [pool.submit(_w1_pieces, *share) for share in shares]
+        del dA, z_rows, shares
+        apply(c, hidden * dim, tail.flat)
+    for future in pending:
+        future.result()
+    return float((contrib / counts).mean()), grad
+
+
+def _w1_pieces(c, dA, z_rows, blocks, buffer, apply, errors) -> None:
+    """Write head c's W1 gradient ``blocks`` one at a time into ``buffer`` and pass each on,
+    under numpy's error handling ``errors``."""
+    dim = z_rows.shape[1]
+    with np.errstate(**errors):
         for lo, hi in blocks:
-            block = block_buffer[: (hi - lo) * dim].reshape(hi - lo, dim)
+            block = buffer[: (hi - lo) * dim].reshape(hi - lo, dim)
             np.matmul(dA[:, lo:hi].T, z_rows, out=block)
             apply(c, lo * dim, block.reshape(-1))
-        del dA, z_rows
-        apply(c, hidden * dim, tail.flat)
-    return float((contrib / counts).mean()), grad
 
 
 def backward(model: MultiHeadModel, h: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
@@ -549,6 +597,55 @@ def predict_batch(model: MultiHeadModel, X: np.ndarray) -> tuple[np.ndarray, np.
     return indices, confidences
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads_setter() -> Optional[Callable[[int], int]]:
+    """OpenBLAS's ``openblas_set_num_threads_local``, which sets the BLAS thread count and
+    returns the count it replaces, from an OpenBLAS that ``/proc/self/maps`` lists; else None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextmanager
+def _w1_pool(model: MultiHeadModel) -> Iterator[tuple[Optional[ThreadPoolExecutor], int]]:
+    """A pool of one thread per usable CPU for the W1 gradient blocks, and its size.
+
+    The calling thread and every worker run one BLAS thread until the pool is
+    shut down; then the caller's count comes back. Gives ``(None, 1)``, and
+    changes nothing, if the count cannot be set, one CPU is usable or a
+    head's W1 fits in one ``GRAD_BLOCK``.
+    """
+    set_threads = _blas_threads_setter()
+    workers = usable_cpus()
+    if set_threads is None or workers == 1 or model.hidden * model.dim <= GRAD_BLOCK:
+        yield None, 1
+        return
+    previous = set_threads(1)
+    try:
+        with ThreadPoolExecutor(workers, initializer=set_threads, initargs=(1,)) as pool:
+            yield pool, workers
+    finally:
+        set_threads(previous)
+
+
 def train(
     model: MultiHeadModel,
     embeddings: EmbeddingMatrix,
@@ -579,6 +676,11 @@ def train(
     The batch loss is checked after the heads are stepped, so when
     ``NonFiniteLoss`` is raised the failing batch's update is already in
     ``model.theta``.
+
+    Each head's W1 blocks are written and stepped on ``_w1_pool``'s threads,
+    which share the 2 MiB (see the module notes). BLAS runs one thread until
+    training ends, and the caller's count is restored on every exit,
+    ``NonFiniteLoss`` included.
 
     An epoch that follows an improving one first writes ``theta``, from a
     view, over the start of one unlinked ``tempfile.TemporaryFile`` under
@@ -624,7 +726,7 @@ def train(
     best_epoch = since_best = 0
     history: list[EpochStats] = []
 
-    with tempfile.TemporaryFile() as snapshot:
+    with _w1_pool(model) as (pool, workers), tempfile.TemporaryFile() as snapshot:
         for epoch in range(1, config.max_epochs + 1):
             if epoch > 1 and best_epoch == epoch - 1:  # this epoch moves theta off the best
                 snapshot.seek(0)
@@ -636,7 +738,8 @@ def train(
                 X_batch = embeddings.rows[train_rows[batch]].astype(np.float64)
                 steps += 1
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-                    batch_loss, _ = _loss_and_grads(model, X_batch, T_train[batch], rng=rng, apply=step)
+                    batch_loss, _ = _loss_and_grads(model, X_batch, T_train[batch], rng=rng,
+                                                    apply=step, pool=pool, workers=workers)
                 if not np.isfinite(batch_loss):
                     raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={batch_loss}")
                 loss_sum += batch_loss * len(batch)

@@ -759,6 +759,18 @@ def test_baseline_command(tmp_path):
     assert mean > 0.8
 
 
+def test_baseline_that_fails_at_its_first_seed_leaves_no_split(workspace, capsys):
+    # the synthetic texts share every word, so TF-IDF keeps none; the seed's split
+    # is written only after its fit returns
+    tmp_path, facts_path, _, config_path = workspace
+    out_dir = tmp_path / "base"
+    code = run("--config", config_path, "baseline", "--facts", facts_path, "--out-dir", out_dir,
+               "--seeds", "7", "42")
+    assert code == 10
+    assert capsys.readouterr().err.startswith("error: EmptyVocabulary: ")
+    assert list(out_dir.iterdir()) == []
+
+
 def golden_baseline_workspace(tmp_path):
     """The token-signal facts, rewritten so TF-IDF's recipe shows in the scores.
 

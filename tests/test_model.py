@@ -1,3 +1,4 @@
+import _ctypes
 import errno
 import hashlib
 import io
@@ -5,7 +6,9 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -884,6 +887,141 @@ def test_train_from_float32_rows_ends_at_the_theta_of_their_float64_copy():
         results.append(train(model, EmbeddingMatrix(rows=rows, row_ids=ids), targets, split, config))
     assert results[0].history == results[1].history
     assert results[0].model.theta.tobytes() == results[1].model.theta.tobytes()
+
+
+class FakeBlas:
+    """A BLAS thread count kept for the whole process, as OpenBLAS keeps it, and who set it."""
+
+    def __init__(self, threads):
+        self.threads, self.log = threads, []
+
+    def __call__(self, threads):
+        self.log.append((threading.get_ident(), threads))
+        previous, self.threads = self.threads, threads
+        return previous
+
+
+def pooled_task():
+    """TWO_HEADS at d = 512, hidden = 640: over two workers each head's W1 is three blocks,
+    over five seven."""
+    assert 640 * 512 > GRAD_BLOCK
+    assert [len(_row_blocks(640, GRAD_BLOCK // n // 512)) for n in (2, 5)] == [3, 7]
+    embeddings, targets, ids = float32_task(120, 512, seed=5)
+    split = SplitAssignment(train=ids[:80], val=ids[80:100], test=ids[100:])
+    return embeddings, targets, split, new_model(512, TWO_HEADS, hidden=640, dropout_rate=0.1, seed=2)
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_train_on_the_w1_pool_ends_at_the_inline_theta_and_history(monkeypatch, workers):
+    # two workers stripe three blocks per head; five, more threads than a small host has
+    # CPUs, stripe seven, with the interpreter switching threads as often as it can
+    setter = model_module._blas_threads_setter() or FakeBlas(2)
+
+    def threads_now():
+        threads = setter(1)
+        setter(threads)
+        return threads
+
+    stepped_on = []
+
+    def spy(*args):
+        stepped_on.append(threading.current_thread() is threading.main_thread())
+        adamw_step(*args)
+
+    monkeypatch.setattr(model_module, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(model_module, "adamw_step", spy)
+    config = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=3, patience=3, seed=4)
+    results, callers = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for lookup in (lambda: setter, lambda: None):
+            monkeypatch.setattr(model_module, "_blas_threads_setter", lookup)
+            embeddings, targets, split, model = pooled_task()
+            before = threads_now()
+            stepped_on.clear()
+            results.append(train(model, embeddings, targets, split, config))
+            assert threads_now() == before
+            callers.append(set(stepped_on))
+    finally:
+        sys.setswitchinterval(interval)
+    # the pool steps the W1 blocks and the calling thread the tails; inline, it steps all
+    assert callers == [{True, False}, {True}]
+    assert results[0].history == results[1].history
+    assert results[0].model.theta.tobytes() == results[1].model.theta.tobytes()
+
+
+@pytest.mark.parametrize("learning_rate", [0.01, 1e308], ids=["trained", "non-finite-loss"])
+def test_train_gives_the_callers_blas_threads_back(monkeypatch, learning_rate):
+    fake = FakeBlas(3)
+    during = []
+
+    def spy(*args):
+        during.append(fake.threads)
+        adamw_step(*args)
+
+    monkeypatch.setattr(model_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(model_module, "_blas_threads_setter", lambda: fake)
+    monkeypatch.setattr(model_module, "adamw_step", spy)
+    embeddings, targets, split, model = pooled_task()
+    config = TrainConfig(learning_rate=learning_rate, batch_size=16, max_epochs=2, seed=4)
+    if learning_rate == 1e308:
+        with pytest.raises(NonFiniteLoss), np.errstate(over="ignore", invalid="ignore"):
+            train(model, embeddings, targets, split, config)
+    else:
+        train(model, embeddings, targets, split, config)
+    caller = threading.get_ident()
+    # the calling thread sets one BLAS thread first and its own count back last;
+    # each worker the pool starts (at most two) sets one BLAS thread as it starts
+    assert fake.log[0] == (caller, 1) and fake.log[-1] == (caller, 3) and fake.threads == 3
+    workers = fake.log[1:-1]
+    assert 1 <= len(workers) <= 2 and {threads for _, threads in workers} == {1}
+    assert caller not in {ident for ident, _ in workers}
+    assert during and set(during) == {1}
+
+
+@pytest.mark.parametrize("cpus, hidden", [(1, 640), (2, 512)], ids=["one-cpu", "one-block"])
+def test_train_steps_inline_on_one_cpu_or_when_w1_fits_one_block(monkeypatch, cpus, hidden):
+    # at hidden = 512 a head's W1 holds exactly GRAD_BLOCK values
+    fake = FakeBlas(3)
+    stepped_on = []
+
+    def spy(*args):
+        stepped_on.append(threading.current_thread() is threading.main_thread())
+        adamw_step(*args)
+
+    monkeypatch.setattr(model_module, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(model_module, "_blas_threads_setter", lambda: fake)
+    monkeypatch.setattr(model_module, "adamw_step", spy)
+    embeddings, targets, split, _ = pooled_task()
+    model = new_model(512, TWO_HEADS, hidden=hidden, dropout_rate=0.1, seed=2)
+    train(model, embeddings, targets, split, TrainConfig(batch_size=16, max_epochs=1, seed=4))
+    assert fake.log == [] and stepped_on and all(stepped_on)
+
+
+def test_blas_threads_setter_is_none_where_no_loaded_library_exports_it(monkeypatch, tmp_path):
+    # a library named like OpenBLAS that lacks the function, one that cannot be
+    # loaded, and no maps file at all
+    stub = tmp_path / "libopenblas_stub.so"
+    stub.symlink_to(_ctypes.__file__)
+    maps = tmp_path / "maps"
+    maps.write_text(f"7f00-7f01 r--p 00000000 fe:00 1  {stub}\n"
+                    f"7f01-7f02 r--p 00000000 fe:00 2  {tmp_path / 'libopenblas_gone.so'}\n"
+                    "7f02-7f03 rw-p 00000000 00:00 0\n")
+    real_open = open
+    for listed in (maps, tmp_path / "no-maps"):
+        monkeypatch.setattr(model_module, "open",
+                            lambda path, *args, **kwargs: real_open(listed, *args, **kwargs),
+                            raising=False)
+        assert model_module._blas_threads_setter() is None
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert model_module.usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert model_module.usable_cpus() == 3
 
 
 @pytest.mark.parametrize("learning_rate", [0.05, 1e308], ids=["trained", "non-finite-loss"])
