@@ -48,25 +48,31 @@ tail buffer, and AdamW steps each piece, at its offset in the head's
 share no parameters, every piece is stepped once per batch and AdamW is
 elementwise, so this gives the bits of one step over the whole gradient.
 
-The W1 blocks and their AdamW steps run on a pool of one thread per CPU the
-process may use (``_w1_pool``), each worker writing its blocks, of at most
-``GRAD_BLOCK // workers`` values, into its own buffer. The calling thread
-keeps the forward step, the loss, the dropout draws (in the same order) and
-the tail, and takes the next head's forward step while the workers step
-this head's W1. Meanwhile BLAS runs one thread, set through OpenBLAS's
-``openblas_set_num_threads_local`` (in OpenBLAS 0.3.31 it sets the count for
-the whole process), so no idle BLAS worker spins on a CPU the pool needs.
-W1's gradient rows do not depend on their block, and one-thread GEMMs gave
-the bits of two-thread ones, so the bits are those of the inline blocks. The
-calling thread writes the blocks itself where the count cannot be set (MKL,
-Accelerate, OpenBLAS before 0.3.27), one CPU is usable, or a head's W1 fits
-in one ``GRAD_BLOCK``.
+The W1 blocks and their AdamW steps run on a pool of ``W1_WORKERS`` (two)
+threads (``_w1_pool``), worker k writing every second block into its own
+buffer; the blocks are the inline ones, so the pool holds one ``GRAD_BLOCK``
+per worker. The calling thread keeps the forward step, the loss, the dropout
+draws (in the same order) and the tail, and takes the next head's forward
+step while the workers step this head's W1. Meanwhile BLAS runs one thread,
+set through ``openblas_set_num_threads_local`` in every loaded OpenBLAS that
+exports it (in OpenBLAS 0.3.31 it sets the count for the whole process), so
+no idle BLAS worker spins on a CPU the pool needs. So the pool gives the
+bits of the inline blocks run at one BLAS thread. Where OpenBLAS rounds a
+product alike at one and at two threads, as its SkylakeX kernel did for all
+2,270 product shapes probed at d = hidden = 1024, these are the inline bits
+at two threads too; for some other shapes they are not (see ``_w1_pool``).
+
+The pool was timed on a host with two usable CPUs only, so the calling
+thread writes the blocks itself, with the BLAS count left alone, on any
+other number; also where the count cannot be set (MKL, Accelerate, OpenBLAS
+before 0.3.27) and where a head's W1 fits in one block, which leaves one
+worker idle.
 
 Nor is the training set copied: each batch's rows are gathered from the
 stored matrix and upcast to float64 alone, and the validation rows keep their
 stored dtype. So training holds ``theta``, two moments, one gradient block
-and one batch of rows beyond its inputs. The W1 gradient and prediction are
-blocked by ``_row_blocks``.
+(one per W1 worker) and one batch of rows beyond its inputs. The W1 gradient
+and prediction are blocked by ``_row_blocks``.
 
 Checkpoint files start with magic ``FMHC`` and a format-version u32, then a
 u32-length-prefixed JSON header (dim, hidden, dropout, category names,
@@ -112,6 +118,7 @@ CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 1 << 16  # elements per adamw_step block; its two scratch blocks are 512 KB each
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator floor
 GRAD_BLOCK = 1 << 18  # values per block of a head's W1 gradient: 2 MiB of float64
+W1_WORKERS = 2  # threads stepping W1 blocks; the only usable-CPU count the pool was timed on
 PREDICT_BLOCK = 2048  # rows per eval-mode forward block; float64 activations stay ~16 MB at hidden=1024
 LOAD_BLOCK = 1 << 17  # parameters load_model reads and checks at once: 1 MiB of float64
 
@@ -393,13 +400,13 @@ def _loss_and_grads(
     ``apply(c, start, piece)`` in pieces, ``start`` being the piece's offset in
     the head's ``flat``, all before the function returns. The b1, W2, b2
     gradient is written into a small tail buffer, and W1's in ``_row_blocks``
-    of at most ``GRAD_BLOCK // workers`` values, each into a block buffer and
-    passed on as soon as it is written. Without a ``pool`` the caller does
-    that, before head c + 1's forward step. With a ``pool`` of ``workers``
-    threads, worker k writes and passes on every ``workers``-th block into
-    its own buffer, under the caller's numpy error handling, while the
-    caller passes on head c's tail and takes head c + 1's forward step; it
-    waits for head c's blocks before it hands out head c + 1's. ``dU`` is
+    of at most ``GRAD_BLOCK`` values, each into a block buffer and passed on
+    as soon as it is written. Without a ``pool`` the caller does that, before
+    head c + 1's forward step. With a ``pool`` of ``workers`` threads, worker
+    k writes and passes on every ``workers``-th of the same blocks into its
+    own buffer, under the caller's numpy error handling, while the caller
+    passes on head c's tail and takes head c + 1's forward step; it waits for
+    head c's blocks before it hands out head c + 1's. ``dU`` is
     computed before any piece is passed on, since a step on the tail moves
     W2, and the W1 blocks need only ``dA`` and the input rows, so the other
     activations go first. Without ``apply``, each piece is copied into a
@@ -417,7 +424,7 @@ def _loss_and_grads(
         grad_flats = [head.flat for head in replace(model, theta=grad).heads]
         apply = lambda c, start, piece: np.copyto(grad_flats[c][start : start + piece.size], piece)
     dim, hidden = model.dim, model.hidden
-    blocks = _row_blocks(hidden, GRAD_BLOCK // workers // dim)
+    blocks = _row_blocks(hidden, GRAD_BLOCK // dim)  # the same products whatever ``workers``
     block_buffers = np.empty((workers, max(hi - lo for lo, hi in blocks) * dim))
     tail_buffer = np.empty(max(head.flat.size for head in model.heads) - hidden * dim)
     errors = np.geterr()  # numpy keeps its error handling per thread: the workers get this
@@ -604,46 +611,71 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads_setter() -> Optional[Callable[[int], int]]:
-    """OpenBLAS's ``openblas_set_num_threads_local``, which sets the BLAS thread count and
-    returns the count it replaces, from an OpenBLAS that ``/proc/self/maps`` lists; else None.
+def _blas_thread_setters() -> list[Callable[[int], int]]:
+    """``openblas_set_num_threads_local``, which sets the BLAS thread count and returns the
+    count it replaces, from every OpenBLAS that ``/proc/self/maps`` lists and that exports it.
+
+    numpy does not say which OpenBLAS it loaded, and a host process may have loaded another
+    (say scipy's own), so the count is set in each of them.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
                             if "openblas" in line.lower()})
     except OSError:
-        return None
+        return []
+    setters = []
     for path in paths:
         try:
             setter = ctypes.CDLL(path).openblas_set_num_threads_local
         except (OSError, AttributeError):
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
+        setters.append(setter)
+    return setters
 
 
 @contextmanager
 def _w1_pool(model: MultiHeadModel) -> Iterator[tuple[Optional[ThreadPoolExecutor], int]]:
-    """A pool of one thread per usable CPU for the W1 gradient blocks, and its size.
+    """A pool of ``W1_WORKERS`` threads for the W1 gradient blocks, and its size.
 
-    The calling thread and every worker run one BLAS thread until the pool is
-    shut down; then the caller's count comes back. Gives ``(None, 1)``, and
-    changes nothing, if the count cannot be set, one CPU is usable or a
-    head's W1 fits in one ``GRAD_BLOCK``.
+    The calling thread and every worker run one BLAS thread, in every
+    OpenBLAS found, until the pool is shut down; then each library gets the
+    caller's count back, in the reverse order of setting, so a library found
+    twice ends at its first count. Gives ``(None, 1)``, and changes nothing,
+    if the count cannot be set, the process may use other than
+    ``W1_WORKERS`` CPUs, or a head's W1 fits in one ``GRAD_BLOCK``.
+
+    Timed on a 2-vCPU Xeon (AVX-512), alternating pool and inline runs in
+    one process: on perfbench ``fit``'s ``train`` inputs (d = hidden = 1024,
+    four blocks a head) the pool took a median 1.12 s against 1.31 s and won
+    9 of 10 runs; on 400 random rows at d = hidden = 768 (three blocks) it
+    won 11 of 12. With one block a head it gained nothing clear: it won 1,
+    5 and 8 of 12 runs at d = hidden = 128, 256 and 384.
+
+    One BLAS thread changes the rounding of some products against two, so a
+    model trained here can differ in its last bits from one trained with the
+    inline blocks on the same host. With OpenBLAS 0.3.31's SkylakeX kernel,
+    products whose output is wider than 64 and not a multiple of 8 differed,
+    and so did the forward product for input widths above 384 that are not
+    a multiple of 32 (400, say); with its Haswell kernel, the forward product
+    of 2, 5 or 6 rows at d = hidden = 1024.
     """
-    set_threads = _blas_threads_setter()
-    workers = usable_cpus()
-    if set_threads is None or workers == 1 or model.hidden * model.dim <= GRAD_BLOCK:
+    setters = _blas_thread_setters()
+    if not setters or usable_cpus() != W1_WORKERS or model.hidden * model.dim <= GRAD_BLOCK:
         yield None, 1
         return
-    previous = set_threads(1)
+
+    def one_blas_thread() -> list[int]:
+        return [set_threads(1) for set_threads in setters]
+
+    previous = one_blas_thread()
     try:
-        with ThreadPoolExecutor(workers, initializer=set_threads, initargs=(1,)) as pool:
-            yield pool, workers
+        with ThreadPoolExecutor(W1_WORKERS, initializer=one_blas_thread) as pool:
+            yield pool, W1_WORKERS
     finally:
-        set_threads(previous)
+        for set_threads, threads in reversed(list(zip(setters, previous))):
+            set_threads(threads)
 
 
 def train(
@@ -672,15 +704,17 @@ def train(
     are gathered from ``embeddings.rows`` and upcast to float64 alone; the
     validation rows go to :func:`predict_batch` in their stored dtype. Memory
     is three parameter-sized vectors (parameters and two moments) plus one
-    2 MiB gradient block, the tail and one batch.
+    2 MiB gradient block per W1 worker, the tail and one batch.
     The batch loss is checked after the heads are stepped, so when
     ``NonFiniteLoss`` is raised the failing batch's update is already in
     ``model.theta``.
 
-    Each head's W1 blocks are written and stepped on ``_w1_pool``'s threads,
-    which share the 2 MiB (see the module notes). BLAS runs one thread until
-    training ends, and the caller's count is restored on every exit,
-    ``NonFiniteLoss`` included.
+    On a host with ``W1_WORKERS`` usable CPUs, the only count it was timed
+    on, each head's W1 blocks are written and stepped on ``_w1_pool``'s two
+    threads, each with its own 2 MiB block (see the module notes). BLAS then
+    runs one thread until training ends, which can change the last bits of
+    some shapes' products (see ``_w1_pool``), and the caller's count is
+    restored on every exit, ``NonFiniteLoss`` included.
 
     An epoch that follows an improving one first writes ``theta``, from a
     view, over the start of one unlinked ``tempfile.TemporaryFile`` under

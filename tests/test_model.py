@@ -11,6 +11,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -902,46 +903,48 @@ class FakeBlas:
 
 
 def pooled_task():
-    """TWO_HEADS at d = 512, hidden = 640: over two workers each head's W1 is three blocks,
-    over five seven."""
-    assert 640 * 512 > GRAD_BLOCK
-    assert [len(_row_blocks(640, GRAD_BLOCK // n // 512)) for n in (2, 5)] == [3, 7]
-    embeddings, targets, ids = float32_task(120, 512, seed=5)
+    """TWO_HEADS at d = 513, hidden = 1400: each head's W1 is three blocks, and at
+    d = 513 some OpenBLAS kernels round the forward product differently at one
+    BLAS thread than at two, and a W1 block's rows differently in other blocks."""
+    assert len(_row_blocks(1400, GRAD_BLOCK // 513)) == 3
+    embeddings, targets, ids = float32_task(120, 513, seed=5)
     split = SplitAssignment(train=ids[:80], val=ids[80:100], test=ids[100:])
-    return embeddings, targets, split, new_model(512, TWO_HEADS, hidden=640, dropout_rate=0.1, seed=2)
+    return embeddings, targets, split, new_model(513, TWO_HEADS, hidden=1400, dropout_rate=0.1, seed=2)
 
 
-@pytest.mark.parametrize("workers", [2, 5])
-def test_train_on_the_w1_pool_ends_at_the_inline_theta_and_history(monkeypatch, workers):
-    # two workers stripe three blocks per head; five, more threads than a small host has
-    # CPUs, stripe seven, with the interpreter switching threads as often as it can
-    setter = model_module._blas_threads_setter() or FakeBlas(2)
+def one_blas_thread(setters):
+    """Set each of ``setters`` to one BLAS thread; gives what puts them back."""
+    previous = [set_threads(1) for set_threads in setters]
+    return lambda: [set_threads(threads) for set_threads, threads in zip(setters, previous)]
 
-    def threads_now():
-        threads = setter(1)
-        setter(threads)
-        return threads
 
+def test_train_on_the_w1_pool_ends_at_the_inline_theta_and_history_at_one_blas_thread(monkeypatch):
+    # the pool runs BLAS at one thread, so its promise is the inline blocks' bits at
+    # one thread (with no OpenBLAS call found the blocks run inline); the interpreter
+    # switches threads as often as it can
     stepped_on = []
 
     def spy(*args):
         stepped_on.append(threading.current_thread() is threading.main_thread())
         adamw_step(*args)
 
-    monkeypatch.setattr(model_module, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(model_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(model_module, "adamw_step", spy)
+    setters = model_module._blas_thread_setters() or [FakeBlas(2)]
     config = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=3, patience=3, seed=4)
     results, callers = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for lookup in (lambda: setter, lambda: None):
-            monkeypatch.setattr(model_module, "_blas_threads_setter", lookup)
+        for lookup in (lambda: setters, list):
+            monkeypatch.setattr(model_module, "_blas_thread_setters", lookup)
             embeddings, targets, split, model = pooled_task()
-            before = threads_now()
             stepped_on.clear()
-            results.append(train(model, embeddings, targets, split, config))
-            assert threads_now() == before
+            restore = one_blas_thread(setters)
+            try:
+                results.append(train(model, embeddings, targets, split, config))
+            finally:
+                restore()
             callers.append(set(stepped_on))
     finally:
         sys.setswitchinterval(interval)
@@ -951,17 +954,36 @@ def test_train_on_the_w1_pool_ends_at_the_inline_theta_and_history(monkeypatch, 
     assert results[0].model.theta.tobytes() == results[1].model.theta.tobytes()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_loss_and_grads_on_a_pool_gives_the_inline_gradient(workers):
+    # worker k takes every workers-th block: three blocks over two workers and over three
+    embeddings, targets, split, model = pooled_task()
+    X = embeddings.rows[:16].astype(np.float64)
+    restore = one_blas_thread(model_module._blas_thread_setters())
+    try:
+        inline = _loss_and_grads(model, X, targets[:16], rng=np.random.default_rng(7))
+        with ThreadPoolExecutor(workers) as pool:
+            pooled = _loss_and_grads(model, X, targets[:16], rng=np.random.default_rng(7),
+                                     pool=pool, workers=workers)
+    finally:
+        restore()
+    assert inline[0] == pooled[0] and inline[1].tobytes() == pooled[1].tobytes()
+
+
+@pytest.mark.parametrize("found", ["two-libraries", "one-library-twice"])
 @pytest.mark.parametrize("learning_rate", [0.01, 1e308], ids=["trained", "non-finite-loss"])
-def test_train_gives_the_callers_blas_threads_back(monkeypatch, learning_rate):
-    fake = FakeBlas(3)
+def test_train_gives_each_blas_its_callers_threads_back(monkeypatch, learning_rate, found):
+    fakes = [FakeBlas(3), FakeBlas(4)]
+    libraries = fakes if found == "two-libraries" else fakes[:1]
+    setters = fakes if found == "two-libraries" else [fakes[0], fakes[0]]
     during = []
 
     def spy(*args):
-        during.append(fake.threads)
+        during.append([fake.threads for fake in fakes])
         adamw_step(*args)
 
     monkeypatch.setattr(model_module, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(model_module, "_blas_threads_setter", lambda: fake)
+    monkeypatch.setattr(model_module, "_blas_thread_setters", lambda: setters)
     monkeypatch.setattr(model_module, "adamw_step", spy)
     embeddings, targets, split, model = pooled_task()
     config = TrainConfig(learning_rate=learning_rate, batch_size=16, max_epochs=2, seed=4)
@@ -971,18 +993,22 @@ def test_train_gives_the_callers_blas_threads_back(monkeypatch, learning_rate):
     else:
         train(model, embeddings, targets, split, config)
     caller = threading.get_ident()
-    # the calling thread sets one BLAS thread first and its own count back last;
-    # each worker the pool starts (at most two) sets one BLAS thread as it starts
-    assert fake.log[0] == (caller, 1) and fake.log[-1] == (caller, 3) and fake.threads == 3
-    workers = fake.log[1:-1]
-    assert 1 <= len(workers) <= 2 and {threads for _, threads in workers} == {1}
-    assert caller not in {ident for ident, _ in workers}
-    assert during and set(during) == {1}
+    # each library found is set to one BLAS thread by the calling thread first and by
+    # each worker the pool starts (at most two), and gets the caller's count back last
+    for fake, threads in zip(libraries, (3, 4)):
+        assert fake.log[0] == (caller, 1) and fake.log[-1] == (caller, threads)
+        workers = [(ident, count) for ident, count in fake.log if ident != caller]
+        assert workers and {count for _, count in workers} == {1}
+        assert len({ident for ident, _ in workers}) <= 2
+    assert [fake.threads for fake in fakes] == [3, 4]
+    assert during and all(threads == [1, 1 if found == "two-libraries" else 4] for threads in during)
 
 
-@pytest.mark.parametrize("cpus, hidden", [(1, 640), (2, 512)], ids=["one-cpu", "one-block"])
-def test_train_steps_inline_on_one_cpu_or_when_w1_fits_one_block(monkeypatch, cpus, hidden):
-    # at hidden = 512 a head's W1 holds exactly GRAD_BLOCK values
+@pytest.mark.parametrize("cpus, hidden", [(1, 1400), (3, 1400), (2, 510)],
+                         ids=["one-cpu", "three-cpus", "one-block"])
+def test_train_steps_inline_on_other_cpu_counts_or_when_w1_fits_one_block(monkeypatch, cpus, hidden):
+    # at hidden = 510 a head's W1 fits one GRAD_BLOCK
+    assert 510 * 513 <= GRAD_BLOCK
     fake = FakeBlas(3)
     stepped_on = []
 
@@ -991,29 +1017,52 @@ def test_train_steps_inline_on_one_cpu_or_when_w1_fits_one_block(monkeypatch, cp
         adamw_step(*args)
 
     monkeypatch.setattr(model_module, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(model_module, "_blas_threads_setter", lambda: fake)
+    monkeypatch.setattr(model_module, "_blas_thread_setters", lambda: [fake])
     monkeypatch.setattr(model_module, "adamw_step", spy)
     embeddings, targets, split, _ = pooled_task()
-    model = new_model(512, TWO_HEADS, hidden=hidden, dropout_rate=0.1, seed=2)
+    model = new_model(513, TWO_HEADS, hidden=hidden, dropout_rate=0.1, seed=2)
     train(model, embeddings, targets, split, TrainConfig(batch_size=16, max_epochs=1, seed=4))
     assert fake.log == [] and stepped_on and all(stepped_on)
 
 
-def test_blas_threads_setter_is_none_where_no_loaded_library_exports_it(monkeypatch, tmp_path):
+def maps_listing(tmp_path, *names):
+    """A ``/proc/self/maps`` stand-in that maps each named file under ``tmp_path``."""
+    maps = tmp_path / "maps"
+    maps.write_text("".join(f"7f{i:02d}-7f{i + 1:02d} r--p 00000000 fe:00 {i}  {tmp_path / name}\n"
+                            for i, name in enumerate(names)) + "7fff-8000 rw-p 00000000 00:00 0\n")
+    return maps
+
+
+def read_maps_from(monkeypatch, listed):
+    real_open = open
+    monkeypatch.setattr(model_module, "open",
+                        lambda path, *args, **kwargs: real_open(listed, *args, **kwargs), raising=False)
+
+
+def test_blas_thread_setters_is_empty_where_no_loaded_library_exports_it(monkeypatch, tmp_path):
     # a library named like OpenBLAS that lacks the function, one that cannot be
     # loaded, and no maps file at all
-    stub = tmp_path / "libopenblas_stub.so"
-    stub.symlink_to(_ctypes.__file__)
-    maps = tmp_path / "maps"
-    maps.write_text(f"7f00-7f01 r--p 00000000 fe:00 1  {stub}\n"
-                    f"7f01-7f02 r--p 00000000 fe:00 2  {tmp_path / 'libopenblas_gone.so'}\n"
-                    "7f02-7f03 rw-p 00000000 00:00 0\n")
-    real_open = open
-    for listed in (maps, tmp_path / "no-maps"):
-        monkeypatch.setattr(model_module, "open",
-                            lambda path, *args, **kwargs: real_open(listed, *args, **kwargs),
-                            raising=False)
-        assert model_module._blas_threads_setter() is None
+    (tmp_path / "libopenblas_stub.so").symlink_to(_ctypes.__file__)
+    for listed in (maps_listing(tmp_path, "libopenblas_stub.so", "libopenblas_gone.so"),
+                   tmp_path / "no-maps"):
+        read_maps_from(monkeypatch, listed)
+        assert model_module._blas_thread_setters() == []
+
+
+def test_blas_thread_setters_finds_every_openblas_that_exports_it(monkeypatch, tmp_path):
+    # numpy's OpenBLAS and another one a host process loaded; a third lacks the function
+    exporting = {str(tmp_path / name): FakeBlas(2)
+                 for name in ("libscipy_openblas64_-a.so", "libopenblas-b.so")}
+
+    def load(path):
+        if path in exporting:
+            return type("Library", (), {"openblas_set_num_threads_local": exporting[path]})
+        return type("Library", (), {})
+
+    monkeypatch.setattr(model_module.ctypes, "CDLL", load)
+    read_maps_from(monkeypatch, maps_listing(tmp_path, "libopenblas-b.so", "libopenblas-b.so",
+                                             "libopenblas_stub.so", "libscipy_openblas64_-a.so"))
+    assert model_module._blas_thread_setters() == [exporting[path] for path in sorted(exporting)]
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
